@@ -1,40 +1,25 @@
 """Regenerate the plot data files behind the standard figures.
 
-Writes three CSVs into --out-dir: minimum PT eigenvalue of the evolved
-family for a few decay rates, the realignment excess along the same
-curve, and the two closed-form fidelity curves. Columns and number
-formatting match the sweep subcommand, so the files diff cleanly against
-CLI output.
+Writes three CSVs into --out-dir, each the stdout of one sweep
+subcommand: the minimum PT eigenvalue of the evolved family for the
+decay rates 0.4, 0.7 and 1.0, the realignment excess along the rate-1
+curve, and the two closed-form fidelity curves.
 """
 
 import argparse
-import csv
+import contextlib
 from pathlib import Path
 
-import numpy as np
-
-from dephaselab.channels import NoiseParams
-from dephaselab.criteria import min_pt_eigenvalue, realignment_excess
-from dephaselab.family import (
-    FamilyParams,
-    evolved_closed_form,
-    fidelity_initial,
-    fidelity_swapped,
-)
-
-RATES = (0.4, 0.7, 1.0)
+from dephaselab import cli
 
 
-def fmt(x: float) -> str:
-    return "%.12g" % x
-
-
-def write_rows(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+def write_sweep(path: Path, args: list) -> None:
+    with path.open("w", newline="") as fh, contextlib.redirect_stdout(fh):
+        code = cli.main(["sweep", *args])
+    if code:
+        raise SystemExit(code)
+    rows = len(path.read_text().splitlines()) - 1
+    print(f"wrote {path} ({rows} rows)")
 
 
 def main() -> None:
@@ -46,28 +31,14 @@ def main() -> None:
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    ts = np.linspace(0.0, args.t_max, args.points)
-
-    rows = []
-    for t in ts:
-        for gamma in RATES:
-            state = evolved_closed_form(
-                FamilyParams(args.alpha, NoiseParams(gamma, gamma, float(t)))
-            )
-            rows.append([fmt(t), fmt(gamma), fmt(min_pt_eigenvalue(state))])
-    write_rows(args.out_dir / "pt_min_eig.csv", ["t", "gamma", "value"], rows)
-
-    rows = []
-    for t in ts:
-        state = evolved_closed_form(FamilyParams(args.alpha, NoiseParams(1.0, 1.0, float(t))))
-        rows.append([fmt(t), fmt(1.0), fmt(realignment_excess(state))])
-    write_rows(args.out_dir / "realignment_excess.csv", ["t", "gamma", "value"], rows)
-
-    rows = [
-        [fmt(t), fmt(1.0), fmt(fidelity_initial(1.0, float(t))), fmt(fidelity_swapped(1.0, float(t)))]
-        for t in ts
-    ]
-    write_rows(args.out_dir / "fidelity.csv", ["t", "gamma", "f_rho", "f_rho_prime"], rows)
+    t_range = ["--t-range", "0", repr(args.t_max), str(args.points)]
+    alpha = ["--alpha", repr(args.alpha)]
+    write_sweep(
+        args.out_dir / "pt_min_eig.csv",
+        ["--quantity", "pt-min-eig", *alpha, *t_range, "--gamma-range", "0.4", "1.0", "3"],
+    )
+    write_sweep(args.out_dir / "realignment_excess.csv", ["--quantity", "realignment", *alpha, *t_range])
+    write_sweep(args.out_dir / "fidelity.csv", ["--quantity", "fidelity", *t_range])
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
 """Bipartite qudit states under local dephasing noise.
 
-Evolution through Kraus channels, entanglement classification through
-partial-transpose and realignment witnesses, a constructive separability
-certificate, distillability probes built from single channel branches,
-and the closed-form state family that ties them together. The cli module
-exposes the pipeline as a batch command line tool.
+Evolution through entrywise sector-dephasing masks, entanglement
+classification through partial-transpose and realignment witnesses, a
+constructive separability certificate, distillability probes built from
+single channel branches, and the closed-form state family that ties them
+together. The cli module exposes the pipeline as a batch command line
+tool.
 """
 
-from .channels import NoiseParams, apply_channel, general_dephase, infinite_limit, kraus_ground_excited
+from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit, sector_dephase
 from .criteria import (
     BlockSpec,
     Classification,
@@ -37,10 +38,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NoiseParams",
-    "apply_channel",
     "general_dephase",
+    "ground_excited",
     "infinite_limit",
-    "kraus_ground_excited",
+    "sector_dephase",
     "BlockSpec",
     "Classification",
     "Verdict",

@@ -1,22 +1,29 @@
 """Local dephasing channels and their exact infinite-time limit.
 
-Two noise models act here. The ground/excited model dephases each qutrit
-between its ground level |0> and the excited doublet {|1>, |2>}: a
-coherence picks up one factor exp(-rate*t/2) for every side on which
-exactly one of its labels is the ground level, and coherences inside the
-excited doublet survive untouched. The general model dephases between all
-local basis states, damping every off-diagonal pair uniformly. Both are
-completely positive, trace preserving, and form semigroups in t.
+Both noise models act entrywise through one primitive, sector_dephase:
+a coherence picks up a side's retention factor when its two labels on
+that side lie in different sectors. Ground/excited dephasing splits each
+qutrit into {0} | {1, 2} with retention exp(-rate*t/2); general
+dephasing makes every label its own sector with retention exp(-rate*t).
+Both are completely positive, trace preserving, and form semigroups in
+t; the infinite-time limit is the ground/excited split with retention 0.
+No runtime path uses the Kraus construction (KrausSet, local_pair,
+kraus_ground_excited, apply_channel): it is the independent reference
+route the tests compare the masks against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qstate import BadShapeError, DensityMatrix, Dims, make_state, tensor
+
+
+GROUND_EXCITED = (0, 1, 1)
 
 
 class IncompleteKrausError(ValueError):
@@ -114,6 +121,42 @@ def apply_channel(state: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     return make_state(state.dims, out)
 
 
+@functools.lru_cache(maxsize=32)
+def _cross_sector(sectors_a: tuple, sectors_b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) patterns of the entries whose side-A, side-B labels change sector."""
+    a = np.repeat(sectors_a, len(sectors_b))
+    b = np.tile(sectors_b, len(sectors_a))
+    cross = (a[:, None] != a, b[:, None] != b)
+    for c in cross:
+        c.setflags(write=False)
+    return cross
+
+
+def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a: float, keep_b: float) -> DensityMatrix:
+    """Damp every coherence between sectors and revalidate the result.
+
+    sectors_a / sectors_b label each local level with its sector. Entry
+    ((i,k),(j,l)) is multiplied by keep_a if sectors_a[i] != sectors_a[j]
+    and by keep_b if sectors_b[k] != sectors_b[l]. Raises BadShapeError
+    when a labelling does not have one entry per local level.
+    """
+    d = state.dims
+    sectors_a, sectors_b = tuple(sectors_a), tuple(sectors_b)
+    if (len(sectors_a), len(sectors_b)) != (d.da, d.db):
+        raise BadShapeError(f"sector labellings {sectors_a}, {sectors_b} do not cover dims ({d.da}, {d.db})")
+    cross_a, cross_b = _cross_sector(sectors_a, sectors_b)
+    return make_state(d, state.mat * (np.where(cross_a, keep_a, 1.0) * np.where(cross_b, keep_b, 1.0)))
+
+
+def ground_excited(state: DensityMatrix, noise: NoiseParams) -> DensityMatrix:
+    """Ground/excited dephasing of a qutrit-qutrit state to time noise.t.
+
+    A coherence keeps gamma_a = exp(-rate_a*t/2) when its side-A labels
+    straddle {0} | {1, 2}, and likewise gamma_b on side B.
+    """
+    return sector_dephase(state, GROUND_EXCITED, GROUND_EXCITED, noise.gamma_a, noise.gamma_b)
+
+
 def general_dephase(state: DensityMatrix, p: NoiseParams) -> DensityMatrix:
     """Dephase between all local basis states on each side.
 
@@ -123,13 +166,8 @@ def general_dephase(state: DensityMatrix, p: NoiseParams) -> DensityMatrix:
     (1-p)*sigma + p*diag(sigma) with p = 1 - exp(-rate*t).
     """
     d = state.dims
-    fa = math.exp(-p.gamma_rate_a * p.t)
-    fb = math.exp(-p.gamma_rate_b * p.t)
-    damp_a = np.full((d.da, d.da), fa)
-    np.fill_diagonal(damp_a, 1.0)
-    damp_b = np.full((d.db, d.db), fb)
-    np.fill_diagonal(damp_b, 1.0)
-    return make_state(d, state.mat * np.kron(damp_a, damp_b))
+    fa, fb = math.exp(-p.gamma_rate_a * p.t), math.exp(-p.gamma_rate_b * p.t)
+    return sector_dephase(state, range(d.da), range(d.db), fa, fb)
 
 
 def infinite_limit(state: DensityMatrix) -> DensityMatrix:
@@ -137,21 +175,7 @@ def infinite_limit(state: DensityMatrix) -> DensityMatrix:
 
     Only entries whose labels sit in the same sector ({0} or {1, 2}) on
     both sides survive: the |00> population, the two single-side
-    ground-times-doublet blocks, and the whole doublet-doublet corner.
-    Computed algebraically from the input, no large-t evolution involved.
+    ground-times-doublet blocks, and the whole doublet-doublet corner:
+    the ground/excited mask with retention 0, no large-t evolution.
     """
-    d = state.dims
-    if (d.da, d.db) != (3, 3):
-        raise BadShapeError(f"ground/excited limit is defined on dims (3, 3), got {d}")
-    m = state.mat
-    out = np.zeros_like(m)
-    out[0, 0] = m[0, 0]
-    for b in (1, 2):
-        for b2 in (1, 2):
-            out[d.flat(0, b), d.flat(0, b2)] = m[d.flat(0, b), d.flat(0, b2)]
-    for a in (1, 2):
-        for a2 in (1, 2):
-            out[d.flat(a, 0), d.flat(a2, 0)] = m[d.flat(a, 0), d.flat(a2, 0)]
-    corner = [d.flat(a, b) for a in (1, 2) for b in (1, 2)]
-    out[np.ix_(corner, corner)] = m[np.ix_(corner, corner)]
-    return make_state(d, out)
+    return sector_dephase(state, GROUND_EXCITED, GROUND_EXCITED, 0.0, 0.0)

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import channels, criteria, family
-from .channels import NoiseParams, apply_channel, kraus_ground_excited
+from .channels import NoiseParams, ground_excited
 from .linalg import TOL, NotHermitianError, NotPSDError
 from .qstate import (
     BadShapeError,
@@ -54,6 +54,7 @@ class ContentError(Exception):
 _CONTENT_ERRORS = (
     ContentError,
     family.AlphaDomainError,
+    criteria.CoverageError,
     BadShapeError,
     NotHermitianError,
     TraceNotOneError,
@@ -129,24 +130,14 @@ def _load_state_file(path: str) -> DensityMatrix:
 
 
 def _evolved_state(initial: str, alpha: float, noise: NoiseParams) -> DensityMatrix:
-    """Evolve the requested initial state to noise.t.
-
-    The built-in "rho" uses the closed form; "rho-prime" and file states
-    go through the Kraus path (the two agree within 1e-12, a test-pinned
-    fact). File states must be qutrit-qutrit to match the channel.
-    """
+    """Evolve rho, rho-prime or a qutrit-qutrit state file to noise.t under ground/excited dephasing."""
     if initial == "rho":
-        return family.evolved_closed_form(family.FamilyParams(alpha, noise))
-    if initial == "rho-prime":
+        base = family.initial_state(alpha)
+    elif initial == "rho-prime":
         base = family.swapped_state(alpha)
     else:
         base = _load_state_file(initial)
-        if (base.dims.da, base.dims.db) != (3, 3):
-            raise ContentError(
-                f"the ground/excited channel needs a qutrit-qutrit state, got dims "
-                f"({base.dims.da}, {base.dims.db})"
-            )
-    return apply_channel(base, kraus_ground_excited(noise))
+    return ground_excited(base, noise)
 
 
 def _fmt(value: float) -> str:
@@ -324,11 +315,7 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
 
     grid = [k * 0.5 for k in range(21)]
     witnesses = [
-        criteria.qubit_block_witness(
-            apply_channel(rho_prime0, kraus_ground_excited(NoiseParams(1.0, 1.0, t))),
-            (1, 2),
-            (1, 2),
-        )
+        criteria.qubit_block_witness(ground_excited(rho_prime0, NoiseParams(1.0, 1.0, t)), (1, 2), (1, 2))
         for t in grid
     ]
     yield (
@@ -418,14 +405,13 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
 
     bad = 0
     noise = NoiseParams(1.0, 1.0, 0.7)
-    ks = kraus_ground_excited(noise)
     for s in states:
         try:
             probe = family.one_sided_probe(s, "B", noise)
         except ZeroTraceError:
             continue
         if probe.entangled:
-            evolved = apply_channel(s, ks)
+            evolved = ground_excited(s, noise)
             if criteria.min_pt_eigenvalue(evolved) >= -TOL.verdict:
                 bad += 1
     yield (

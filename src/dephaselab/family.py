@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import NoiseParams, general_dephase, infinite_limit, local_pair
+from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
 from .criteria import BlockSpec, min_pt_eigenvalue
 from .linalg import TOL, check_hermitian, eigvals_hermitian
 from .qstate import (
@@ -189,24 +189,14 @@ def swapped_state_from_mixture(alpha: float) -> DensityMatrix:
 
 
 def evolved_closed_form(fp: FamilyParams) -> DensityMatrix:
-    """The family state at time t, written directly.
+    """The family state at time t.
 
     The diagonal never moves; the three coherences pick up one retention
     factor per side whose label pair touches the ground level:
     (|01>,|10>) keeps gamma_a * gamma_b, (|01>,|22>) keeps gamma_a,
-    (|10>,|22>) keeps gamma_b.
+    (|10>,|22>) keeps gamma_b: the ground/excited mask on initial_state.
     """
-    d = QUTRIT_PAIR
-    m = np.array(initial_state(fp.alpha).mat)
-    ga, gb = fp.noise.gamma_a, fp.noise.gamma_b
-    c01, c10, c22 = d.flat(0, 1), d.flat(1, 0), d.flat(2, 2)
-    m[c01, c10] *= ga * gb
-    m[c10, c01] *= ga * gb
-    m[c01, c22] *= ga
-    m[c22, c01] *= ga
-    m[c10, c22] *= gb
-    m[c22, c10] *= gb
-    return make_state(d, m)
+    return ground_excited(initial_state(fp.alpha), fp.noise)
 
 
 def pt_branch_eigenvalue(alpha: float, rate_sum: float, t: float) -> float:
@@ -287,31 +277,27 @@ def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> Prob
     """Distillability probe from one erased-ground channel branch.
 
     Keeps the branch of the evolved state in which the chosen side's
-    ground level was erased (the partial Kraus sum over the other side's
-    full pair). The branch is supported on a 3x2 (side "B") or 2x3
-    (side "A") subspace, where NPT is conclusive: a negative witness on a
-    2xN support certifies the evolved state distillable at this time.
-    The substate is returned normalized; raises ZeroTraceError when the
-    branch carries no weight (t = 0).
+    ground level was erased. That branch is omega^2 times the evolved
+    state restricted to the chosen side's doublet {1, 2}: a 3x2 (side
+    "B") or 2x3 (side "A") support, where NPT is conclusive, so a
+    negative witness certifies the evolved state distillable at this
+    time. The substate is returned normalized; raises ZeroTraceError
+    when the branch carries no weight (t = 0).
     """
     if state.dims != QUTRIT_PAIR:
         raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
-    pair_a = local_pair(noise.gamma_a)
-    pair_b = local_pair(noise.gamma_b)
     if side == "B":
-        kraus = [tensor(k, pair_b[1]) for k in pair_a]
-        keep_a, keep_b = (0, 1, 2), (1, 2)
+        keep_a, keep_b, omega = (0, 1, 2), (1, 2), noise.omega_b
     elif side == "A":
-        kraus = [tensor(pair_a[1], k) for k in pair_b]
-        keep_a, keep_b = (1, 2), (0, 1, 2)
+        keep_a, keep_b, omega = (1, 2), (0, 1, 2), noise.omega_a
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    branch = sum(k @ state.mat @ k.conj().T for k in kraus)
-    weight = float(np.trace(branch).real)
+    block = project_local(ground_excited(state, noise), keep_a, keep_b, renormalize=False)
+    trace = float(np.trace(block.mat).real)
+    weight = omega ** 2 * trace
     if weight < TOL.zero_trace:
         raise ZeroTraceError(f"branch weight {weight:.3e}; the probe needs t > 0")
-    carrier = DensityMatrix(branch, QUTRIT_PAIR)
-    return _probe_verdict(project_local(carrier, keep_a, keep_b, renormalize=True), weight)
+    return _probe_verdict(DensityMatrix(block.mat / trace, block.dims), weight)
 
 
 def two_sided_probe(state: DensityMatrix) -> ProbeResult:

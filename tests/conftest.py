@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dephaselab.channels import NoiseParams
+from dephaselab.family import initial_state
 from dephaselab.linalg import eigvals_hermitian, sqrt_psd
 from dephaselab.qstate import DensityMatrix, Dims, make_state
 
@@ -57,6 +59,26 @@ def random_separable_mixture(
         for w in weights
     )
     return make_state(dims, m)
+
+
+def evolved_family_by_entries(alpha: float, noise: NoiseParams) -> DensityMatrix:
+    """The evolved family written entry by entry.
+
+    Only the three coherences of the initial state move: (|01>,|10>)
+    keeps gamma_a * gamma_b, (|01>,|22>) keeps gamma_a, (|10>,|22>)
+    keeps gamma_b.
+    """
+    d = QUTRIT_PAIR
+    m = np.array(initial_state(alpha).mat)
+    ga, gb = noise.gamma_a, noise.gamma_b
+    c01, c10, c22 = d.flat(0, 1), d.flat(1, 0), d.flat(2, 2)
+    m[c01, c10] *= ga * gb
+    m[c10, c01] *= ga * gb
+    m[c01, c22] *= ga
+    m[c22, c01] *= ga
+    m[c10, c22] *= gb
+    m[c22, c10] *= gb
+    return make_state(d, m)
 
 
 def pt_by_loops(state: DensityMatrix, side: str = "B") -> np.ndarray:

@@ -14,6 +14,7 @@ from dephaselab.channels import (
     NoiseParams,
     apply_channel,
     general_dephase,
+    ground_excited,
     infinite_limit,
     kraus_ground_excited,
 )
@@ -206,7 +207,7 @@ def test_c07_probe_detectors():
     failures = []
     prime0 = swapped_state(4.5)
     for t in np.arange(0.0, 10.0 + 1e-9, 0.1):
-        state = apply_channel(prime0, kraus_ground_excited(NoiseParams(1.0, 1.0, float(t))))
+        state = ground_excited(prime0, NoiseParams(1.0, 1.0, float(t)))
         witness = qubit_block_witness(state, (1, 2), (1, 2))
         if witness >= -1e-10:
             failures.append(f"swapped-family doublet witness lost at t={t}: {witness!r}")
@@ -225,11 +226,11 @@ def test_c08_semigroup_composition():
     rate_a, rate_b = 0.7, 1.3
     for _ in range(50):
         t1, t2 = rng.uniform(0.0, 2.5, size=2)
-        two_step = apply_channel(
-            apply_channel(start, kraus_ground_excited(NoiseParams(rate_a, rate_b, t1))),
-            kraus_ground_excited(NoiseParams(rate_a, rate_b, t2)),
+        two_step = ground_excited(
+            ground_excited(start, NoiseParams(rate_a, rate_b, t1)),
+            NoiseParams(rate_a, rate_b, t2),
         )
-        one_step = apply_channel(start, kraus_ground_excited(NoiseParams(rate_a, rate_b, t1 + t2)))
+        one_step = ground_excited(start, NoiseParams(rate_a, rate_b, t1 + t2))
         dev = float(np.max(np.abs(two_step.mat - one_step.mat)))
         if dev > 1e-10:
             failures.append(f"ground/excited semigroup broken at (t1,t2)=({t1},{t2}): {dev!r}")
@@ -271,7 +272,7 @@ def test_c10_property_suites():
     for k in range(100):
         state = random_state(rng, QUTRIT_PAIR)
         noise = NoiseParams(*rng.uniform(0.1, 2.0, size=2), rng.uniform(0.0, 3.0))
-        out = apply_channel(state, kraus_ground_excited(noise))
+        out = ground_excited(state, noise)
         if abs(np.trace(out.mat) - 1.0) > 1e-10:
             failures.append(f"channel broke trace on random state #{k}")
         if np.max(np.abs(out.mat - out.mat.conj().T)) > 1e-10:

@@ -14,9 +14,11 @@ from dephaselab.channels import (
     NoiseParams,
     apply_channel,
     general_dephase,
+    ground_excited,
     infinite_limit,
     kraus_ground_excited,
     local_pair,
+    sector_dephase,
 )
 from dephaselab.linalg import eigvals_hermitian
 from dephaselab.qstate import BadShapeError, Dims, make_state, random_state
@@ -116,7 +118,8 @@ class TestApplyChannel:
         for _ in range(10):
             state = random_state(rng, QUTRIT_PAIR)
             expected = state.mat * ground_excited_damping(p)
-            assert np.max(np.abs(apply_channel(state, ks).mat - expected)) < 1e-14
+            for out in (apply_channel(state, ks), ground_excited(state, p)):
+                assert np.max(np.abs(out.mat - expected)) < 1e-14
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -124,19 +127,19 @@ class TestApplyChannel:
         rng = np.random.default_rng(seed)
         state = random_state(rng, QUTRIT_PAIR)
         t = float(rng.uniform(0.0, 5.0))
-        out = apply_channel(state, kraus_ground_excited(NoiseParams(1.0, 0.7, t)))
+        out = ground_excited(state, NoiseParams(1.0, 0.7, t))
         assert abs(np.trace(out.mat) - 1.0) < 1e-10
         assert np.max(np.abs(out.mat - out.mat.conj().T)) < 1e-10
         assert float(eigvals_hermitian(out.mat)[0]) > -1e-10
 
     def test_maximally_mixed_is_fixed(self):
         mixed = make_state(QUTRIT_PAIR, np.eye(9) / 9)
-        out = apply_channel(mixed, kraus_ground_excited(NoiseParams(1.0, 1.0, 2.0)))
+        out = ground_excited(mixed, NoiseParams(1.0, 1.0, 2.0))
         assert np.max(np.abs(out.mat - mixed.mat)) < 1e-15
 
     def test_diagonal_states_are_fixed(self, rng):
         diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))
-        out = apply_channel(diag, kraus_ground_excited(NoiseParams(0.4, 2.0, 1.5)))
+        out = ground_excited(diag, NoiseParams(0.4, 2.0, 1.5))
         assert np.max(np.abs(out.mat - diag.mat)) < 1e-15
 
     def test_dims_mismatch_raises(self, rng):
@@ -152,11 +155,10 @@ class TestApplyChannel:
     )
     def test_semigroup_composition(self, seed, t1, t2):
         state = random_state(np.random.default_rng(seed), QUTRIT_PAIR)
-        step = apply_channel(
-            apply_channel(state, kraus_ground_excited(NoiseParams(1.0, 0.7, t1))),
-            kraus_ground_excited(NoiseParams(1.0, 0.7, t2)),
+        step = ground_excited(
+            ground_excited(state, NoiseParams(1.0, 0.7, t1)), NoiseParams(1.0, 0.7, t2)
         )
-        direct = apply_channel(state, kraus_ground_excited(NoiseParams(1.0, 0.7, t1 + t2)))
+        direct = ground_excited(state, NoiseParams(1.0, 0.7, t1 + t2))
         assert np.max(np.abs(step.mat - direct.mat)) < 1e-10
 
 
@@ -218,3 +220,5 @@ class TestInfiniteLimit:
     def test_rejects_other_dimensions(self, rng):
         with pytest.raises(BadShapeError):
             infinite_limit(random_state(rng, Dims(2, 3)))
+        with pytest.raises(BadShapeError):
+            sector_dephase(random_state(rng, QUTRIT_PAIR), (0, 1), (0, 1, 1), 0.0, 0.0)

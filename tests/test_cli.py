@@ -313,6 +313,8 @@ class TestExitCodes:
             pairs[k] = [0.25, 0.0]
         small.write_text(json.dumps({"da": 2, "db": 2, "mat": pairs}))
         assert run_cli("evolve", "--initial", str(small), "--t", "1").returncode == 3
+        uncovered = ("classify", "--initial", "rho-prime", "--alpha", "3.5", "--t", "1", "--certificate", "three-block")
+        assert run_cli(*uncovered).returncode == 3
 
     def test_errors_leave_stdout_empty(self):
         result = run_cli("evolve", "--alpha", "5.5", "--t", "1")

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import QUTRIT_PAIR
-from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
+from conftest import QUTRIT_PAIR, evolved_family_by_entries
+from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
 from dephaselab.criteria import (
     find_sign_change,
     min_pt_eigenvalue,
@@ -101,6 +101,14 @@ class TestEvolvedClosedForm:
                     closed = evolved_closed_form(FamilyParams(alpha, noise))
                     kraus = apply_channel(initial_state(alpha), kraus_ground_excited(noise))
                     assert np.max(np.abs(closed.mat - kraus.mat)) < 1e-12
+
+    def test_bit_identical_to_entry_oracle(self):
+        for alpha in (4.1, 4.5, 4.9):
+            for ga, gb in ((0.4, 0.4), (1.0, 1.0), (0.6, 1.3), (1.3, 0.6)):
+                for t in (0.0, 0.25, 0.575, 1.0, 2.0, 3.0, 10.0):
+                    noise = NoiseParams(ga, gb, t)
+                    closed = evolved_closed_form(FamilyParams(alpha, noise))
+                    assert np.array_equal(closed.mat, evolved_family_by_entries(alpha, noise).mat)
 
     def test_coherence_retention_factors(self):
         noise = NoiseParams(0.8, 1.4, 1.3)
@@ -296,7 +304,7 @@ class TestProbes:
 
     def test_two_sided_is_time_independent(self):
         for t in (0.0, 0.7, 3.0):
-            evolved = apply_channel(swapped_state(4.5), kraus_ground_excited(NoiseParams(1.0, 1.0, t)))
+            evolved = ground_excited(swapped_state(4.5), NoiseParams(1.0, 1.0, t))
             probe = two_sided_probe(evolved)
             assert abs(probe.min_pt_eigenvalue - (5.0 - 4.0 * math.sqrt(2.0)) / 18.0) < 1e-12
 
