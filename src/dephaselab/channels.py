@@ -7,9 +7,13 @@ qutrit into {0} | {1, 2} with retention exp(-rate*t/2); general
 dephasing makes every label its own sector with retention exp(-rate*t).
 Both are completely positive, trace preserving, and form semigroups in
 t; the infinite-time limit is the ground/excited split with retention 0.
-No runtime path uses the Kraus construction (KrausSet, local_pair,
-kraus_ground_excited, apply_channel): it is the independent reference
-route the tests compare the masks against.
+Each mask is real, symmetric and positive semidefinite with unit
+diagonal, so by the Schur product theorem a masked state keeps the
+input's Hermiticity, trace and eigenvalue floor: sector_dephase returns
+it without validating it again. No runtime path uses the Kraus
+construction (KrausSet, local_pair, kraus_ground_excited,
+apply_channel): it is the independent reference route the tests compare
+the masks against.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ def _cross_sector(sectors_a: tuple, sectors_b: tuple) -> tuple[np.ndarray, np.nd
 
 
 def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a: float, keep_b: float) -> DensityMatrix:
-    """Damp every coherence between sectors and revalidate the result.
+    """Damp every coherence between sectors.
 
     sectors_a / sectors_b label each local level with its sector. Entry
     ((i,k),(j,l)) is multiplied by keep_a if sectors_a[i] != sectors_a[j]
@@ -145,7 +149,13 @@ def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a: float, ke
     if (len(sectors_a), len(sectors_b)) != (d.da, d.db):
         raise BadShapeError(f"sector labellings {sectors_a}, {sectors_b} do not cover dims ({d.da}, {d.db})")
     cross_a, cross_b = _cross_sector(sectors_a, sectors_b)
-    return make_state(d, state.mat * (np.where(cross_a, keep_a, 1.0) * np.where(cross_b, keep_b, 1.0)))
+    m = state.mat * (np.where(cross_a, keep_a, 1.0) * np.where(cross_b, keep_b, 1.0))
+    # make_state's hermitization (m + m†) / 2, twice: the first pass gives
+    # the bytes make_state would return, and after a subnormal retention
+    # only the second leaves a fixed point of make_state (signed zeros).
+    for _ in range(2):
+        m = (m + m.conj().T) / 2
+    return DensityMatrix(m, d)
 
 
 def ground_excited(state: DensityMatrix, noise: NoiseParams) -> DensityMatrix:

@@ -35,6 +35,7 @@ from .qstate import (
     BadShapeError,
     DensityMatrix,
     Dims,
+    NonFiniteError,
     TraceNotOneError,
     ZeroTraceError,
     random_state,
@@ -56,6 +57,7 @@ _CONTENT_ERRORS = (
     family.AlphaDomainError,
     criteria.CoverageError,
     BadShapeError,
+    NonFiniteError,
     NotHermitianError,
     TraceNotOneError,
     NotPSDError,
@@ -123,21 +125,21 @@ def _load_state_file(path: str) -> DensityMatrix:
         raise UsageError(f"cannot read state file {path}: {exc}") from exc
     try:
         return state_from_json(text)
-    except (NotHermitianError, TraceNotOneError, NotPSDError) as exc:
+    except _CONTENT_ERRORS as exc:
         raise ContentError(f"invalid state in {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
 
 
-def _evolved_state(initial: str, alpha: float, noise: NoiseParams) -> DensityMatrix:
-    """Evolve rho, rho-prime or a qutrit-qutrit state file to noise.t under ground/excited dephasing."""
+def _base_state(initial: str, alpha: float) -> DensityMatrix:
+    """rho, rho-prime or a state file: the one validated state a command
+    dephases, built once per command. Every evolved state is a mask of it
+    and needs no check of its own."""
     if initial == "rho":
-        base = family.initial_state(alpha)
-    elif initial == "rho-prime":
-        base = family.swapped_state(alpha)
-    else:
-        base = _load_state_file(initial)
-    return ground_excited(base, noise)
+        return family.initial_state(alpha)
+    if initial == "rho-prime":
+        return family.swapped_state(alpha)
+    return _load_state_file(initial)
 
 
 def _fmt(value: float) -> str:
@@ -146,13 +148,13 @@ def _fmt(value: float) -> str:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     noise = NoiseParams(args.gamma_a, args.gamma_b, args.t)
-    print(state_to_json(_evolved_state(args.initial, args.alpha, noise)))
+    print(state_to_json(ground_excited(_base_state(args.initial, args.alpha), noise)))
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     noise = NoiseParams(args.gamma_a, args.gamma_b, args.t)
-    state = _evolved_state(args.initial, args.alpha, noise)
+    state = ground_excited(_base_state(args.initial, args.alpha), noise)
     blocks = family.certificate_blocks() if args.certificate == "three-block" else None
     result = criteria.classify(state, blocks)
     print(result.verdict.value)
@@ -189,27 +191,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("gamma range must be nonnegative")
     else:
         gammas = np.array([1.0 if args.gamma is None else args.gamma])
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.quantity == "fidelity":
-        writer.writerow(["t", "gamma", "f_rho", "f_rho_prime"])
-        for t in ts:
-            for g in gammas:
-                writer.writerow(
-                    [_fmt(t), _fmt(g), _fmt(family.fidelity_initial(g, t)), _fmt(family.fidelity_swapped(g, t))]
-                )
-        return 0
-    blocks = family.certificate_blocks() if args.initial == "rho" else None
-    header = {"pt-min-eig": "value", "realignment": "value", "verdict": "verdict"}
-    writer.writerow(["t", "gamma", header[args.quantity]])
-    for t in ts:
-        for g in gammas:
-            state = _evolved_state(args.initial, args.alpha, NoiseParams(g, g, t))
-            if args.quantity == "pt-min-eig":
-                writer.writerow([_fmt(t), _fmt(g), _fmt(criteria.min_pt_eigenvalue(state))])
-            elif args.quantity == "realignment":
-                writer.writerow([_fmt(t), _fmt(g), _fmt(criteria.realignment_excess(state))])
-            else:
-                writer.writerow([_fmt(t), _fmt(g), criteria.classify(state, blocks).verdict.value])
+        rows = [["t", "gamma", "f_rho", "f_rho_prime"]] + [
+            [_fmt(t), _fmt(g), _fmt(family.fidelity_initial(g, t)), _fmt(family.fidelity_swapped(g, t))]
+            for t in ts for g in gammas
+        ]
+    else:
+        base = _base_state(args.initial, args.alpha)
+        blocks = family.certificate_blocks() if args.initial == "rho" else None
+        value = {
+            "pt-min-eig": lambda s: _fmt(criteria.min_pt_eigenvalue(s)),
+            "realignment": lambda s: _fmt(criteria.realignment_excess(s)),
+            "verdict": lambda s: criteria.classify(s, blocks).verdict.value,
+        }[args.quantity]
+        rows = [["t", "gamma", "verdict" if args.quantity == "verdict" else "value"]] + [
+            [_fmt(t), _fmt(g), value(ground_excited(base, NoiseParams(g, g, t)))] for t in ts for g in gammas
+        ]
+    # Written only once every row exists, so a failing sweep prints nothing.
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return 0
 
 
@@ -232,11 +231,10 @@ def _crossing(curve: Callable[[float], float], cap: float = 1.0e6) -> float:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     alpha, gamma = args.alpha, args.gamma
+    base = family.initial_state(alpha)
 
     def evolved(t: float) -> DensityMatrix:
-        return family.evolved_closed_form(
-            family.FamilyParams(alpha, NoiseParams(gamma, gamma, t))
-        )
+        return ground_excited(base, NoiseParams(gamma, gamma, t))
 
     try:
         t_d_analytic: Optional[float] = family.ppt_onset_time(alpha, gamma)

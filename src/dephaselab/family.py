@@ -24,15 +24,8 @@ import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
 from .criteria import BlockSpec, min_pt_eigenvalue
-from .linalg import TOL, check_hermitian, eigvals_hermitian
-from .qstate import (
-    DensityMatrix,
-    Dims,
-    ZeroTraceError,
-    make_state,
-    project_local,
-    tensor,
-)
+from .linalg import TOL
+from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, make_state, project_local
 
 QUTRIT_PAIR = Dims(3, 3)
 
@@ -74,8 +67,8 @@ class FamilyParams:
 class McSpec:
     """Coefficient matrix of a maximally correlated state sum a_ij |ii><jj|.
 
-    The matrix must itself be a valid density matrix (Hermitian, PSD,
-    unit trace); that makes the lifted state valid.
+    The matrix must itself be a valid density matrix (check_state_matrix);
+    that makes the lifted state valid. It is stored as given.
     """
 
     d: int
@@ -87,11 +80,7 @@ class McSpec:
         a = np.array(self.a, dtype=complex)
         if a.shape != (self.d, self.d):
             raise ValueError(f"coefficient matrix shape {a.shape}, expected {(self.d, self.d)}")
-        check_hermitian(a)
-        if abs(complex(np.trace(a)) - 1.0) > TOL.trace:
-            raise ValueError(f"coefficient trace {np.trace(a):.15g} must be 1")
-        if float(eigvals_hermitian((a + a.conj().T) / 2)[0]) < TOL.psd_floor:
-            raise ValueError("coefficient matrix must be positive semidefinite")
+        check_state_matrix(a)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -161,31 +150,12 @@ def swapped_state(alpha: float) -> DensityMatrix:
 
     The local swap moves the coherence triple onto |00>+|11>+|22>, whose
     (|11>,|22>) component the ground/excited noise never damps; the state
-    therefore stays distillable at every finite time.
+    therefore stays distillable at every finite time. A level permutation
+    of the validated initial_state, so it is valid by construction.
     """
-    alpha = _check_alpha(alpha)
-    swap01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    u = tensor(np.eye(3, dtype=complex), swap01)
-    return make_state(QUTRIT_PAIR, u @ initial_state(alpha).mat @ u.conj().T)
-
-
-def swapped_state_from_mixture(alpha: float) -> DensityMatrix:
-    """Same state built directly as a three-component mixture.
-
-    (2/7) maximally entangled projector + (alpha/7) uniform diagonal on
-    the pairs (a, a+1 mod 3) + ((5-alpha)/7) uniform diagonal on the
-    pairs (a, a-1 mod 3). Kept as an independent construction path; the
-    test suite pins entrywise agreement with swapped_state.
-    """
-    alpha = _check_alpha(alpha)
     d = QUTRIT_PAIR
-    phi = np.zeros(9)
-    phi[[d.flat(0, 0), d.flat(1, 1), d.flat(2, 2)]] = 1.0 / math.sqrt(3.0)
-    m = (2.0 / 7.0) * np.outer(phi, phi).astype(complex)
-    for a in range(3):
-        m[d.flat(a, (a + 1) % 3), d.flat(a, (a + 1) % 3)] += alpha / 21.0
-        m[d.flat(a, (a - 1) % 3), d.flat(a, (a - 1) % 3)] += (5.0 - alpha) / 21.0
-    return make_state(d, m)
+    idx = [d.flat(a, b) for a in range(3) for b in (1, 0, 2)]
+    return DensityMatrix(initial_state(alpha).mat[np.ix_(idx, idx)], d)
 
 
 def evolved_closed_form(fp: FamilyParams) -> DensityMatrix:

@@ -30,6 +30,10 @@ class ZeroTraceError(ValueError):
     """Projection left no weight to renormalize."""
 
 
+class NonFiniteError(ValueError):
+    """Matrix has a NaN or infinite entry."""
+
+
 @dataclass(frozen=True)
 class Dims:
     """Local dimensions (d_a, d_b) of a bipartite system."""
@@ -54,10 +58,11 @@ class Dims:
 class DensityMatrix:
     """Carrier for a bipartite operator together with its local dimensions.
 
-    Construct through make_state to get the full physicality checks
-    (Hermitian, unit trace, positive semidefinite). Direct construction
-    only checks shape; it is used for intermediates that are deliberately
-    unnormalized, such as raw channel-branch terms.
+    Direct construction only checks shape. Matrices entering the program
+    go through make_state instead; direct construction carries the outputs
+    of maps that provably keep a state valid (dephasing masks, level
+    permutations) and deliberately unnormalized intermediates, such as
+    raw channel-branch terms.
     """
 
     mat: np.ndarray
@@ -79,15 +84,15 @@ class DensityMatrix:
         return self.mat.reshape(d.da, d.db, d.da, d.db)
 
 
-def make_state(dims: Dims, mat) -> DensityMatrix:
-    """Validated constructor: Hermitian, trace 1, positive semidefinite.
+def check_state_matrix(m: np.ndarray) -> np.ndarray:
+    """The package's one validity check for a square density matrix.
 
-    Raises BadShapeError, NotHermitianError, TraceNotOneError or
+    Raises NonFiniteError, NotHermitianError, TraceNotOneError or
     NotPSDError; each invariant is checked independently in that order.
+    Returns the hermitized matrix (m + m†) / 2.
     """
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (dims.n, dims.n):
-        raise BadShapeError(f"expected shape {(dims.n, dims.n)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has NaN or infinite entries")
     check_hermitian(m)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TOL.trace:
@@ -96,7 +101,20 @@ def make_state(dims: Dims, mat) -> DensityMatrix:
     w_min = float(eigvals_hermitian(hermitized)[0])
     if w_min < TOL.psd_floor:
         raise NotPSDError(f"minimum eigenvalue {w_min:.3e} below {TOL.psd_floor:.1e}")
-    return DensityMatrix(hermitized, dims)
+    return hermitized
+
+
+def make_state(dims: Dims, mat) -> DensityMatrix:
+    """Validated constructor for a matrix entering the program.
+
+    State files, user matrices, random_state and the family constructors
+    come through here; maps that keep a state valid build DensityMatrix
+    directly. Raises BadShapeError, then the check_state_matrix errors.
+    """
+    m = np.asarray(mat, dtype=complex)
+    if m.shape != (dims.n, dims.n):
+        raise BadShapeError(f"expected shape {(dims.n, dims.n)}, got {m.shape}")
+    return DensityMatrix(check_state_matrix(m), dims)
 
 
 def partial_transpose(state: DensityMatrix, side: str = "B") -> np.ndarray:

@@ -81,6 +81,23 @@ def evolved_family_by_entries(alpha: float, noise: NoiseParams) -> DensityMatrix
     return make_state(d, m)
 
 
+def swapped_family_by_mixture(alpha: float) -> DensityMatrix:
+    """The swapped family built directly as a three-component mixture.
+
+    (2/7) maximally entangled projector + (alpha/7) uniform diagonal on
+    the pairs (a, a+1 mod 3) + ((5-alpha)/7) uniform diagonal on the
+    pairs (a, a-1 mod 3): a construction independent of the level swap.
+    """
+    d = QUTRIT_PAIR
+    phi = np.zeros(9)
+    phi[[d.flat(0, 0), d.flat(1, 1), d.flat(2, 2)]] = 1.0 / np.sqrt(3.0)
+    m = (2.0 / 7.0) * np.outer(phi, phi).astype(complex)
+    for a in range(3):
+        m[d.flat(a, (a + 1) % 3), d.flat(a, (a + 1) % 3)] += alpha / 21.0
+        m[d.flat(a, (a - 1) % 3), d.flat(a, (a - 1) % 3)] += (5.0 - alpha) / 21.0
+    return make_state(d, m)
+
+
 def pt_by_loops(state: DensityMatrix, side: str = "B") -> np.ndarray:
     """Partial transpose via explicit four-index loops."""
     d = state.dims

@@ -5,6 +5,9 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,8 +318,50 @@ class TestExitCodes:
         assert run_cli("evolve", "--initial", str(small), "--t", "1").returncode == 3
         uncovered = ("classify", "--initial", "rho-prime", "--alpha", "3.5", "--t", "1", "--certificate", "three-block")
         assert run_cli(*uncovered).returncode == 3
+        nan = tmp_path / "nan.json"
+        pairs = [[0.0, 0.0]] * 81
+        pairs[0] = [math.nan, 0.0]
+        nan.write_text(json.dumps({"da": 3, "db": 3, "mat": pairs}))
+        for args in (("evolve", "--t", "1"), ("classify", "--t", "1"), ("sweep", "--quantity", "pt-min-eig")):
+            result = run_cli(*args, "--initial", str(nan))
+            assert result.returncode == 3
+            assert result.stdout == b""
 
-    def test_errors_leave_stdout_empty(self):
+    def test_errors_leave_stdout_empty(self, tmp_path):
         result = run_cli("evolve", "--alpha", "5.5", "--t", "1")
         assert result.stdout == b""
         assert result.stderr != b""
+        not_psd = tmp_path / "not_psd.json"
+        pairs = [[0.0, 0.0]] * 81
+        for k, v in ((0, 0.6), (10, 0.5), (20, -0.1)):
+            pairs[k] = [v, 0.0]
+        not_psd.write_text(json.dumps({"da": 3, "db": 3, "mat": pairs}))
+        qubits = tmp_path / "qubitpair.json"
+        pairs = [[0.0, 0.0]] * 16
+        for k in (0, 5, 10, 15):
+            pairs[k] = [0.25, 0.0]
+        qubits.write_text(json.dumps({"da": 2, "db": 2, "mat": pairs}))
+        for path, code in ((tmp_path / "missing.json", 2), (not_psd, 3), (qubits, 3)):
+            result = run_cli("sweep", "--quantity", "pt-min-eig", "--initial", str(path))
+            assert result.returncode == code
+            assert result.stdout == b""
+            assert result.stderr != b""
+
+
+class TestScripts:
+    def test_window_scan_and_figure_data(self, tmp_path):
+        scripts = Path(__file__).parent.parent / "scripts"
+        scan = subprocess.run(
+            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.5"], capture_output=True, check=False
+        )
+        assert scan.returncode == 0
+        lines = scan.stdout.decode().splitlines()
+        assert len(lines) == 3 and lines[2].split()[0] == "4.50"
+        figures = subprocess.run(
+            [sys.executable, str(scripts / "figure_data.py"), "--out-dir", str(tmp_path), "--points", "5"],
+            capture_output=True,
+            check=False,
+        )
+        assert figures.returncode == 0
+        for name, rows in (("pt_min_eig.csv", 15), ("realignment_excess.csv", 5), ("fidelity.csv", 5)):
+            assert len((tmp_path / name).read_text().splitlines()) == rows + 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import QUTRIT_PAIR, evolved_family_by_entries
+from conftest import QUTRIT_PAIR, evolved_family_by_entries, swapped_family_by_mixture
 from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
 from dephaselab.criteria import (
     find_sign_change,
@@ -34,7 +34,6 @@ from dephaselab.family import (
     ppt_onset_time,
     realignment_closed_form,
     swapped_state,
-    swapped_state_from_mixture,
     two_sided_probe,
 )
 from dephaselab.linalg import eigvals_hermitian
@@ -67,8 +66,9 @@ class TestConstruction:
     def test_swap_paths_agree(self):
         for alpha in (4.1, 4.5, 4.9, 5.0):
             a = swapped_state(alpha)
-            b = swapped_state_from_mixture(alpha)
+            b = swapped_family_by_mixture(alpha)
             assert np.max(np.abs(a.mat - b.mat)) < 1e-15
+            assert make_state(a.dims, a.mat).mat.tobytes() == a.mat.tobytes()
 
     def test_swapped_state_moves_coherence_triple(self):
         state = swapped_state(4.5)

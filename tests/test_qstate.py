@@ -18,6 +18,7 @@ from dephaselab.qstate import (
     BadShapeError,
     DensityMatrix,
     Dims,
+    NonFiniteError,
     TraceNotOneError,
     ZeroTraceError,
     make_state,
@@ -72,6 +73,14 @@ class TestMakeState:
         m = np.diag([0.6, 0.5, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex)
         with pytest.raises(NotPSDError):
             make_state(QUTRIT_PAIR, m)
+
+    def test_rejects_non_finite(self, rng):
+        base = np.array(random_state(rng, QUTRIT_PAIR).mat)
+        for (i, j), value in (((0, 0), np.nan), ((0, 1), np.nan), ((4, 4), np.inf), ((2, 5), np.inf)):
+            m = base.copy()
+            m[i, j] = value
+            with pytest.raises(NonFiniteError):
+                make_state(QUTRIT_PAIR, m)
 
     def test_carrier_skips_physicality(self):
         half = DensityMatrix(np.eye(9, dtype=complex) / 18, QUTRIT_PAIR)
