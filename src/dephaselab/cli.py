@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import channels, criteria, family
-from .channels import NoiseParams, ground_excited
+from .channels import GROUND_EXCITED, NoiseParams, ground_excited, ground_excited_retention, sector_dephase
 from .linalg import TOL, NotHermitianError, NotPSDError
 from .qstate import (
     BadShapeError,
@@ -142,6 +142,13 @@ def _base_state(initial: str, alpha: float) -> DensityMatrix:
     return _load_state_file(initial)
 
 
+# Grid points a sweep evaluates as one stack. Larger chunks spread
+# numpy's per-call cost over more points; a chunk's (128, 9, 9) complex
+# stack is 162 KiB, which keeps a sweep's peak memory within about a MiB
+# of evaluating one point at a time.
+SWEEP_CHUNK = 128
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -199,14 +206,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         base = _base_state(args.initial, args.alpha)
         blocks = family.certificate_blocks() if args.initial == "rho" else None
-        value = {
-            "pt-min-eig": lambda s: _fmt(criteria.min_pt_eigenvalue(s)),
-            "realignment": lambda s: _fmt(criteria.realignment_excess(s)),
-            "verdict": lambda s: criteria.classify(s, blocks).verdict.value,
+        cells = {
+            "pt-min-eig": lambda s: [_fmt(v) for v in criteria.min_pt_eigenvalue(s).tolist()],
+            "realignment": lambda s: [_fmt(v) for v in criteria.realignment_excess(s).tolist()],
+            "verdict": lambda s: [c.verdict.value for c in criteria.classify(s, blocks)],
         }[args.quantity]
-        rows = [["t", "gamma", "verdict" if args.quantity == "verdict" else "value"]] + [
-            [_fmt(t), _fmt(g), value(ground_excited(base, NoiseParams(g, g, t)))] for t in ts for g in gammas
-        ]
+        points = [(t, g) for t in ts for g in gammas]
+        rows = [["t", "gamma", "verdict" if args.quantity == "verdict" else "value"]]
+        for start in range(0, len(points), SWEEP_CHUNK):
+            chunk = points[start:start + SWEEP_CHUNK]
+            keep = np.array([ground_excited_retention(g, t) for t, g in chunk])
+            states = sector_dephase(base, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+            rows += [[_fmt(t), _fmt(g), cell] for (t, g), cell in zip(chunk, cells(states))]
     # Written only once every row exists, so a failing sweep prints nothing.
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return 0
@@ -215,15 +226,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _crossing(curve: Callable[[float], float], cap: float = 1.0e6) -> float:
     """Root of curve on t >= 0 by doubling then bisection; inf past cap.
 
-    The sign test treats values in [0, 1e-12] as not yet positive, so a
-    curve that only decays to zero (never genuinely crossing) reports inf
-    instead of chasing eigensolver noise.
+    The sign test treats values in [0, TOL.sign_floor] as not yet
+    positive, so a curve that only decays to zero (never genuinely
+    crossing) reports inf instead of chasing eigensolver noise.
     """
-    floor = 1e-12
-    sign0 = curve(0.0) > floor
+    sign0 = curve(0.0) > TOL.sign_floor
     hi = 0.5
     while hi <= cap:
-        if (curve(hi) > floor) != sign0:
+        if (curve(hi) > TOL.sign_floor) != sign0:
             return criteria.find_sign_change(curve, 0.0, hi, tol=1e-9)
         hi *= 2
     return math.inf

@@ -12,6 +12,12 @@ The verdict lattice is built from two witnesses and one certificate:
 
 States that are PPT, below the realignment threshold and not certified
 stay PptUndetermined; the classifiers never guess.
+
+Leading-axis convention: each classifier takes one state or a stack
+(N, n, n) and is written once, over the stack. For one state a witness
+is a float and a record a single record; for a stack a witness is an
+(N,) array and a record a tuple of N records, member k's result
+bit-identical to classifying member k alone.
 """
 
 from __future__ import annotations
@@ -115,18 +121,23 @@ class CertificateResult:
     residual_offdiagonal_max: float
 
 
-def min_pt_eigenvalue(state: DensityMatrix) -> float:
+def _per_member(values: np.ndarray) -> float | np.ndarray:
+    """One state's 0-d result as a float; a stack's (N,) array as it is."""
+    return float(values) if values.ndim == 0 else values
+
+
+def min_pt_eigenvalue(state: DensityMatrix) -> float | np.ndarray:
     """Smallest eigenvalue of the side-B partial transpose."""
-    return float(eigvals_hermitian(partial_transpose(state, "B"))[0])
+    return _per_member(eigvals_hermitian(partial_transpose(state, "B"))[..., 0])
 
 
-def realignment_excess(state: DensityMatrix) -> float:
+def realignment_excess(state: DensityMatrix) -> float | np.ndarray:
     """Trace norm of the realigned matrix minus 1.
 
     Positive excess witnesses entanglement; separable states are always
     at or below zero.
     """
-    return float(np.sum(singular_values(realign(state)))) - 1.0
+    return _per_member(singular_values(realign(state)).sum(axis=-1) - 1.0)
 
 
 def qubit_block_witness(
@@ -146,7 +157,7 @@ def qubit_block_witness(
 
 def separability_certificate(
     state: DensityMatrix, blocks: Sequence[BlockSpec]
-) -> CertificateResult:
+) -> CertificateResult | tuple[CertificateResult, ...]:
     """Try to certify separability by a block decomposition.
 
     Builds one padded matrix per block: coherences among its four
@@ -160,75 +171,108 @@ def separability_certificate(
 
     Raises CoverageError when an off-diagonal entry of the state lies in
     no block or in more than one, or when the diagonal weights allocated
-    to one entry exceed 1.
+    to one entry exceed 1; for a stack, the error is the one the first
+    failing member raises alone.
     """
-    n = state.dims.n
-    m = state.mat
-    coherence_cover = np.zeros((n, n), dtype=int)
-    diag_alloc = np.zeros(n)
-    embedded = np.zeros_like(m)
-    diagnostics = []
-    for block in blocks:
-        idx = block.flat_indices(state.dims)
-        padded = m[np.ix_(idx, idx)].copy()
-        for r, i in enumerate(idx):
-            weight = float(block.diag_weights.get(i, 1.0))
-            padded[r, r] = weight * m[i, i]
-            diag_alloc[i] += weight
-            for j in idx:
-                if j != i:
-                    coherence_cover[i, j] += 1
-        embedded[np.ix_(idx, idx)] += padded
-        carrier = DensityMatrix(padded, Dims(2, 2))
-        w_min = float(eigvals_hermitian((padded + padded.conj().T) / 2)[0])
-        pt_min = float(eigvals_hermitian(partial_transpose(carrier, "B"))[0])
-        diagnostics.append(
-            BlockDiagnostic(tuple(block.a_labels), tuple(block.b_labels), w_min, pt_min)
+    passed, minima, res_diag, res_off = (x.tolist() for x in _certify(state.stack, state.dims, blocks))
+    members = tuple(
+        CertificateResult(
+            passed[k],
+            tuple(
+                BlockDiagnostic(tuple(b.a_labels), tuple(b.b_labels), w_min[k], pt_min[k])
+                for b, (w_min, pt_min) in zip(blocks, minima)
+            ),
+            res_diag[k],
+            res_off[k],
         )
+        for k in range(len(passed))
+    )
+    return members if state.mat.ndim == 3 else members[0]
+
+
+def _certify(
+    mats: np.ndarray, dims: Dims, blocks: Sequence[BlockSpec]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The certificate over an (N, n, n) stack.
+
+    Returns (passed, minima, residual_diagonal_min, residual_offdiagonal_max)
+    as arrays over the members; minima[b] holds block b's minimum
+    eigenvalue and minimum PT eigenvalue, each of shape (N,).
+    """
+    n = dims.n
+    cover = np.zeros((n, n), dtype=int)
+    diag_alloc = np.zeros(n)
+    embedded = np.zeros_like(mats)
+    minima = []
+    pairs = ~np.eye(4, dtype=bool)
+    for block in blocks:
+        idx = block.flat_indices(dims)
+        rows, cols = np.ix_(idx, idx)
+        weights = np.array([float(block.diag_weights.get(i, 1.0)) for i in idx])
+        padded = mats[:, rows, cols]
+        padded.reshape(len(mats), 16)[:, ::5] *= weights  # each block's diagonal, as a view
+        diag_alloc[idx] += weights
+        cover[rows, cols] += pairs
+        embedded[:, rows, cols] += padded
+        w_min = eigvals_hermitian((padded + padded.conj().swapaxes(-1, -2)) / 2)[:, 0]
+        pt_min = eigvals_hermitian(partial_transpose(DensityMatrix(padded, Dims(2, 2)), "B"))[:, 0]
+        minima.append((w_min, pt_min))
+    minima = np.reshape(minima, (len(blocks), 2, len(mats)))
     off = ~np.eye(n, dtype=bool)
-    uncovered = (np.abs(m) > 1e-14) & off & (coherence_cover == 0)
-    double = off & (coherence_cover > 1) & (np.abs(m) > 1e-14)
-    if np.any(uncovered):
-        i, j = np.argwhere(uncovered)[0]
-        raise CoverageError(f"coherence at ({i}, {j}) lies in no block")
-    if np.any(double):
-        i, j = np.argwhere(double)[0]
-        raise CoverageError(f"coherence at ({i}, {j}) lies in more than one block")
-    if np.any(diag_alloc > 1 + 1e-12):
+    live = (np.abs(mats) > TOL.coherence_floor) & off
+    overallocated = (diag_alloc > 1 + TOL.allocation_slack).any()
+    failing = np.flatnonzero((live & (cover != 1)).any(axis=(1, 2)) | overallocated)
+    if failing.size:
+        k = failing[0]
+        for hit, where in ((live[k] & (cover == 0), "no block"), (live[k] & (cover > 1), "more than one block")):
+            if hit.any():
+                i, j = np.argwhere(hit)[0]
+                raise CoverageError(f"coherence at ({i}, {j}) lies in {where}")
         i = int(np.argmax(diag_alloc))
         raise CoverageError(f"diagonal entry {i} allocated weight {diag_alloc[i]:.6f} > 1")
-    residual = m - embedded
-    res_off = float(np.max(np.abs(residual[off]))) if n > 1 else 0.0
-    res_diag = float(np.min(residual.diagonal().real))
+    residual = mats - embedded
+    res_off = np.abs(residual[:, off]).max(axis=-1)
+    res_diag = residual.diagonal(axis1=-2, axis2=-1).real.min(axis=-1)
     passed = (
-        all(b.psd and b.ppt for b in diagnostics)
-        and res_off <= 1e-12
-        and res_diag >= TOL.psd_floor
+        (minima >= TOL.psd_floor).all(axis=(0, 1))
+        & (res_off <= TOL.residual_offdiagonal)
+        & (res_diag >= TOL.psd_floor)
     )
-    return CertificateResult(passed, tuple(diagnostics), res_diag, res_off)
+    return passed, minima, res_diag, res_off
 
 
 def classify(
     state: DensityMatrix, cert_blocks: Optional[Sequence[BlockSpec]] = None
-) -> Classification:
+) -> Classification | tuple[Classification, ...]:
     """Full verdict: NPT beats realignment beats certificate.
 
     NptFreeEntangled when the PT spectrum dips below -TOL.verdict;
     otherwise PptBoundEntangled when the realignment excess exceeds
     TOL.verdict; otherwise SeparableCertified if the supplied blocks
     certify, and PptUndetermined when they do not or none were given.
+    The certificate runs only on the members the witnesses leave open.
     """
-    pt_min = min_pt_eigenvalue(state)
-    excess = realignment_excess(state)
-    if pt_min < -TOL.verdict:
-        return Classification(Verdict.NPT_FREE_ENTANGLED, pt_min, excess, None)
-    if excess > TOL.verdict:
-        return Classification(Verdict.PPT_BOUND_ENTANGLED, pt_min, excess, None)
-    if cert_blocks is None:
-        return Classification(Verdict.PPT_UNDETERMINED, pt_min, excess, None)
-    passed = separability_certificate(state, cert_blocks).passed
-    verdict = Verdict.SEPARABLE_CERTIFIED if passed else Verdict.PPT_UNDETERMINED
-    return Classification(verdict, pt_min, excess, passed)
+    pt_min = np.atleast_1d(min_pt_eigenvalue(state)).tolist()
+    excess = np.atleast_1d(realignment_excess(state)).tolist()
+    npt = [p < -TOL.verdict for p in pt_min]
+    bound = [e > TOL.verdict for e in excess]
+    passed = [None] * len(pt_min)
+    if cert_blocks is not None:
+        undecided = [k for k, (is_npt, is_bound) in enumerate(zip(npt, bound)) if not (is_npt or is_bound)]
+        if undecided:
+            for k, ok in zip(undecided, _certify(state.stack[undecided], state.dims, cert_blocks)[0].tolist()):
+                passed[k] = ok
+    members = tuple(
+        Classification(
+            Verdict.NPT_FREE_ENTANGLED if is_npt
+            else Verdict.PPT_BOUND_ENTANGLED if is_bound
+            else Verdict.SEPARABLE_CERTIFIED if ok
+            else Verdict.PPT_UNDETERMINED,
+            p, e, ok,
+        )
+        for p, e, is_npt, is_bound, ok in zip(pt_min, excess, npt, bound, passed)
+    )
+    return members if state.mat.ndim == 3 else members[0]
 
 
 def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -5,6 +5,13 @@ fix output conventions (eigenvalues ascending, singular values descending,
 square roots positive semidefinite) and translate failures into typed
 errors. Every numeric tolerance used across the package lives in the
 Tolerances record so callers and tests share a single source of truth.
+
+Leading-axis convention: check_hermitian, eig_hermitian,
+eigvals_hermitian and singular_values take one matrix or a stack of N
+matrices (N, n, m) and return the members' results along the same
+leading axis. numpy runs the same LAPACK call on each member, so a
+member's result is bit-identical to the result for that matrix alone.
+sqrt_psd takes one matrix.
 """
 
 from __future__ import annotations
@@ -39,13 +46,17 @@ class Tolerances:
     as positive semidefinite.
     """
 
-    hermitian: float = 1e-12       # vs max(1, Frobenius norm)
-    trace: float = 1e-12           # |tr - 1| for density matrices
-    psd_floor: float = -1e-10      # eigenvalue floor for PSD checks
-    residual: float = 1e-10        # eigendecomposition residual / unitarity
-    sqrt_residual: float = 1e-9    # sqrt_psd(a) @ sqrt_psd(a) vs a
-    zero_trace: float = 1e-12      # projected weight below this is "zero"
-    verdict: float = 1e-10         # entanglement witness threshold
+    hermitian: float = 1e-12             # vs max(1, Frobenius norm)
+    trace: float = 1e-12                 # |tr - 1| for density matrices
+    psd_floor: float = -1e-10            # eigenvalue floor for PSD checks
+    residual: float = 1e-10              # eigendecomposition residual / unitarity
+    sqrt_residual: float = 1e-9          # sqrt_psd(a) @ sqrt_psd(a) vs a
+    zero_trace: float = 1e-12            # projected weight below this is "zero"
+    verdict: float = 1e-10               # entanglement witness threshold
+    coherence_floor: float = 1e-14       # |entry| above this is a coherence a certificate must cover
+    allocation_slack: float = 1e-12      # certificate blocks may allocate 1 + this of a diagonal entry
+    residual_offdiagonal: float = 1e-12  # certificate residual must be diagonal to this
+    sign_floor: float = 1e-12            # crossing search: values in [0, sign_floor] are not positive
 
 
 TOL = Tolerances()
@@ -53,18 +64,26 @@ TOL = Tolerances()
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise NotSquareError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
 def check_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> None:
-    """Raise NotHermitianError unless a == a† within tol * max(1, ||a||_F)."""
-    scale = max(1.0, float(np.linalg.norm(a)))
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol * scale:
+    """Raise NotHermitianError unless a == a† within tol * max(1, ||a||_F).
+
+    A stack (N, n, n) is checked member by member; the error reports the
+    first member that fails.
+    """
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (dev <= tol).all():
+        return  # the scale is at least 1, so no norm is needed
+    bound = tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    failing = np.flatnonzero(dev > bound)
+    if failing.size:
+        k = failing[0]
         raise NotHermitianError(
-            f"Hermiticity deviation {dev:.3e} exceeds {tol * scale:.3e}"
+            f"Hermiticity deviation {dev.flat[k]:.3e} exceeds {bound.flat[k]:.3e}"
         )
 
 
@@ -96,8 +115,8 @@ def eigvals_hermitian(a) -> np.ndarray:
 def singular_values(a) -> np.ndarray:
     """Singular values of any (possibly rectangular) matrix, descending."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise NotSquareError(f"expected a 2-d array, got shape {a.shape}")
+    if a.ndim not in (2, 3):
+        raise NotSquareError(f"expected a matrix or a stack of them, got shape {a.shape}")
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

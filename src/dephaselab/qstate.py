@@ -5,6 +5,12 @@ flat index a * d_b + b, so a qutrit-qutrit matrix is ordered
 |00>, |01>, |02>, |10>, ..., |22>. Every reshuffle here (partial
 transpose, realignment, local projection) is a reindexing of the flat
 matrix viewed as the four-index tensor rho[a, b, a', b'].
+
+Leading-axis convention: a DensityMatrix may carry one matrix (n, n) or
+a stack (N, n, n) of states on the same dims, and partial_transpose and
+realign map a stack member by member onto the same leading axis. The
+entry points (make_state, state_from_json, random_state) and
+project_local, tensor and state_to_json handle one state.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ class DensityMatrix:
     go through make_state instead; direct construction carries the outputs
     of maps that provably keep a state valid (dephasing masks, level
     permutations) and deliberately unnormalized intermediates, such as
-    raw channel-branch terms.
+    raw channel-branch terms. mat is (n, n) for one state or (N, n, n)
+    for a stack of N.
     """
 
     mat: np.ndarray
@@ -70,7 +77,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = np.array(self.mat, dtype=complex)
-        if m.shape != (self.dims.n, self.dims.n):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dims.n, self.dims.n):
             raise BadShapeError(
                 f"matrix shape {m.shape} does not match dims ({self.dims.da}, {self.dims.db})"
             )
@@ -78,10 +85,15 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
 
     @property
+    def stack(self) -> np.ndarray:
+        """mat as an (N, n, n) stack; one state is a stack of one."""
+        return self.mat.reshape(-1, self.dims.n, self.dims.n)
+
+    @property
     def tensor4(self) -> np.ndarray:
-        """View as rho[a, b, a', b']."""
+        """View as rho[a, b, a', b'] (behind the stack axis, if any)."""
         d = self.dims
-        return self.mat.reshape(d.da, d.db, d.da, d.db)
+        return self.mat.reshape(self.mat.shape[:-2] + (d.da, d.db, d.da, d.db))
 
 
 def check_state_matrix(m: np.ndarray) -> np.ndarray:
@@ -124,26 +136,25 @@ def partial_transpose(state: DensityMatrix, side: str = "B") -> np.ndarray:
     Side "A" is the analogous transpose on the first subsystem. The result
     is Hermitian with unit trace but in general not positive.
     """
-    d = state.dims
     t = state.tensor4
     if side == "B":
-        out = t.transpose(0, 3, 2, 1)
+        out = t.swapaxes(-3, -1)
     elif side == "A":
-        out = t.transpose(2, 1, 0, 3)
+        out = t.swapaxes(-4, -2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return np.ascontiguousarray(out.reshape(d.n, d.n))
+    return np.ascontiguousarray(out.reshape(state.mat.shape))
 
 
 def realign(state: DensityMatrix) -> np.ndarray:
-    """Realigned matrix of shape (d_a^2, d_b^2).
+    """Realigned matrix of shape (d_a^2, d_b^2), behind the stack axis if any.
 
     Entry ((i,j),(k,l)) equals rho((i,k),(j,l)). A trace norm above 1
     witnesses entanglement; separable states never exceed 1.
     """
     d = state.dims
     return np.ascontiguousarray(
-        state.tensor4.transpose(0, 2, 1, 3).reshape(d.da * d.da, d.db * d.db)
+        state.tensor4.swapaxes(-3, -2).reshape(state.mat.shape[:-2] + (d.da * d.da, d.db * d.db))
     )
 
 

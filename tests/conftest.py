@@ -7,6 +7,9 @@ implementation a second, independently derived route to agree with.
 
 from __future__ import annotations
 
+import csv
+import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +17,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dephaselab.channels import NoiseParams
+from dephaselab import criteria
+from dephaselab.channels import NoiseParams, ground_excited
 from dephaselab.family import initial_state
 from dephaselab.linalg import eigvals_hermitian, sqrt_psd
 from dephaselab.qstate import DensityMatrix, Dims, make_state
 
 QUTRIT_PAIR = Dims(3, 3)
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """The environment with src first on PYTHONPATH, so child
+    interpreters import this checkout's package without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -29,6 +42,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "dephaselab", *args],
         capture_output=True,
         check=False,
+        env=child_env(),
     )
 
 
@@ -136,3 +150,23 @@ def bures_by_eigh(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     inner = r @ sigma.mat @ r
     w = eigvals_hermitian((inner + inner.conj().T) / 2)
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+
+
+def sweep_by_points(quantity: str, base: DensityMatrix, blocks, ts, gammas) -> str:
+    """The witness and verdict sweep CSV, one grid point at a time.
+
+    Every (t, gamma) point, t outer, is dephased on its own through
+    ground_excited and NoiseParams (math.exp retentions) and classified
+    as a single state.
+    """
+    value = {
+        "pt-min-eig": lambda s: f"{criteria.min_pt_eigenvalue(s):.12g}",
+        "realignment": lambda s: f"{criteria.realignment_excess(s):.12g}",
+        "verdict": lambda s: criteria.classify(s, blocks).verdict.value,
+    }[quantity]
+    rows = [["t", "gamma", "verdict" if quantity == "verdict" else "value"]] + [
+        [f"{t:.12g}", f"{g:.12g}", value(ground_excited(base, NoiseParams(g, g, t)))] for t in ts for g in gammas
+    ]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_DIR, run_cli
+from conftest import GOLDEN_DIR, child_env, run_cli, sweep_by_points
+from dephaselab import cli
 from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
-from dephaselab.family import FamilyParams, evolved_closed_form, swapped_state
-from dephaselab.qstate import state_from_json, state_to_json
+from dephaselab.family import FamilyParams, certificate_blocks, evolved_closed_form, initial_state, swapped_state
+from dephaselab.qstate import Dims, random_state, state_from_json, state_to_json
 
 
 def read_csv(stdout: bytes):
@@ -188,6 +189,32 @@ class TestSweep:
         _, rows = read_csv(result.stdout)
         assert all(float(r[2]) < -1e-4 for r in rows)
 
+    @pytest.mark.parametrize("quantity", ["verdict", "pt-min-eig", "realignment"])
+    @pytest.mark.parametrize("initial", ["rho", "rho-prime", "file"])
+    def test_chunked_sweep_matches_pointwise_oracle(self, quantity, initial, tmp_path, capsys):
+        if initial == "file":
+            path = tmp_path / "state.json"
+            path.write_text(state_to_json(random_state(np.random.default_rng(5), Dims(3, 3))))
+            initial, base = str(path), state_from_json(path.read_text())
+        else:
+            base = initial_state(4.3) if initial == "rho" else swapped_state(4.3)
+        blocks = certificate_blocks() if initial == "rho" else None
+        # One t grid crossing two chunk boundaries, one t x gamma grid
+        # crossing one; neither is a multiple of the chunk size.
+        n_t, n_tg = 2 * cli.SWEEP_CHUNK + 5, cli.SWEEP_CHUNK // 7 + 5
+        grids = (
+            (["--t-range", "0", "4", str(n_t)], np.linspace(0.0, 4.0, n_t), np.array([1.0])),
+            (
+                ["--t-range", "0", "4", str(n_tg), "--gamma-range", "0.2", "2.2", "7"],
+                np.linspace(0.0, 4.0, n_tg),
+                np.linspace(0.2, 2.2, 7),
+            ),
+        )
+        for flags, ts, gammas in grids:
+            argv = ["sweep", "--quantity", quantity, "--initial", initial, "--alpha", "4.3", *flags]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == sweep_by_points(quantity, base, blocks, ts, gammas)
+
     def test_conflicting_gamma_flags_is_usage_error(self):
         result = run_cli(
             "sweep", "--quantity", "verdict", "--gamma", "1", "--gamma-range", "0.1", "2", "5"
@@ -352,7 +379,10 @@ class TestScripts:
     def test_window_scan_and_figure_data(self, tmp_path):
         scripts = Path(__file__).parent.parent / "scripts"
         scan = subprocess.run(
-            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.5"], capture_output=True, check=False
+            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.5"],
+            capture_output=True,
+            check=False,
+            env=child_env(),
         )
         assert scan.returncode == 0
         lines = scan.stdout.decode().splitlines()
@@ -361,6 +391,7 @@ class TestScripts:
             [sys.executable, str(scripts / "figure_data.py"), "--out-dir", str(tmp_path), "--points", "5"],
             capture_output=True,
             check=False,
+            env=child_env(),
         )
         assert figures.returncode == 0
         for name, rows in (("pt_min_eig.csv", 15), ("realignment_excess.csv", 5), ("fidelity.csv", 5)):

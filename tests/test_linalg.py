@@ -104,8 +104,11 @@ class TestSingularValues:
         assert float(np.sum(singular_values(g))) >= abs(complex(np.trace(g))) - 1e-10
 
     def test_rejects_non_2d(self):
+        # A 3-d array is a stack of matrices; only 1-d and 4-d inputs are malformed.
         with pytest.raises(NotSquareError):
-            singular_values(np.zeros((2, 2, 2)))
+            singular_values(np.zeros(4))
+        with pytest.raises(NotSquareError):
+            singular_values(np.zeros((2, 2, 2, 2)))
 
 
 class TestSqrtPsd:
