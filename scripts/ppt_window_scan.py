@@ -26,7 +26,7 @@ T_HI = 12.0
 
 def onset(f, t_lo=1e-6, t_hi=T_HI):
     try:
-        return find_sign_change(f, t_lo, t_hi, tol=1e-9)
+        return find_sign_change(f, t_lo, t_hi)
     except NoBracketError:
         return None
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import TOL, hermitize
 from .qstate import BadShapeError, DensityMatrix, Dims, make_state, tensor
 
 
@@ -99,8 +100,10 @@ class KrausSet:
                 raise BadShapeError(f"Kraus operator shape {k.shape}, expected {(n, n)}")
             k.setflags(write=False)
         total = sum(k.conj().T @ k for k in ops)
-        if float(np.max(np.abs(total - np.eye(n)))) > 1e-12:
-            raise IncompleteKrausError("sum of K†K deviates from the identity beyond 1e-12")
+        if float(np.max(np.abs(total - np.eye(n)))) > TOL.kraus_completeness:
+            raise IncompleteKrausError(
+                f"sum of K†K deviates from the identity beyond {TOL.kraus_completeness:.0e}"
+            )
         object.__setattr__(self, "ops", ops)
 
 
@@ -168,12 +171,10 @@ def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a, keep_b) -
     cross_a, cross_b = _cross_sector(sectors_a, sectors_b)
     keep_a, keep_b = np.asarray(keep_a)[..., None, None], np.asarray(keep_b)[..., None, None]
     m = state.mat * (np.where(cross_a, keep_a, 1.0) * np.where(cross_b, keep_b, 1.0))
-    # make_state's hermitization (m + m†) / 2, twice: the first pass gives
-    # the bytes make_state would return, and after a subnormal retention
-    # only the second leaves a fixed point of make_state (signed zeros).
-    for _ in range(2):
-        m = (m + m.conj().swapaxes(-1, -2)) / 2
-    return DensityMatrix(m, d)
+    # make_state's hermitization: it only settles the signs of zeros that
+    # an underflowing retention leaves, so the result is a fixed point of
+    # make_state.
+    return DensityMatrix(hermitize(m), d)
 
 
 def ground_excited(state: DensityMatrix, noise: NoiseParams) -> DensityMatrix:

@@ -34,7 +34,6 @@ from .linalg import TOL, NotHermitianError, NotPSDError
 from .qstate import (
     BadShapeError,
     DensityMatrix,
-    Dims,
     NonFiniteError,
     TraceNotOneError,
     ZeroTraceError,
@@ -142,11 +141,11 @@ def _base_state(initial: str, alpha: float) -> DensityMatrix:
     return _load_state_file(initial)
 
 
-# Grid points a sweep evaluates as one stack. Larger chunks spread
-# numpy's per-call cost over more points; a chunk's (128, 9, 9) complex
-# stack is 162 KiB, which keeps a sweep's peak memory within about a MiB
-# of evaluating one point at a time.
-SWEEP_CHUNK = 128
+# States evaluated as one stack: the grid points of a sweep, the random
+# samples of verify-lemmas. Larger chunks spread numpy's per-call cost
+# over more states; a chunk's (128, 9, 9) complex stack is 162 KiB, which
+# keeps peak memory within about a MiB of one state at a time.
+STACK_CHUNK = 128
 
 
 def _fmt(value: float) -> str:
@@ -213,8 +212,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }[args.quantity]
         points = [(t, g) for t in ts for g in gammas]
         rows = [["t", "gamma", "verdict" if args.quantity == "verdict" else "value"]]
-        for start in range(0, len(points), SWEEP_CHUNK):
-            chunk = points[start:start + SWEEP_CHUNK]
+        for start in range(0, len(points), STACK_CHUNK):
+            chunk = points[start:start + STACK_CHUNK]
             keep = np.array([ground_excited_retention(g, t) for t, g in chunk])
             states = sector_dephase(base, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
             rows += [[_fmt(t), _fmt(g), cell] for (t, g), cell in zip(chunk, cells(states))]
@@ -223,7 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _crossing(curve: Callable[[float], float], cap: float = 1.0e6) -> float:
+def _crossing(curve: Callable[[float], float], cap: float = TOL.crossing_horizon) -> float:
     """Root of curve on t >= 0 by doubling then bisection; inf past cap.
 
     The sign test treats values in [0, TOL.sign_floor] as not yet
@@ -234,7 +233,7 @@ def _crossing(curve: Callable[[float], float], cap: float = 1.0e6) -> float:
     hi = 0.5
     while hi <= cap:
         if (curve(hi) > TOL.sign_floor) != sign0:
-            return criteria.find_sign_change(curve, 0.0, hi, tol=1e-9)
+            return criteria.find_sign_change(curve, 0.0, hi, tol=TOL.bisection)
         hi *= 2
     return math.inf
 
@@ -321,15 +320,13 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
         f"witness {probe.min_pt_eigenvalue:.6g}",
     )
 
-    grid = [k * 0.5 for k in range(21)]
-    witnesses = [
-        criteria.qubit_block_witness(ground_excited(rho_prime0, NoiseParams(1.0, 1.0, t)), (1, 2), (1, 2))
-        for t in grid
-    ]
+    keep = np.array([ground_excited_retention(1.0, k * 0.5) for k in range(21)])
+    evolved = sector_dephase(rho_prime0, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+    worst = float(np.max(criteria.qubit_block_witness(evolved, (1, 2), (1, 2))))
     yield (
         "swapped family witness stays negative on t in [0, 10]",
-        max(witnesses) < -TOL.verdict,
-        f"max witness {max(witnesses):.6g}",
+        worst < -TOL.verdict,
+        f"max witness {worst:.6g}",
     )
 
     for d in (3, 4):
@@ -381,52 +378,64 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
         f"got {verdict.value}",
     )
 
-    rng = np.random.default_rng(seed)
-    dims = Dims(3, 3)
-    states = [random_state(rng, dims) for _ in range(samples)]
-
-    bad = 0
-    for s in states:
-        lim = channels.infinite_limit(s)
-        if criteria.min_pt_eigenvalue(lim) >= -TOL.verdict:
-            if criteria.realignment_excess(lim) > TOL.verdict:
-                bad += 1
+    bad = np.zeros(3, dtype=int)
+    for chunk in _sample_witnesses(seed, samples):
+        bad += _violations(chunk)
     yield (
         f"no random infinite-time limit is PPT-entangled-witnessed ({samples} samples)",
-        bad == 0,
-        f"{bad} violations",
+        bad[0] == 0,
+        f"{bad[0]} violations",
     )
-
-    bad = 0
-    for s in states:
-        try:
-            probe = family.two_sided_probe(s)
-        except ZeroTraceError:
-            continue
-        if probe.entangled and criteria.min_pt_eigenvalue(s) >= -TOL.verdict:
-            bad += 1
     yield (
         f"two-sided probe verdicts imply NPT parents ({samples} samples)",
-        bad == 0,
-        f"{bad} violations",
+        bad[1] == 0,
+        f"{bad[1]} violations",
     )
-
-    bad = 0
-    noise = NoiseParams(1.0, 1.0, 0.7)
-    for s in states:
-        try:
-            probe = family.one_sided_probe(s, "B", noise)
-        except ZeroTraceError:
-            continue
-        if probe.entangled:
-            evolved = ground_excited(s, noise)
-            if criteria.min_pt_eigenvalue(evolved) >= -TOL.verdict:
-                bad += 1
     yield (
         f"one-sided probe verdicts imply NPT evolved parents ({samples} samples, t=0.7)",
-        bad == 0,
-        f"{bad} violations",
+        bad[2] == 0,
+        f"{bad[2]} violations",
     )
+
+
+def _sample_witnesses(seed: int, samples: int):
+    """Yield verify-lemmas' witnesses on `samples` random full-rank qutrit
+    pairs drawn from `seed`, STACK_CHUNK states at a time.
+
+    Each chunk is a dict of arrays with one entry per state: the limit
+    entries describe the infinite-time limit, parent_pt_min the state
+    itself and evolved_pt_min the state at t = 0.7. A probe's *_live
+    mask is False where the probe of that state alone raises
+    ZeroTraceError; its witness there is NaN and takes no part.
+    """
+    rng = np.random.default_rng(seed)
+    noise = NoiseParams(1.0, 1.0, 0.7)
+    for start in range(0, samples, STACK_CHUNK):
+        states = random_state(rng, family.QUTRIT_PAIR, min(STACK_CHUNK, samples - start))
+        lim = channels.infinite_limit(states)
+        two = family.two_sided_probe(states)
+        one = family.one_sided_probe(states, "B", noise)
+        yield {
+            "limit_pt_min": criteria.min_pt_eigenvalue(lim),
+            "limit_excess": criteria.realignment_excess(lim),
+            "two_sided": two.min_pt_eigenvalue,
+            "two_sided_live": two.weight >= TOL.zero_trace,
+            "parent_pt_min": criteria.min_pt_eigenvalue(states),
+            "one_sided": one.min_pt_eigenvalue,
+            "one_sided_live": one.weight >= TOL.zero_trace,
+            "evolved_pt_min": criteria.min_pt_eigenvalue(ground_excited(states, noise)),
+        }
+
+
+def _violations(w: dict) -> np.ndarray:
+    """States of one _sample_witnesses chunk that break each claim: a PPT
+    limit the realignment witness calls entangled; an entangled two-sided
+    probe of a PPT parent; an entangled one-sided probe of a PPT evolved
+    parent."""
+    limit = (w["limit_pt_min"] >= -TOL.verdict) & (w["limit_excess"] > TOL.verdict)
+    two = w["two_sided_live"] & (w["two_sided"] < -TOL.verdict) & (w["parent_pt_min"] >= -TOL.verdict)
+    one = w["one_sided_live"] & (w["one_sided"] < -TOL.verdict) & (w["evolved_pt_min"] >= -TOL.verdict)
+    return np.array([np.count_nonzero(limit), np.count_nonzero(two), np.count_nonzero(one)])
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:

@@ -142,14 +142,14 @@ def realignment_excess(state: DensityMatrix) -> float | np.ndarray:
 
 def qubit_block_witness(
     state: DensityMatrix, a_labels: Sequence[int], b_labels: Sequence[int]
-) -> float:
+) -> float | np.ndarray:
     """Minimum PT eigenvalue of the normalized two-qubit projection.
 
     A negative value is conclusive both ways on the projected 2x2 block
     (NPT there means entangled and distillable) and lifts to the parent:
     a local projection of a PPT state is PPT, so a negative witness
     certifies the parent state distillable. Raises ZeroTraceError when
-    the projection carries no weight.
+    the projection (of any member of a stack) carries no weight.
     """
     sub = project_local(state, tuple(a_labels), tuple(b_labels), renormalize=True)
     return min_pt_eigenvalue(sub)
@@ -293,7 +293,7 @@ def find_sign_change(
     f: Callable[[float], float],
     t_lo: float,
     t_hi: float,
-    tol: float = 1e-9,
+    tol: float = TOL.bisection,
     max_iter: int = 200,
 ) -> float:
     """Bisection root of a scalar function bracketed by [t_lo, t_hi].

@@ -11,6 +11,12 @@ forever; probes built from single channel branches certify that.
 
 All closed forms here are verified against the numerical path by the
 test suite; none are trusted on their own.
+
+Leading-axis convention: one_sided_probe and two_sided_probe take one
+state or a stack (N, 9, 9) and return per-member witnesses, verdicts
+and weights (see ProbeResult), each member's bit-identical to probing
+that member alone. The family constructors, mc_* and limit_verdict
+handle one state.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
 from .criteria import BlockSpec, min_pt_eigenvalue
-from .linalg import TOL
+from .linalg import TOL, trace
 from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, make_state, project_local
 
 QUTRIT_PAIR = Dims(3, 3)
@@ -91,13 +97,17 @@ class ProbeResult:
 
     weight is the trace the branch carried before normalization; the
     entanglement verdict is scale invariant, so dropping it is harmless,
-    but it is reported for transparency.
+    but it is reported for transparency. For a stack of states each
+    field holds one entry per member. A member whose weight is below
+    TOL.zero_trace, which the probe of that state alone rejects with
+    ZeroTraceError, keeps its raw block and gets a NaN witness and no
+    verdict: callers skip it by its weight.
     """
 
     substate: DensityMatrix
-    min_pt_eigenvalue: float
-    entangled: bool
-    weight: float
+    min_pt_eigenvalue: float | np.ndarray
+    entangled: bool | np.ndarray
+    weight: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -238,8 +248,22 @@ def fidelity_swapped(gamma_rate: float, t: float) -> float:
     return ((15.0 + math.sqrt(inner)) / 21.0) ** 2
 
 
-def _probe_verdict(substate: DensityMatrix, weight: float) -> ProbeResult:
+def _probe_verdict(block: DensityMatrix, branch: float) -> ProbeResult:
+    """Normalize a probe's raw block and read its witness.
+
+    The weight is branch * tr(block). One state raises ZeroTraceError
+    when it is below TOL.zero_trace; in a stack, such a member is marked
+    as ProbeResult describes.
+    """
+    tr = trace(block.mat).real
+    weight = branch * tr
+    live = weight >= TOL.zero_trace
+    if block.mat.ndim == 2 and not live:
+        raise ZeroTraceError(f"branch weight {weight:.3e} below {TOL.zero_trace:.1e}")
+    substate = DensityMatrix(block.mat / np.where(live, tr, 1.0)[..., None, None], block.dims)
     witness = min_pt_eigenvalue(substate)
+    if block.mat.ndim == 3:
+        witness = np.where(live, witness, np.nan)
     return ProbeResult(substate, witness, witness < -TOL.verdict, weight)
 
 
@@ -252,7 +276,8 @@ def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> Prob
     "B") or 2x3 (side "A") support, where NPT is conclusive, so a
     negative witness certifies the evolved state distillable at this
     time. The substate is returned normalized; raises ZeroTraceError
-    when the branch carries no weight (t = 0).
+    when the branch carries no weight (t = 0). Takes one state or a
+    stack (see ProbeResult).
     """
     if state.dims != QUTRIT_PAIR:
         raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
@@ -263,11 +288,7 @@ def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> Prob
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     block = project_local(ground_excited(state, noise), keep_a, keep_b, renormalize=False)
-    trace = float(np.trace(block.mat).real)
-    weight = omega ** 2 * trace
-    if weight < TOL.zero_trace:
-        raise ZeroTraceError(f"branch weight {weight:.3e}; the probe needs t > 0")
-    return _probe_verdict(DensityMatrix(block.mat / trace, block.dims), weight)
+    return _probe_verdict(block, omega ** 2)
 
 
 def two_sided_probe(state: DensityMatrix) -> ProbeResult:
@@ -278,14 +299,12 @@ def two_sided_probe(state: DensityMatrix) -> ProbeResult:
     touches it: its verdict is time independent. A negative witness
     certifies the state distillable at every finite time (it never loses
     distillability under this noise). Raises ZeroTraceError when the
-    corner is empty.
+    corner is empty. Takes one state or a stack (see ProbeResult).
     """
     if state.dims != QUTRIT_PAIR:
         raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
-    idx = [state.dims.flat(a, b) for a in (1, 2) for b in (1, 2)]
-    weight = float(sum(state.mat[i, i].real for i in idx))
-    sub = project_local(state, (1, 2), (1, 2), renormalize=True)
-    return _probe_verdict(sub, weight)
+    block = project_local(state, (1, 2), (1, 2), renormalize=False)
+    return _probe_verdict(block, 1.0)
 
 
 def mc_state(spec: McSpec) -> DensityMatrix:
@@ -316,15 +335,15 @@ def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:
             mask[d.flat(i, i), d.flat(j, j)] = True
     deviation = float(np.max(np.abs(np.where(mask, 0.0, evolved.mat))))
     off = np.abs(spec.a - np.diag(np.diag(spec.a)))
-    entangled = bool(np.max(off) > 1e-14)
+    entangled = bool(np.max(off) > TOL.coherence_floor)
     if not entangled:
-        return McReport(deviation <= 1e-12, deviation, False, False, None, None)
+        return McReport(deviation <= TOL.mc_pattern, deviation, False, False, None, None)
     i, j = np.unravel_index(int(np.argmax(off)), off.shape)
     labels = (int(min(i, j)), int(max(i, j)))
     sub = project_local(evolved, labels, labels, renormalize=True)
     witness = min_pt_eigenvalue(sub)
     return McReport(
-        deviation <= 1e-12,
+        deviation <= TOL.mc_pattern,
         deviation,
         True,
         witness < -TOL.verdict,
@@ -341,7 +360,7 @@ def mc_projection(
     Projects onto the labels (|i><i| + |j><j|) x (|m><m| + |n><n|) and
     renormalizes. Returns the 2x2 coefficient matrix when the projection
     has support exactly on the maximally correlated positions (both
-    cross populations and all other coherences below 1e-12) with a
+    cross populations and all other coherences up to TOL.mc_pattern) with a
     nonzero off-diagonal; such a finding certifies the parent state
     distillable at every finite time under general dephasing. Returns
     None otherwise - including for states whose projection merely
@@ -356,11 +375,11 @@ def mc_projection(
         for j in keep:
             mask[i, j] = True
     deviation = float(np.max(np.abs(np.where(mask, 0.0, sub.mat))))
-    if deviation > 1e-12:
+    if deviation > TOL.mc_pattern:
         return None
     a = np.array([[sub.mat[keep[0], keep[0]], sub.mat[keep[0], keep[1]]],
                   [sub.mat[keep[1], keep[0]], sub.mat[keep[1], keep[1]]]])
-    if abs(a[0, 1]) <= 1e-12:
+    if abs(a[0, 1]) <= TOL.mc_pattern:
         return None
     return McSpec(2, a / np.trace(a).real)
 

@@ -6,12 +6,12 @@ square roots positive semidefinite) and translate failures into typed
 errors. Every numeric tolerance used across the package lives in the
 Tolerances record so callers and tests share a single source of truth.
 
-Leading-axis convention: check_hermitian, eig_hermitian,
-eigvals_hermitian and singular_values take one matrix or a stack of N
-matrices (N, n, m) and return the members' results along the same
-leading axis. numpy runs the same LAPACK call on each member, so a
-member's result is bit-identical to the result for that matrix alone.
-sqrt_psd takes one matrix.
+Leading-axis convention: check_hermitian, hermitize, trace,
+eig_hermitian, eigvals_hermitian, eigvals_hermitized and singular_values
+take one matrix or a stack of N matrices (N, n, m) and return the
+members' results along the same leading axis. numpy runs the same
+LAPACK call on each member, so a member's result is bit-identical to
+the result for that matrix alone. sqrt_psd takes one matrix.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ class Tolerances:
     allocation_slack: float = 1e-12      # certificate blocks may allocate 1 + this of a diagonal entry
     residual_offdiagonal: float = 1e-12  # certificate residual must be diagonal to this
     sign_floor: float = 1e-12            # crossing search: values in [0, sign_floor] are not positive
+    bisection: float = 1e-9              # bisection stops once its bracket is this narrow
+    crossing_horizon: float = 1e6        # crossing search reports no crossing (inf) past this time
+    mc_pattern: float = 1e-12            # |entry| up to this is zero in a maximally correlated pattern
+    kraus_completeness: float = 1e-12    # sum of K†K may deviate from the identity by this, entrywise
 
 
 TOL = Tolerances()
@@ -75,9 +79,10 @@ def check_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> None:
     A stack (N, n, n) is checked member by member; the error reports the
     first member that fails.
     """
-    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if (dev <= tol).all():
+    dev = np.abs(a - a.conj().swapaxes(-1, -2))
+    if dev.max(initial=0.0) <= tol:
         return  # the scale is at least 1, so no norm is needed
+    dev = dev.max(axis=(-2, -1), initial=0.0)
     bound = tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     failing = np.flatnonzero(dev > bound)
     if failing.size:
@@ -85,6 +90,39 @@ def check_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> None:
         raise NotHermitianError(
             f"Hermiticity deviation {dev.flat[k]:.3e} exceeds {bound.flat[k]:.3e}"
         )
+
+
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """The Hermitian part (a + a†) / 2, as a bitwise fixed point.
+
+    With x = re(a + aᵀ) and y = im(a - aᵀ), each entry is
+    (x/2 - z, y/2 - z), z being a zero with the sign of x: a real zero is
+    always +0.0, and an imaginary zero is +0.0 where x has its sign bit
+    set. Each output pair then has re[j, i] == re[i, j] and
+    im[j, i] == -im[i, j] (or both +0.0), which the formula maps to
+    itself: hermitize is idempotent bit for bit, signed zeros and
+    subnormals included. One complex pass of (a + a†) / 2 gives
+    ((x + y*0) / 2, (y - x*0) / 2) instead, whose cross terms can leave
+    a zero sign that a second pass flips. Where that pass is already a
+    fixed point the bits are the same, and it is one on every matrix
+    without -0.0 entries whose entries and entry sums stay clear of the
+    subnormal range.
+    """
+    out = np.add(a, a.conj().swapaxes(-1, -2), out=np.empty(a.shape, dtype=complex))
+    parts = out.view(np.float64).reshape(out.shape + (2,))
+    parts *= 0.5
+    parts -= parts[..., :1] * 0.0  # a zero with the sign of x
+    return out
+
+
+def trace(a: np.ndarray) -> np.ndarray:
+    """Trace of a matrix, or of each member of a stack.
+
+    Each diagonal is summed as one contiguous row. np.trace over a stack
+    sums the strided diagonals in another order, which changes the last
+    bit of about a quarter of 4x4 traces against np.trace of the member.
+    """
+    return np.ascontiguousarray(a.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +144,12 @@ def eigvals_hermitian(a) -> np.ndarray:
     """Eigenvalues only (real, ascending) of a Hermitian matrix."""
     a = _as_square(a)
     check_hermitian(a)
+    return eigvals_hermitized(a)
+
+
+def eigvals_hermitized(a: np.ndarray) -> np.ndarray:
+    """eigvals_hermitian without the Hermiticity check, for the output of
+    hermitize, which is Hermitian by construction."""
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:

@@ -7,21 +7,23 @@ transpose, realignment, local projection) is a reindexing of the flat
 matrix viewed as the four-index tensor rho[a, b, a', b'].
 
 Leading-axis convention: a DensityMatrix may carry one matrix (n, n) or
-a stack (N, n, n) of states on the same dims, and partial_transpose and
-realign map a stack member by member onto the same leading axis. The
-entry points (make_state, state_from_json, random_state) and
-project_local, tensor and state_to_json handle one state.
+a stack (N, n, n) of states on the same dims. check_state_matrix,
+make_state, partial_transpose, realign and project_local map a stack
+member by member onto the same leading axis, each member's result
+bit-identical to that member's alone, and random_state draws a stack
+when given a size. state_from_json, tensor and state_to_json handle
+one state.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import TOL, NotPSDError, check_hermitian, eigvals_hermitian
+from .linalg import TOL, NotHermitianError, NotPSDError, check_hermitian, eigvals_hermitized, hermitize, trace
 
 
 class BadShapeError(ValueError):
@@ -96,35 +98,56 @@ class DensityMatrix:
         return self.mat.reshape(self.mat.shape[:-2] + (d.da, d.db, d.da, d.db))
 
 
+_STATE_ERRORS = (NonFiniteError, NotHermitianError, TraceNotOneError, NotPSDError)
+
+
 def check_state_matrix(m: np.ndarray) -> np.ndarray:
     """The package's one validity check for a square density matrix.
 
     Raises NonFiniteError, NotHermitianError, TraceNotOneError or
     NotPSDError; each invariant is checked independently in that order.
-    Returns the hermitized matrix (m + m†) / 2.
+    Returns the hermitized matrix (linalg.hermitize). A stack (N, n, n)
+    is checked as a whole, and every member must pass; the error raised
+    is the one its first failing member raises alone.
     """
+    if m.ndim == 3:
+        try:
+            return _check_members(m)
+        except _STATE_ERRORS:
+            for member in m:
+                _check_members(member)
+            raise
+    return _check_members(m)
+
+
+def _check_members(m: np.ndarray) -> np.ndarray:
+    """check_state_matrix's checks over one matrix or a whole stack; for a
+    stack, the first failing check reports its own first failing member."""
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has NaN or infinite entries")
     check_hermitian(m)
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TOL.trace:
-        raise TraceNotOneError(f"trace {tr:.15g} differs from 1 beyond {TOL.trace:.1e}")
-    hermitized = (m + m.conj().T) / 2
-    w_min = float(eigvals_hermitian(hermitized)[0])
-    if w_min < TOL.psd_floor:
-        raise NotPSDError(f"minimum eigenvalue {w_min:.3e} below {TOL.psd_floor:.1e}")
+    tr = trace(m)
+    off = np.abs(tr - 1.0) > TOL.trace
+    if off.any():
+        k = np.flatnonzero(off)[0]
+        raise TraceNotOneError(f"trace {complex(tr.flat[k]):.15g} differs from 1 beyond {TOL.trace:.1e}")
+    hermitized = hermitize(m)
+    w_min = eigvals_hermitized(hermitized)[..., 0]
+    if w_min.min(initial=np.inf) < TOL.psd_floor:
+        k = np.flatnonzero(w_min < TOL.psd_floor)[0]
+        raise NotPSDError(f"minimum eigenvalue {w_min.flat[k]:.3e} below {TOL.psd_floor:.1e}")
     return hermitized
 
 
 def make_state(dims: Dims, mat) -> DensityMatrix:
-    """Validated constructor for a matrix entering the program.
+    """Validated constructor for a matrix, or a stack of them, entering the program.
 
     State files, user matrices, random_state and the family constructors
     come through here; maps that keep a state valid build DensityMatrix
     directly. Raises BadShapeError, then the check_state_matrix errors.
     """
     m = np.asarray(mat, dtype=complex)
-    if m.shape != (dims.n, dims.n):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dims.n, dims.n):
         raise BadShapeError(f"expected shape {(dims.n, dims.n)}, got {m.shape}")
     return DensityMatrix(check_state_matrix(m), dims)
 
@@ -168,8 +191,9 @@ def project_local(
 
     Returns a state on dimensions (len(keep_a), len(keep_b)) in the order
     the labels are given. With renormalize the block is scaled to unit
-    trace (ZeroTraceError if its weight is below TOL.zero_trace);
-    without it the raw compressed block is returned, weight included.
+    trace (ZeroTraceError if its weight is below TOL.zero_trace; for a
+    stack, the first such member's error); without it the raw compressed
+    block is returned, weight included.
     """
     keep_a = list(keep_a)
     keep_b = list(keep_b)
@@ -178,13 +202,14 @@ def project_local(
     for label, dim, side in ((keep_a, state.dims.da, "A"), (keep_b, state.dims.db, "B")):
         if len(set(label)) != len(label) or any(x < 0 or x >= dim for x in label):
             raise ValueError(f"invalid labels {label} for side {side} of dimension {dim}")
-    idx = [state.dims.flat(a, b) for a in keep_a for b in keep_b]
-    block = state.mat[np.ix_(idx, idx)].copy()
+    idx = np.array([state.dims.flat(a, b) for a in keep_a for b in keep_b])
+    block = state.mat[..., idx[:, None], idx]
     if renormalize:
-        weight = float(np.trace(block).real)
-        if weight < TOL.zero_trace:
-            raise ZeroTraceError(f"projected weight {weight:.3e} below {TOL.zero_trace:.1e}")
-        block /= weight
+        weight = trace(block).real
+        low = np.flatnonzero(weight < TOL.zero_trace)
+        if low.size:
+            raise ZeroTraceError(f"projected weight {weight.flat[low[0]]:.3e} below {TOL.zero_trace:.1e}")
+        block /= weight[..., None, None]
     return DensityMatrix(block, Dims(len(keep_a), len(keep_b)))
 
 
@@ -193,12 +218,20 @@ def tensor(sigma_a, sigma_b) -> np.ndarray:
     return np.kron(np.asarray(sigma_a, dtype=complex), np.asarray(sigma_b, dtype=complex))
 
 
-def random_state(rng: np.random.Generator, dims: Dims) -> DensityMatrix:
+def random_state(rng: np.random.Generator, dims: Dims, size: Optional[int] = None) -> DensityMatrix:
     """Full-rank random state G G† / tr(G G†), G with i.i.d. standard
-    complex normal entries. Deterministic given the generator state."""
-    g = rng.standard_normal((dims.n, dims.n)) + 1j * rng.standard_normal((dims.n, dims.n))
-    m = g @ g.conj().T
-    return make_state(dims, m / np.trace(m).real)
+    complex normal entries. Deterministic given the generator state.
+
+    With a size, a stack of that many states, drawn with the same
+    generator calls in the same order: the stack equals size calls
+    without one, bit for bit.
+    """
+    n = dims.n
+    draws = rng.standard_normal(((2,) if size is None else (size, 2)) + (n, n))
+    g = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= trace(m).real[..., None, None]
+    return make_state(dims, m)
 
 
 def state_to_json(state: DensityMatrix) -> str:

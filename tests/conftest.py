@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dephaselab import criteria
+from dephaselab import channels, criteria, family
 from dephaselab.channels import NoiseParams, ground_excited
 from dephaselab.family import initial_state
 from dephaselab.linalg import eigvals_hermitian, sqrt_psd
-from dephaselab.qstate import DensityMatrix, Dims, make_state
+from dephaselab.qstate import DensityMatrix, Dims, ZeroTraceError, make_state
 
 QUTRIT_PAIR = Dims(3, 3)
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -170,3 +170,51 @@ def sweep_by_points(quantity: str, base: DensityMatrix, blocks, ts, gammas) -> s
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def hermitize_by_passes(m: np.ndarray, passes: int = 1) -> np.ndarray:
+    """(m + m†) / 2 in complex arithmetic, repeated: make_state's
+    hermitization was one pass, sector_dephase's two."""
+    for _ in range(passes):
+        m = (m + m.conj().swapaxes(-1, -2)) / 2
+    return m
+
+
+def random_state_by_draws(rng: np.random.Generator, dims: Dims) -> DensityMatrix:
+    """One random state drawn as two separate (n, n) normal draws, real
+    then imaginary part, normalized on its own."""
+    g = rng.standard_normal((dims.n, dims.n)) + 1j * rng.standard_normal((dims.n, dims.n))
+    m = g @ g.conj().T
+    return make_state(dims, m / np.trace(m).real)
+
+
+def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]:
+    """verify-lemmas' random-sample witnesses, one state at a time.
+
+    Keys match the chunks of cli._sample_witnesses. A probe that raises
+    ZeroTraceError marks its state not live and leaves a NaN witness.
+    """
+    rng = np.random.default_rng(seed)
+    noise = NoiseParams(1.0, 1.0, 0.7)
+    rows = []
+    for s in [random_state_by_draws(rng, QUTRIT_PAIR) for _ in range(samples)]:
+        lim = channels.infinite_limit(s)
+        row = {
+            "limit_pt_min": criteria.min_pt_eigenvalue(lim),
+            "limit_excess": criteria.realignment_excess(lim),
+            "parent_pt_min": criteria.min_pt_eigenvalue(s),
+            "evolved_pt_min": criteria.min_pt_eigenvalue(ground_excited(s, noise)),
+        }
+        for key, probe in (
+            ("two_sided", lambda: family.two_sided_probe(s)),
+            ("one_sided", lambda: family.one_sided_probe(s, "B", noise)),
+        ):
+            try:
+                row[key], row[key + "_live"] = probe().min_pt_eigenvalue, True
+            except ZeroTraceError:
+                row[key], row[key + "_live"] = np.nan, False
+        rows.append(row)
+    keys = ("limit_pt_min", "limit_excess", "two_sided", "two_sided_live", "parent_pt_min",
+            "one_sided", "one_sided_live", "evolved_pt_min")
+    return {key: np.array([row[key] for row in rows], dtype=bool if key.endswith("_live") else float)
+            for key in keys}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import QUTRIT_PAIR
+from conftest import QUTRIT_PAIR, hermitize_by_passes
 from dephaselab.channels import (
     IncompleteKrausError,
     KrausSet,
@@ -24,7 +24,7 @@ from dephaselab.linalg import eigvals_hermitian
 from dephaselab.qstate import BadShapeError, Dims, make_state, random_state
 
 
-def ground_excited_damping(p: NoiseParams) -> np.ndarray:
+def ground_excited_damping(gamma_a: float, gamma_b: float) -> np.ndarray:
     """Independent oracle: entrywise retention factors of the channel.
 
     A coherence picks up one gamma per side whose two labels straddle the
@@ -39,9 +39,9 @@ def ground_excited_damping(p: NoiseParams) -> np.ndarray:
                 for b2 in range(3):
                     v = 1.0
                     if sector[a] != sector[a2]:
-                        v *= p.gamma_a
+                        v *= gamma_a
                     if sector[b] != sector[b2]:
-                        v *= p.gamma_b
+                        v *= gamma_b
                     f[d.flat(a, b), d.flat(a2, b2)] = v
     return f
 
@@ -117,7 +117,7 @@ class TestApplyChannel:
         ks = kraus_ground_excited(p)
         for _ in range(10):
             state = random_state(rng, QUTRIT_PAIR)
-            expected = state.mat * ground_excited_damping(p)
+            expected = state.mat * ground_excited_damping(p.gamma_a, p.gamma_b)
             for out in (apply_channel(state, ks), ground_excited(state, p)):
                 assert np.max(np.abs(out.mat - expected)) < 1e-14
 
@@ -138,6 +138,27 @@ class TestApplyChannel:
             assert np.max(np.abs(out.mat - out.mat.conj().T)) < 1e-10
             assert float(eigvals_hermitian(out.mat)[0]) > -1e-10
             assert make_state(out.dims, out.mat).mat.tobytes() == out.mat.tobytes()
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_keeps_the_bytes_of_two_complex_hermitizations(self, rng, real):
+        # make_state hermitized with one complex pass of (m + m†) / 2 and
+        # sector_dephase with two; the fixed-point routine keeps those
+        # bytes, including the -0.0 imaginary parts an underflowing
+        # retention leaves (evolve --t 2000 prints them).
+        g = rng.standard_normal((40, 9, 9)) + 1j * (0.0 if real else rng.standard_normal((40, 9, 9)))
+        raw = g @ g.conj().swapaxes(-1, -2)
+        raw /= np.trace(raw, axis1=-2, axis2=-1).real[:, None, None]
+        states = make_state(QUTRIT_PAIR, raw)
+        assert states.mat.tobytes() == hermitize_by_passes(raw).tobytes()
+        keeps = [1.0, 0.7, 1e-300, 1e-310, 2.7e-321, 5e-324, 0.0]
+        negative_zeros = 0
+        for keep_a in keeps:
+            for keep_b in keeps:
+                out = sector_dephase(states, (0, 1, 1), (0, 1, 1), keep_a, keep_b)
+                masked = states.mat * ground_excited_damping(keep_a, keep_b)
+                assert out.mat.tobytes() == hermitize_by_passes(masked, 2).tobytes()
+                negative_zeros += np.count_nonzero(np.signbit(out.mat.imag) & (out.mat.imag == 0))
+        assert real or negative_zeros > 0
 
     def test_maximally_mixed_is_fixed(self):
         mixed = make_state(QUTRIT_PAIR, np.eye(9) / 9)

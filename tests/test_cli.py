@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_DIR, child_env, run_cli, sweep_by_points
+from conftest import GOLDEN_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
 from dephaselab import cli
 from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
 from dephaselab.family import FamilyParams, certificate_blocks, evolved_closed_form, initial_state, swapped_state
@@ -201,7 +201,7 @@ class TestSweep:
         blocks = certificate_blocks() if initial == "rho" else None
         # One t grid crossing two chunk boundaries, one t x gamma grid
         # crossing one; neither is a multiple of the chunk size.
-        n_t, n_tg = 2 * cli.SWEEP_CHUNK + 5, cli.SWEEP_CHUNK // 7 + 5
+        n_t, n_tg = 2 * cli.STACK_CHUNK + 5, cli.STACK_CHUNK // 7 + 5
         grids = (
             (["--t-range", "0", "4", str(n_t)], np.linspace(0.0, 4.0, n_t), np.array([1.0])),
             (
@@ -299,6 +299,37 @@ class TestVerifyLemmas:
     def test_seed_changes_keep_passing(self):
         for seed in ("1", "7", "123"):
             assert run_cli("verify-lemmas", "--seed", seed, "--samples", "20").returncode == 0
+
+    @pytest.mark.parametrize(
+        "flags, golden, code",
+        [
+            (["--samples", "200"], "verify_lemmas_seed42_samples200.txt", 0),
+            (["--samples", "0", "--inject-fault"], "verify_lemmas_seed42_samples0_inject_fault.txt", 1),
+        ],
+    )
+    def test_golden_stdout(self, flags, golden, code):
+        result = run_cli("verify-lemmas", "--seed", "42", *flags)
+        assert result.returncode == code
+        assert result.stdout == (GOLDEN_DIR / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "samples", [0, 1, cli.STACK_CHUNK - 1, cli.STACK_CHUNK, cli.STACK_CHUNK + 1, 2 * cli.STACK_CHUNK + 3]
+    )
+    def test_chunked_samples_match_per_sample_oracle(self, samples):
+        # Every violation count is 0, so stdout alone cannot tell a wrong
+        # stack from a right one: compare the witnesses themselves.
+        seed = 1000 + samples
+        chunks = list(cli._sample_witnesses(seed, samples))
+        assert [len(c["limit_pt_min"]) for c in chunks] == [
+            min(cli.STACK_CHUNK, samples - start) for start in range(0, samples, cli.STACK_CHUNK)
+        ]
+        expected = lemma_witnesses_by_samples(seed, samples)
+        assert all(c.keys() == expected.keys() for c in chunks)
+        for key, want in expected.items():
+            stacked = np.concatenate([c[key] for c in chunks] or [want[:0]])
+            assert stacked.dtype == want.dtype, key
+            assert np.array_equal(stacked, want, equal_nan=True), key
+            assert stacked.tobytes() == want.tobytes(), key
 
 
 class TestDeterminism:

@@ -14,9 +14,12 @@ from dephaselab.linalg import (
     check_hermitian,
     eig_hermitian,
     eigvals_hermitian,
+    hermitize,
     singular_values,
     sqrt_psd,
+    trace,
 )
+from conftest import hermitize_by_passes
 
 
 def random_hermitian(rng, n):
@@ -141,11 +144,60 @@ class TestSqrtPsd:
         assert np.max(np.abs(r @ r - a)) < 1e-12
 
 
+def same_bits(a, b) -> np.ndarray:
+    """Per matrix of two stacks: every entry identical, zero signs included."""
+    return (a.view(np.uint64) == b.view(np.uint64)).reshape(len(a), -1).all(axis=1)
+
+
+class TestHermitize:
+    # The off-diagonal pair of a 2x2 matrix takes every combination of
+    # these real and imaginary parts: signed zeros, subnormals, normals.
+    PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1e-310, -1e-310, 0.3, -0.3)
+
+    def exhaustive_pairs(self) -> np.ndarray:
+        parts = np.array(np.meshgrid(*[self.PARTS] * 4, indexing="ij")).reshape(4, -1)
+        m = np.zeros((parts.shape[1], 2, 2), dtype=complex)
+        m[:, 0, 0] = m[:, 1, 1] = 0.5
+        m.real[:, 0, 1], m.imag[:, 0, 1], m.real[:, 1, 0], m.imag[:, 1, 0] = parts
+        return m
+
+    def test_fixed_point_on_every_signed_zero_and_subnormal_pair(self):
+        m = self.exhaustive_pairs()
+        once = hermitize(m)
+        assert same_bits(hermitize(once), once).all()
+        # ... and a fixed point of the complex pass make_state used to make.
+        assert same_bits(hermitize_by_passes(once), once).all()
+        # That pass alone is not idempotent on this set.
+        one_pass = hermitize_by_passes(m)
+        settled = same_bits(hermitize_by_passes(one_pass), one_pass)
+        assert 0 < np.count_nonzero(~settled) < len(m)
+        # Where it is, hermitize returns its bits.
+        assert same_bits(once, one_pass)[settled].all()
+
+    def test_hermitian_part_of_a_stack(self, rng):
+        a = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
+        h = hermitize(a)
+        assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+        assert np.max(np.abs(h - (a + a.conj().swapaxes(-1, -2)) / 2)) == 0.0
+        assert same_bits(h, np.array([hermitize(x) for x in a])).all()
+
+
+class TestTrace:
+    def test_stack_members_sum_as_alone(self, rng):
+        a = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+        assert trace(a).tobytes() == np.array([np.trace(x) for x in a]).tobytes()
+        assert trace(a[0]).tobytes() == np.trace(a[0]).tobytes()
+
+
 class TestTolerances:
     def test_shared_instance_defaults(self):
         assert TOL == Tolerances()
         assert TOL.psd_floor < 0 < TOL.hermitian
         assert TOL.verdict == 1e-10
+
+    def test_moved_literals_keep_their_values(self):
+        assert (TOL.bisection, TOL.crossing_horizon) == (1e-9, 1e6)
+        assert (TOL.mc_pattern, TOL.kraus_completeness, TOL.coherence_floor) == (1e-12, 1e-12, 1e-14)
 
     def test_frozen(self):
         with pytest.raises(Exception):

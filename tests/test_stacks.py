@@ -2,7 +2,7 @@
 
 Every stacked result is compared bit for bit (np.array_equal, plus the
 sign of zeros) with the result for each member alone, at stack sizes
-around the sweep chunk size.
+around the stack chunk size (cli.STACK_CHUNK).
 """
 
 import numpy as np
@@ -10,14 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_state_by_draws
 from dephaselab.channels import GROUND_EXCITED, NoiseParams, ground_excited, sector_dephase
-from dephaselab.cli import SWEEP_CHUNK
-from dephaselab.criteria import classify, min_pt_eigenvalue, realignment_excess, separability_certificate
-from dephaselab.family import certificate_blocks, initial_state
-from dephaselab.linalg import NotHermitianError, check_hermitian, eigvals_hermitian
-from dephaselab.qstate import DensityMatrix, Dims, random_state
+from dephaselab.cli import STACK_CHUNK
+from dephaselab.criteria import (
+    classify,
+    min_pt_eigenvalue,
+    qubit_block_witness,
+    realignment_excess,
+    separability_certificate,
+)
+from dephaselab.family import certificate_blocks, initial_state, one_sided_probe, two_sided_probe
+from dephaselab.linalg import TOL, NotHermitianError, NotPSDError, check_hermitian, eigvals_hermitian
+from dephaselab.qstate import DensityMatrix, Dims, NonFiniteError, ZeroTraceError, make_state, random_state
 
-SIZES = (1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3)
+SIZES = (1, STACK_CHUNK - 1, STACK_CHUNK, STACK_CHUNK + 1, 2 * STACK_CHUNK + 3)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.sampled_from(SIZES)
@@ -29,12 +36,12 @@ def members(stack: DensityMatrix) -> list[DensityMatrix]:
 
 def assert_same_bits(stacked, one_at_a_time) -> None:
     stacked, one_at_a_time = np.asarray(stacked), np.asarray(one_at_a_time)
-    assert np.array_equal(stacked, one_at_a_time)
+    assert np.array_equal(stacked, one_at_a_time, equal_nan=True)
     assert stacked.tobytes() == one_at_a_time.tobytes()
 
 
 def random_stack(rng: np.random.Generator, dims: Dims, size: int) -> DensityMatrix:
-    return DensityMatrix(np.stack([random_state(rng, dims).mat for _ in range(size)]), dims)
+    return DensityMatrix(np.stack([random_state_by_draws(rng, dims).mat for _ in range(size)]), dims)
 
 
 def family_stack(rng: np.random.Generator, alpha: float, rate: float, size: int) -> DensityMatrix:
@@ -64,6 +71,9 @@ class TestStacks:
         singles = members(stack)
         assert_same_bits(min_pt_eigenvalue(stack), [min_pt_eigenvalue(s) for s in singles])
         assert_same_bits(realignment_excess(stack), [realignment_excess(s) for s in singles])
+        assert_same_bits(
+            qubit_block_witness(stack, (1, 0), (0, 1)), [qubit_block_witness(s, (1, 0), (0, 1)) for s in singles]
+        )
         assert classify(stack) == tuple(classify(s) for s in singles)
 
     @settings(max_examples=15, deadline=None)
@@ -91,9 +101,64 @@ class TestStacks:
         mats = np.array(stack.mat)
         bad = int(rng.integers(size))
         mats[bad, 0, 1] += 1e-6
-        for check in (check_hermitian, eigvals_hermitian):
+        for check in (check_hermitian, eigvals_hermitian, lambda m: make_state(stack.dims, m)):
             with pytest.raises(NotHermitianError):
                 check(mats)
         with pytest.raises(NotHermitianError):
             min_pt_eigenvalue(DensityMatrix(mats, stack.dims))
         eigvals_hermitian(np.delete(mats, bad, axis=0))
+        make_state(stack.dims, np.delete(mats, bad, axis=0))
+
+    @pytest.mark.parametrize("size", (0,) + SIZES)
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
+    def test_random_state_draws_a_stack_as_single_draws(self, size, dims):
+        dims = Dims(*dims)
+        stacked, single = np.random.default_rng(size), np.random.default_rng(size)
+        stack = random_state(stacked, dims, size)
+        alone = [random_state_by_draws(single, dims).mat for _ in range(size)]
+        assert_same_bits(stack.mat, np.reshape(alone, (size, dims.n, dims.n)))
+        assert stacked.bit_generator.state == single.bit_generator.state
+        one = random_state(np.random.default_rng(size), dims)
+        assert_same_bits(one.mat, random_state_by_draws(np.random.default_rng(size), dims).mat)
+
+    def test_stack_raises_the_first_failing_members_error(self):
+        mats = np.array(random_stack(np.random.default_rng(3), Dims(3, 3), 6).mat)
+        mats[2] = np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0, 0])  # Hermitian, unit trace, not PSD
+        mats[4, 3, 3] = np.nan
+        with pytest.raises(NotPSDError) as alone:
+            make_state(Dims(3, 3), mats[2])
+        with pytest.raises(NotPSDError) as stacked:
+            make_state(Dims(3, 3), mats)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(NonFiniteError):
+            make_state(Dims(3, 3), mats[3:])
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_probes_skip_exactly_the_members_a_single_probe_rejects(self, size):
+        rng = np.random.default_rng(size)
+        mats = np.array(random_stack(rng, Dims(3, 3), size).mat)
+        # Ground-state members: side B's doublet and the doublet corner carry no weight.
+        empty = rng.choice(size, size=min(size, 5), replace=False)
+        mats[empty] = np.kron(np.diag([0.5, 0.5, 0.0]), np.diag([1.0, 0.0, 0.0]))
+        stack = DensityMatrix(mats, Dims(3, 3))
+        noise = NoiseParams(1.0, 0.6, 0.7)
+        for probe in (
+            two_sided_probe,
+            lambda s: one_sided_probe(s, "B", noise),
+            lambda s: one_sided_probe(s, "A", noise),
+        ):
+            stacked = probe(stack)
+            live, alone = [], []
+            for s in members(stack):
+                try:
+                    result = probe(s)
+                except ZeroTraceError:
+                    live.append(False)
+                    alone.append(np.nan)
+                else:
+                    live.append(True)
+                    alone.append(result.min_pt_eigenvalue)
+                    assert stacked.entangled[len(live) - 1] == result.entangled
+            assert_same_bits(stacked.weight >= TOL.zero_trace, live)
+            assert_same_bits(stacked.min_pt_eigenvalue, alone)
+            assert not stacked.entangled[~np.array(live)].any()
