@@ -22,9 +22,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,38 +61,6 @@ _CONTENT_ERRORS = (
     NotPSDError,
     ZeroTraceError,
 )
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """The family's transition times for one (alpha, gamma) setting.
-
-    Times are floats, math.inf where the transition never happens, or
-    None where it is undefined (no PPT onset exists for alpha <= 4).
-    """
-
-    alpha: float
-    gamma: float
-    t_d_analytic: Optional[float]
-    t_d_numeric: Optional[float]
-    realignment_zero: Optional[float]
-    certificate_onset: Optional[float]
-
-    def to_json(self) -> str:
-        def encode(v: Optional[float]):
-            if v is None:
-                return None
-            return "inf" if math.isinf(v) else v
-
-        doc = {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "t_d_analytic": encode(self.t_d_analytic),
-            "t_d_numeric": encode(self.t_d_numeric),
-            "realignment_zero": encode(self.realignment_zero),
-            "certificate_onset": encode(self.certificate_onset),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _nonneg_float(text: str) -> float:
@@ -150,6 +117,13 @@ STACK_CHUNK = 128
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _dephased(base: DensityMatrix, points: list[tuple[float, float]]) -> DensityMatrix:
+    """base under symmetric ground/excited dephasing at each (t, gamma)
+    point, as one stack."""
+    keep = np.array([ground_excited_retention(g, t) for t, g in points])
+    return sector_dephase(base, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -214,9 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [["t", "gamma", "verdict" if args.quantity == "verdict" else "value"]]
         for start in range(0, len(points), STACK_CHUNK):
             chunk = points[start:start + STACK_CHUNK]
-            keep = np.array([ground_excited_retention(g, t) for t, g in chunk])
-            states = sector_dephase(base, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
-            rows += [[_fmt(t), _fmt(g), cell] for (t, g), cell in zip(chunk, cells(states))]
+            rows += [[_fmt(t), _fmt(g), cell] for (t, g), cell in zip(chunk, cells(_dephased(base, chunk)))]
     # Written only once every row exists, so a failing sweep prints nothing.
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return 0
@@ -239,163 +211,109 @@ def _crossing(curve: Callable[[float], float], cap: float = TOL.crossing_horizon
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
+    """Print the family's transition times as JSON: a float, "inf" where
+    the transition never happens, or null where it is undefined (no PPT
+    onset exists for alpha <= 4)."""
     alpha, gamma = args.alpha, args.gamma
     base = family.initial_state(alpha)
+    blocks = family.certificate_blocks()
 
     def evolved(t: float) -> DensityMatrix:
         return ground_excited(base, NoiseParams(gamma, gamma, t))
 
-    try:
-        t_d_analytic: Optional[float] = family.ppt_onset_time(alpha, gamma)
-    except family.AlreadyPptError:
-        t_d_analytic = None
-
     def pt_curve(t: float) -> float:
         return criteria.min_pt_eigenvalue(evolved(t))
-
-    t_d_numeric = None if pt_curve(0.0) >= -TOL.verdict else _crossing(pt_curve)
-
-    def realignment_curve(t: float) -> float:
-        return criteria.realignment_excess(evolved(t))
-
-    realignment_zero = _crossing(realignment_curve)
-
-    blocks = family.certificate_blocks()
 
     def certificate_margin(t: float) -> float:
         result = criteria.separability_certificate(evolved(t), blocks)
         return min(min(b.min_eigenvalue, b.min_pt_eigenvalue) for b in result.blocks)
 
-    certificate_onset = _crossing(certificate_margin)
-
-    report = ThresholdReport(
-        alpha, gamma, t_d_analytic, t_d_numeric, realignment_zero, certificate_onset
-    )
-    print(report.to_json())
+    try:
+        t_d_analytic = family.ppt_onset_time(alpha, gamma)
+    except family.AlreadyPptError:
+        t_d_analytic = None
+    report = {
+        "alpha": alpha,
+        "gamma": gamma,
+        "t_d_analytic": t_d_analytic,
+        "t_d_numeric": None if pt_curve(0.0) >= -TOL.verdict else _crossing(pt_curve),
+        "realignment_zero": _crossing(lambda t: criteria.realignment_excess(evolved(t))),
+        "certificate_onset": _crossing(certificate_margin),
+    }
+    report = {key: "inf" if value == math.inf else value for key, value in report.items()}
+    print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
 def _verify_checks(seed: int, samples: int, inject_fault: bool):
-    """Yield (name, passed, detail) for every certified-claim check."""
+    """Yield (name, passed, detail) for every certified-claim check.
+
+    Each kind of claim is one table of rows and one loop over it."""
     alpha = 4.5
     rho0 = family.initial_state(alpha)
     rho_prime0 = family.swapped_state(alpha)
     onset = family.ppt_onset_time(alpha, 1.0)
 
-    probe = family.one_sided_probe(rho_prime0, "B", NoiseParams(1.0, 1.0, 1.0))
-    yield (
-        "one-sided probe certifies the swapped family (side B, t=1)",
-        probe.entangled,
-        f"witness {probe.min_pt_eigenvalue:.6g}",
-    )
-    probe = family.one_sided_probe(rho_prime0, "A", NoiseParams(1.0, 1.0, 1.0))
-    yield (
-        "one-sided probe certifies the swapped family (side A, t=1)",
-        probe.entangled,
-        f"witness {probe.min_pt_eigenvalue:.6g}",
-    )
-    t_before, t_after = 0.3, 1.0
-    probe = family.one_sided_probe(rho0, "B", NoiseParams(1.0, 1.0, t_before))
-    yield (
-        f"one-sided probe flags the unswapped family before its PPT onset (t={t_before} < {onset:.4f})",
-        probe.entangled,
-        f"witness {probe.min_pt_eigenvalue:.6g}",
-    )
-    probe = family.one_sided_probe(rho0, "B", NoiseParams(1.0, 1.0, t_after))
-    yield (
-        f"one-sided probe declines the unswapped family after its PPT onset (t={t_after} > {onset:.4f})",
-        not probe.entangled,
-        f"witness {probe.min_pt_eigenvalue:.6g}",
-    )
-    probe = family.two_sided_probe(rho_prime0)
-    yield (
-        "two-sided probe certifies the swapped family for all finite time",
-        probe.entangled,
-        f"witness {probe.min_pt_eigenvalue:.6g}",
-    )
-    probe = family.two_sided_probe(rho0)
-    yield (
-        "two-sided probe declines the unswapped family",
-        not probe.entangled,
-        f"witness {probe.min_pt_eigenvalue:.6g}",
-    )
+    def at(t: float) -> NoiseParams:
+        return NoiseParams(1.0, 1.0, t)
 
-    keep = np.array([ground_excited_retention(1.0, k * 0.5) for k in range(21)])
-    evolved = sector_dephase(rho_prime0, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+    # (claim, probe result, whether the probe must certify entanglement)
+    for name, probe, entangled in (
+        ("one-sided probe certifies the swapped family (side B, t=1)",
+         family.one_sided_probe(rho_prime0, "B", at(1.0)), True),
+        ("one-sided probe certifies the swapped family (side A, t=1)",
+         family.one_sided_probe(rho_prime0, "A", at(1.0)), True),
+        (f"one-sided probe flags the unswapped family before its PPT onset (t=0.3 < {onset:.4f})",
+         family.one_sided_probe(rho0, "B", at(0.3)), True),
+        (f"one-sided probe declines the unswapped family after its PPT onset (t=1.0 > {onset:.4f})",
+         family.one_sided_probe(rho0, "B", at(1.0)), False),
+        ("two-sided probe certifies the swapped family for all finite time",
+         family.two_sided_probe(rho_prime0), True),
+        ("two-sided probe declines the unswapped family", family.two_sided_probe(rho0), False),
+    ):
+        yield name, probe.entangled == entangled, f"witness {probe.min_pt_eigenvalue:.6g}"
+
+    evolved = _dephased(rho_prime0, [(k * 0.5, 1.0) for k in range(21)])
     worst = float(np.max(criteria.qubit_block_witness(evolved, (1, 2), (1, 2))))
-    yield (
-        "swapped family witness stays negative on t in [0, 10]",
-        worst < -TOL.verdict,
-        f"max witness {worst:.6g}",
-    )
+    yield "swapped family witness stays negative on t in [0, 10]", worst < -TOL.verdict, f"max witness {worst:.6g}"
 
-    for d in (3, 4):
-        spec = family.McSpec(d, np.full((d, d), 1.0 / d))
-        report = family.mc_report(spec, NoiseParams(1.0, 1.0, 0.7))
-        yield (
-            f"maximally correlated state (d={d}, uniform): pattern kept, entangled, distillable",
-            report.still_mc and report.entangled and report.distillable,
-            f"deviation {report.mc_deviation:.3g}, witness {report.witness_value}",
-        )
-    diag_spec = family.McSpec(3, np.diag([0.2, 0.3, 0.5]))
-    report = family.mc_report(diag_spec, NoiseParams(1.0, 1.0, 0.7))
-    yield (
-        "maximally correlated state with diagonal coefficients stays separable",
-        report.still_mc and not report.entangled and not report.distillable,
-        f"deviation {report.mc_deviation:.3g}",
-    )
+    # (claim, coefficient matrix, whether the evolved state must be entangled and distillable)
+    for name, a, entangled in (
+        ("maximally correlated state (d=3, uniform): pattern kept, entangled, distillable",
+         np.full((3, 3), 1.0 / 3), True),
+        ("maximally correlated state (d=4, uniform): pattern kept, entangled, distillable",
+         np.full((4, 4), 1.0 / 4), True),
+        ("maximally correlated state with diagonal coefficients stays separable", np.diag([0.2, 0.3, 0.5]), False),
+    ):
+        report = family.mc_report(family.McSpec(len(a), a), at(0.7))
+        detail = f"deviation {report.mc_deviation:.3g}" + (f", witness {report.witness_value}" if entangled else "")
+        yield name, report.still_mc and report.entangled == entangled and report.distillable == entangled, detail
 
-    plus = family.mc_state(family.McSpec(3, np.full((3, 3), 1.0 / 3.0)))
-    yield (
-        "projection reads a maximally correlated block off the uniform state",
-        family.mc_projection(plus, (0, 1), (0, 1)) is not None,
-        "",
-    )
-    yield (
-        "projection strictness declines the unswapped family corner",
-        family.mc_projection(rho0, (1, 2), (1, 2)) is None,
-        "",
-    )
-    yield (
-        "projection strictness declines the swapped family corner",
-        family.mc_projection(rho_prime0, (1, 2), (1, 2)) is None,
-        "",
-    )
+    # (claim, state, labels on each side, whether a maximally correlated block must be found)
+    plus = family.mc_state(family.McSpec(3, np.full((3, 3), 1.0 / 3)))
+    for name, state, labels, found in (
+        ("projection reads a maximally correlated block off the uniform state", plus, (0, 1), True),
+        ("projection strictness declines the unswapped family corner", rho0, (1, 2), False),
+        ("projection strictness declines the swapped family corner", rho_prime0, (1, 2), False),
+    ):
+        yield name, (family.mc_projection(state, labels, labels) is not None) == found, ""
 
-    expected_rho_limit = (
-        family.LimitVerdict.DISTILLABLE_LIMIT if inject_fault else family.LimitVerdict.SEPARABLE_LIMIT
-    )
-    verdict = family.limit_verdict(rho0)
-    yield (
-        "infinite-time limit of the unswapped family is separable",
-        verdict == expected_rho_limit,
-        f"got {verdict.value}",
-    )
-    verdict = family.limit_verdict(rho_prime0)
-    yield (
-        "infinite-time limit of the swapped family stays distillable",
-        verdict == family.LimitVerdict.DISTILLABLE_LIMIT,
-        f"got {verdict.value}",
-    )
+    separable, distillable = family.LimitVerdict.SEPARABLE_LIMIT, family.LimitVerdict.DISTILLABLE_LIMIT
+    for name, state, expected in (
+        ("infinite-time limit of the unswapped family is separable", rho0,
+         distillable if inject_fault else separable),
+        ("infinite-time limit of the swapped family stays distillable", rho_prime0, distillable),
+    ):
+        verdict = family.limit_verdict(state)
+        yield name, verdict == expected, f"got {verdict.value}"
 
-    bad = np.zeros(3, dtype=int)
-    for chunk in _sample_witnesses(seed, samples):
-        bad += _violations(chunk)
-    yield (
+    bad = sum((_violations(chunk) for chunk in _sample_witnesses(seed, samples)), np.zeros(3, dtype=int))
+    for name, count in zip((
         f"no random infinite-time limit is PPT-entangled-witnessed ({samples} samples)",
-        bad[0] == 0,
-        f"{bad[0]} violations",
-    )
-    yield (
         f"two-sided probe verdicts imply NPT parents ({samples} samples)",
-        bad[1] == 0,
-        f"{bad[1]} violations",
-    )
-    yield (
         f"one-sided probe verdicts imply NPT evolved parents ({samples} samples, t=0.7)",
-        bad[2] == 0,
-        f"{bad[2]} violations",
-    )
+    ), bad):
+        yield name, count == 0, f"{count} violations"
 
 
 def _sample_witnesses(seed: int, samples: int):
@@ -502,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("verify-lemmas", help="run the certified-claim checks")
-    p.add_argument("--seed", type=int, default=42, help="random state seed (default 42)")
+    p.add_argument("--seed", type=_nonneg_int, default=42, help="random state seed (default 42)")
     p.add_argument("--samples", type=_nonneg_int, default=200, help="random states per section (default 200)")
     p.add_argument("--inject-fault", dest="inject_fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_lemmas)

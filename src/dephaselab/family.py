@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
-from .criteria import BlockSpec, min_pt_eigenvalue
+from .criteria import BlockSpec, min_pt_eigenvalue, qubit_block_witness
 from .linalg import TOL, trace
 from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, make_state, project_local
 
@@ -340,8 +340,7 @@ def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:
         return McReport(deviation <= TOL.mc_pattern, deviation, False, False, None, None)
     i, j = np.unravel_index(int(np.argmax(off)), off.shape)
     labels = (int(min(i, j)), int(max(i, j)))
-    sub = project_local(evolved, labels, labels, renormalize=True)
-    witness = min_pt_eigenvalue(sub)
+    witness = qubit_block_witness(evolved, labels, labels)
     return McReport(
         deviation <= TOL.mc_pattern,
         deviation,

@@ -77,18 +77,19 @@ def check_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> None:
     """Raise NotHermitianError unless a == a† within tol * max(1, ||a||_F).
 
     A stack (N, n, n) is checked member by member; the error reports the
-    first member that fails.
+    first member that fails. A NaN or infinite entry fails: it makes the
+    deviation NaN or inf, and an infinite bound would let either through.
     """
     dev = np.abs(a - a.conj().swapaxes(-1, -2))
     if dev.max(initial=0.0) <= tol:
-        return  # the scale is at least 1, so no norm is needed
+        return  # the scale is at least 1, so no norm is needed; NaN lands below
     dev = dev.max(axis=(-2, -1), initial=0.0)
     bound = tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
-    failing = np.flatnonzero(dev > bound)
+    failing = np.flatnonzero(~(dev <= bound) | np.isinf(bound))
     if failing.size:
         k = failing[0]
         raise NotHermitianError(
-            f"Hermiticity deviation {dev.flat[k]:.3e} exceeds {bound.flat[k]:.3e}"
+            f"Hermiticity deviation {dev.flat[k]:.3e} is not within the finite bound {bound.flat[k]:.3e}"
         )
 
 

@@ -239,9 +239,12 @@ class TestThresholds:
         assert result.stdout == (GOLDEN_DIR / "thresholds_alpha45_gamma1.json").read_bytes()
 
     def test_golden_report_boundary_alpha(self):
-        result = run_cli("thresholds", "--alpha", "5", "--gamma", "0.7")
-        assert result.returncode == 0
-        assert result.stdout == (GOLDEN_DIR / "thresholds_alpha5_gamma07.json").read_bytes()
+        # alpha = 5 never turns PPT ("inf" onsets); alpha = 3.5 is PPT from the start (null onsets).
+        for alpha, gamma, golden in (("5", "0.7", "thresholds_alpha5_gamma07.json"),
+                                     ("3.5", "1", "thresholds_alpha35_gamma1.json")):
+            result = run_cli("thresholds", "--alpha", alpha, "--gamma", gamma)
+            assert result.returncode == 0
+            assert result.stdout == (GOLDEN_DIR / golden).read_bytes()
 
     def test_report_invariants(self):
         for alpha, gamma in (("4.5", "1"), ("4.9", "1"), ("4.3", "0.7")):
@@ -313,6 +316,16 @@ class TestVerifyLemmas:
         assert result.stdout == (GOLDEN_DIR / golden).read_bytes()
 
     @pytest.mark.parametrize(
+        "key, samples, fault", [("seed42_samples200", 200, False), ("seed42_samples0_inject_fault", 0, True)]
+    )
+    def test_golden_checks(self, key, samples, fault):
+        # stdout shows a claim's detail only when it fails: pin every
+        # (name, passed, detail) triple, details of passing claims included.
+        golden = json.loads((GOLDEN_DIR / "verify_checks_seed42.json").read_text())[key]
+        checks = [[name, bool(passed), detail] for name, passed, detail in cli._verify_checks(42, samples, fault)]
+        assert checks == golden
+
+    @pytest.mark.parametrize(
         "samples", [0, 1, cli.STACK_CHUNK - 1, cli.STACK_CHUNK, cli.STACK_CHUNK + 1, 2 * cli.STACK_CHUNK + 3]
     )
     def test_chunked_samples_match_per_sample_oracle(self, samples):
@@ -352,6 +365,7 @@ class TestExitCodes:
         assert run_cli("nonsense").returncode == 2
         assert run_cli("sweep", "--quantity", "bogus", "--t", "1").returncode == 2
         assert run_cli("evolve", "--t", "-1").returncode == 2
+        assert run_cli("verify-lemmas", "--seed", "-1").returncode == 2
         assert run_cli("evolve", "--initial", str(tmp_path / "missing.json"), "--t", "1").returncode == 2
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -386,9 +400,10 @@ class TestExitCodes:
             assert result.stdout == b""
 
     def test_errors_leave_stdout_empty(self, tmp_path):
-        result = run_cli("evolve", "--alpha", "5.5", "--t", "1")
-        assert result.stdout == b""
-        assert result.stderr != b""
+        for args in (("evolve", "--alpha", "5.5", "--t", "1"), ("verify-lemmas", "--seed", "-1")):
+            result = run_cli(*args)
+            assert result.stdout == b""
+            assert result.stderr != b""
         not_psd = tmp_path / "not_psd.json"
         pairs = [[0.0, 0.0]] * 81
         for k, v in ((0, 0.6), (10, 0.5), (20, -0.1)):

@@ -30,7 +30,8 @@ from dephaselab.family import (
     initial_state,
     swapped_state,
 )
-from dephaselab.qstate import BadShapeError, Dims, make_state, random_state
+from dephaselab.linalg import NotHermitianError
+from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state
 
 
 def family_at(t: float, alpha: float = 4.5, rate: float = 1.0):
@@ -66,6 +67,17 @@ class TestWitnesses:
     def test_qubit_block_witness_matches_sign_expectations(self):
         assert qubit_block_witness(swapped_state(4.5), (1, 2), (1, 2)) < -1e-3
         assert qubit_block_witness(initial_state(4.5), (1, 2), (1, 2)) > 1e-3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coherence_is_not_hermitian(self, value):
+        # eigvalsh reads one triangle, so an unchecked NaN there would give
+        # a finite witness.
+        mat = np.array(initial_state(4.5).mat)
+        mat[1, 3] = value
+        state = DensityMatrix(mat, QUTRIT_PAIR)
+        for witness in (min_pt_eigenvalue, lambda s: qubit_block_witness(s, (0, 1), (0, 1))):
+            with pytest.raises(NotHermitianError):
+                witness(state)
 
 
 class TestBlockSpec:

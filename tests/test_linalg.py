@@ -47,6 +47,31 @@ class TestCheckHermitian:
         a[0, 1] = 1e-8
         check_hermitian(a)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)])
+    @pytest.mark.parametrize("where", [[(0, 0)], [(0, 1)], [(1, 0)], [(2, 2)], [(0, 1), (1, 0)]])
+    def test_rejects_non_finite_entries(self, value, where):
+        a = np.eye(3, dtype=complex) / 3
+        for i, j in where:
+            a[i, j] = value
+        with pytest.raises(NotHermitianError):
+            check_hermitian(a)
+
+    def test_rejects_overflowing_norm(self):
+        # tol * inf would admit any deviation, an infinite one included.
+        a = 1e200 * np.eye(2, dtype=complex)
+        a[0, 1] = 1.0
+        with pytest.raises(NotHermitianError):
+            check_hermitian(a)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_stack_quotes_the_first_failing_member(self, rng, value):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        stack[3, 1, 2] = value
+        stack[4, 0, 1] += 1e-6  # fails too, but after member 3
+        with pytest.raises(NotHermitianError, match=f"deviation {value:.3e} "):
+            check_hermitian(stack)
+        check_hermitian(stack[:3])
+
 
 class TestEigHermitian:
     @settings(max_examples=50, deadline=None)
