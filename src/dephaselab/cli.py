@@ -194,18 +194,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _crossing(curve: Callable[[float], float], cap: float = TOL.crossing_horizon) -> float:
-    """Root of curve on t >= 0 by doubling then bisection; inf past cap.
+def _crossing(curve: Callable[[float], float], rate: float) -> float:
+    """Root of curve on t >= 0 by doubling then bisection; inf past the horizon.
 
+    Every curve here is a function of rate * t, so the search scales with
+    1/rate: the horizon TOL.crossing_horizon grows by 1/min(rate, 1) and
+    the bisection tolerance TOL.bisection shrinks by 1/max(rate, 1).
     The sign test treats values in [0, TOL.sign_floor] as not yet
     positive, so a curve that only decays to zero (never genuinely
     crossing) reports inf instead of chasing eigensolver noise.
     """
+    cap = TOL.crossing_horizon / min(rate, 1.0)
     sign0 = curve(0.0) > TOL.sign_floor
     hi = 0.5
     while hi <= cap:
         if (curve(hi) > TOL.sign_floor) != sign0:
-            return criteria.find_sign_change(curve, 0.0, hi, tol=TOL.bisection)
+            return criteria.find_sign_change(curve, 0.0, hi, tol=TOL.bisection / max(rate, 1.0))
         hi *= 2
     return math.inf
 
@@ -236,9 +240,9 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         "alpha": alpha,
         "gamma": gamma,
         "t_d_analytic": t_d_analytic,
-        "t_d_numeric": None if pt_curve(0.0) >= -TOL.verdict else _crossing(pt_curve),
-        "realignment_zero": _crossing(lambda t: criteria.realignment_excess(evolved(t))),
-        "certificate_onset": _crossing(certificate_margin),
+        "t_d_numeric": None if pt_curve(0.0) >= -TOL.verdict else _crossing(pt_curve, gamma),
+        "realignment_zero": _crossing(lambda t: criteria.realignment_excess(evolved(t)), gamma),
+        "certificate_onset": _crossing(certificate_margin, gamma),
     }
     report = {key: "inf" if value == math.inf else value for key, value in report.items()}
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -257,8 +261,8 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
     def at(t: float) -> NoiseParams:
         return NoiseParams(1.0, 1.0, t)
 
-    # (claim, probe result, whether the probe must certify entanglement)
-    for name, probe, entangled in (
+    # (claim, probe witness, whether the probe must certify entanglement)
+    for name, witness, entangled in (
         ("one-sided probe certifies the swapped family (side B, t=1)",
          family.one_sided_probe(rho_prime0, "B", at(1.0)), True),
         ("one-sided probe certifies the swapped family (side A, t=1)",
@@ -271,7 +275,7 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
          family.two_sided_probe(rho_prime0), True),
         ("two-sided probe declines the unswapped family", family.two_sided_probe(rho0), False),
     ):
-        yield name, probe.entangled == entangled, f"witness {probe.min_pt_eigenvalue:.6g}"
+        yield name, (witness < -TOL.verdict) == entangled, f"witness {witness:.6g}"
 
     evolved = _dephased(rho_prime0, [(k * 0.5, 1.0) for k in range(21)])
     worst = float(np.max(criteria.qubit_block_witness(evolved, (1, 2), (1, 2))))
@@ -322,25 +326,20 @@ def _sample_witnesses(seed: int, samples: int):
 
     Each chunk is a dict of arrays with one entry per state: the limit
     entries describe the infinite-time limit, parent_pt_min the state
-    itself and evolved_pt_min the state at t = 0.7. A probe's *_live
-    mask is False where the probe of that state alone raises
-    ZeroTraceError; its witness there is NaN and takes no part.
+    itself and evolved_pt_min the state at t = 0.7. A probe's witness is
+    NaN where the probe of that state alone raises ZeroTraceError.
     """
     rng = np.random.default_rng(seed)
     noise = NoiseParams(1.0, 1.0, 0.7)
     for start in range(0, samples, STACK_CHUNK):
         states = random_state(rng, family.QUTRIT_PAIR, min(STACK_CHUNK, samples - start))
         lim = channels.infinite_limit(states)
-        two = family.two_sided_probe(states)
-        one = family.one_sided_probe(states, "B", noise)
         yield {
             "limit_pt_min": criteria.min_pt_eigenvalue(lim),
             "limit_excess": criteria.realignment_excess(lim),
-            "two_sided": two.min_pt_eigenvalue,
-            "two_sided_live": two.weight >= TOL.zero_trace,
+            "two_sided": family.two_sided_probe(states),
             "parent_pt_min": criteria.min_pt_eigenvalue(states),
-            "one_sided": one.min_pt_eigenvalue,
-            "one_sided_live": one.weight >= TOL.zero_trace,
+            "one_sided": family.one_sided_probe(states, "B", noise),
             "evolved_pt_min": criteria.min_pt_eigenvalue(ground_excited(states, noise)),
         }
 
@@ -349,10 +348,10 @@ def _violations(w: dict) -> np.ndarray:
     """States of one _sample_witnesses chunk that break each claim: a PPT
     limit the realignment witness calls entangled; an entangled two-sided
     probe of a PPT parent; an entangled one-sided probe of a PPT evolved
-    parent."""
+    parent. A NaN probe witness is never entangled."""
     limit = (w["limit_pt_min"] >= -TOL.verdict) & (w["limit_excess"] > TOL.verdict)
-    two = w["two_sided_live"] & (w["two_sided"] < -TOL.verdict) & (w["parent_pt_min"] >= -TOL.verdict)
-    one = w["one_sided_live"] & (w["one_sided"] < -TOL.verdict) & (w["evolved_pt_min"] >= -TOL.verdict)
+    two = (w["two_sided"] < -TOL.verdict) & (w["parent_pt_min"] >= -TOL.verdict)
+    one = (w["one_sided"] < -TOL.verdict) & (w["evolved_pt_min"] >= -TOL.verdict)
     return np.array([np.count_nonzero(limit), np.count_nonzero(two), np.count_nonzero(one)])
 
 

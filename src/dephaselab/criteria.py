@@ -17,7 +17,8 @@ Leading-axis convention: each classifier takes one state or a stack
 (N, n, n) and is written once, over the stack. For one state a witness
 is a float and a record a single record; for a stack a witness is an
 (N,) array and a record a tuple of N records, member k's result
-bit-identical to classifying member k alone.
+bit-identical to classifying member k alone, except that
+qubit_block_witness gives NaN where the member alone raises.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import TOL, eigvals_hermitian, singular_values, sqrt_psd
-from .qstate import BadShapeError, DensityMatrix, Dims, partial_transpose, project_local, realign
+from .linalg import TOL, eigvals_hermitian, singular_values, sqrt_psd, trace
+from .qstate import BadShapeError, DensityMatrix, Dims, ZeroTraceError, partial_transpose, project_local, realign
 
 
 class CoverageError(ValueError):
@@ -141,18 +142,28 @@ def realignment_excess(state: DensityMatrix) -> float | np.ndarray:
 
 
 def qubit_block_witness(
-    state: DensityMatrix, a_labels: Sequence[int], b_labels: Sequence[int]
+    state: DensityMatrix, a_labels: Sequence[int], b_labels: Sequence[int], branch: float = 1.0
 ) -> float | np.ndarray:
-    """Minimum PT eigenvalue of the normalized two-qubit projection.
+    """Minimum PT eigenvalue of a normalized local projection.
 
-    A negative value is conclusive both ways on the projected 2x2 block
-    (NPT there means entangled and distillable) and lifts to the parent:
-    a local projection of a PPT state is PPT, so a negative witness
-    certifies the parent state distillable. Raises ZeroTraceError when
-    the projection (of any member of a stack) carries no weight.
+    The package's one witness of a projected block: a 2x2 corner, a 3x2
+    doublet, or a channel branch whose weight carries the factor branch.
+    With two labels on one side a negative value is conclusive on the
+    projection (NPT there means distillable) and lifts to the parent: a
+    local projection of a PPT state is PPT, so a negative witness
+    certifies the parent state distillable (Horodecki, PRL 80, 5239).
+
+    The weight is branch * trace of the raw block. One state raises
+    ZeroTraceError when it is below TOL.zero_trace; a stack member below
+    it gets a NaN witness, which fails every test against -TOL.verdict.
     """
-    sub = project_local(state, tuple(a_labels), tuple(b_labels), renormalize=True)
-    return min_pt_eigenvalue(sub)
+    block = project_local(state, tuple(a_labels), tuple(b_labels), renormalize=False)
+    tr = trace(block.mat).real
+    live = branch * tr >= TOL.zero_trace
+    if block.mat.ndim == 2 and not live:
+        raise ZeroTraceError(f"projected weight {branch * tr:.3e} below {TOL.zero_trace:.1e}")
+    witness = min_pt_eigenvalue(DensityMatrix(block.mat / np.where(live, tr, 1.0)[..., None, None], block.dims))
+    return witness if block.mat.ndim == 2 else np.where(live, witness, np.nan)
 
 
 def separability_certificate(
@@ -300,8 +311,9 @@ def find_sign_change(
 
     Requires a sign change across the bracket (NoBracketError otherwise);
     an endpoint evaluating to exactly zero is returned as the root.
-    Raises BudgetExceededError when max_iter halvings cannot shrink the
-    bracket to tol.
+    Stops once the bracket is tol wide, or once its midpoint rounds to
+    an end (float spacing wider than tol, far from zero). Raises
+    BudgetExceededError when max_iter halvings reach neither.
     """
     f_lo = f(t_lo)
     f_hi = f(t_hi)
@@ -315,6 +327,8 @@ def find_sign_change(
         if t_hi - t_lo <= tol:
             return (t_lo + t_hi) / 2
         mid = (t_lo + t_hi) / 2
+        if mid in (t_lo, t_hi):
+            return mid
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid

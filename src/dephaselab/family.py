@@ -7,15 +7,17 @@ spectrum, realignment excess and classification thresholds all have
 closed forms, so the family doubles as an analytic oracle for the
 numerical pipeline. A locally basis-swapped variant keeps one coherence
 inside the never-damped excited doublet and therefore stays distillable
-forever; probes built from single channel branches certify that.
+forever; probes built from single channel branches certify that. Each
+probe is criteria.qubit_block_witness on one local projection.
 
 All closed forms here are verified against the numerical path by the
 test suite; none are trusted on their own.
 
 Leading-axis convention: one_sided_probe and two_sided_probe take one
-state or a stack (N, 9, 9) and return per-member witnesses, verdicts
-and weights (see ProbeResult), each member's bit-identical to probing
-that member alone. The family constructors, mc_* and limit_verdict
+state or a stack (N, 9, 9) and return a float or an (N,) array of
+witnesses, each member's bit-identical to probing that member alone; a
+member whose branch carries no weight gets NaN where probing it alone
+raises ZeroTraceError. The family constructors, mc_* and limit_verdict
 handle one state.
 """
 
@@ -29,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
-from .criteria import BlockSpec, min_pt_eigenvalue, qubit_block_witness
-from .linalg import TOL, trace
+from .criteria import BlockSpec, qubit_block_witness
+from .linalg import TOL
 from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, make_state, project_local
 
 QUTRIT_PAIR = Dims(3, 3)
@@ -59,17 +61,6 @@ def _check_rate(gamma_rate: float) -> float:
 
 
 @dataclass(frozen=True)
-class FamilyParams:
-    """Population parameter plus noise settings for one evolved state."""
-
-    alpha: float
-    noise: NoiseParams
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-
-@dataclass(frozen=True)
 class McSpec:
     """Coefficient matrix of a maximally correlated state sum a_ij |ii><jj|.
 
@@ -89,25 +80,6 @@ class McSpec:
         check_state_matrix(a)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of a branch probe: the substate, its witness, the verdict.
-
-    weight is the trace the branch carried before normalization; the
-    entanglement verdict is scale invariant, so dropping it is harmless,
-    but it is reported for transparency. For a stack of states each
-    field holds one entry per member. A member whose weight is below
-    TOL.zero_trace, which the probe of that state alone rejects with
-    ZeroTraceError, keeps its raw block and gets a NaN witness and no
-    verdict: callers skip it by its weight.
-    """
-
-    substate: DensityMatrix
-    min_pt_eigenvalue: float | np.ndarray
-    entangled: bool | np.ndarray
-    weight: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -168,7 +140,7 @@ def swapped_state(alpha: float) -> DensityMatrix:
     return DensityMatrix(initial_state(alpha).mat[np.ix_(idx, idx)], d)
 
 
-def evolved_closed_form(fp: FamilyParams) -> DensityMatrix:
+def evolved_closed_form(alpha: float, noise: NoiseParams) -> DensityMatrix:
     """The family state at time t.
 
     The diagonal never moves; the three coherences pick up one retention
@@ -176,7 +148,7 @@ def evolved_closed_form(fp: FamilyParams) -> DensityMatrix:
     (|01>,|10>) keeps gamma_a * gamma_b, (|01>,|22>) keeps gamma_a,
     (|10>,|22>) keeps gamma_b: the ground/excited mask on initial_state.
     """
-    return ground_excited(initial_state(fp.alpha), fp.noise)
+    return ground_excited(initial_state(alpha), noise)
 
 
 def pt_branch_eigenvalue(alpha: float, rate_sum: float, t: float) -> float:
@@ -248,26 +220,7 @@ def fidelity_swapped(gamma_rate: float, t: float) -> float:
     return ((15.0 + math.sqrt(inner)) / 21.0) ** 2
 
 
-def _probe_verdict(block: DensityMatrix, branch: float) -> ProbeResult:
-    """Normalize a probe's raw block and read its witness.
-
-    The weight is branch * tr(block). One state raises ZeroTraceError
-    when it is below TOL.zero_trace; in a stack, such a member is marked
-    as ProbeResult describes.
-    """
-    tr = trace(block.mat).real
-    weight = branch * tr
-    live = weight >= TOL.zero_trace
-    if block.mat.ndim == 2 and not live:
-        raise ZeroTraceError(f"branch weight {weight:.3e} below {TOL.zero_trace:.1e}")
-    substate = DensityMatrix(block.mat / np.where(live, tr, 1.0)[..., None, None], block.dims)
-    witness = min_pt_eigenvalue(substate)
-    if block.mat.ndim == 3:
-        witness = np.where(live, witness, np.nan)
-    return ProbeResult(substate, witness, witness < -TOL.verdict, weight)
-
-
-def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> ProbeResult:
+def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> float | np.ndarray:
     """Distillability probe from one erased-ground channel branch.
 
     Keeps the branch of the evolved state in which the chosen side's
@@ -275,9 +228,9 @@ def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> Prob
     state restricted to the chosen side's doublet {1, 2}: a 3x2 (side
     "B") or 2x3 (side "A") support, where NPT is conclusive, so a
     negative witness certifies the evolved state distillable at this
-    time. The substate is returned normalized; raises ZeroTraceError
-    when the branch carries no weight (t = 0). Takes one state or a
-    stack (see ProbeResult).
+    time. Returns the witness of the normalized branch, whose weight is
+    omega^2 times the block's trace; raises ZeroTraceError when the
+    branch carries no weight (t = 0). Takes one state or a stack.
     """
     if state.dims != QUTRIT_PAIR:
         raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
@@ -287,11 +240,10 @@ def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> Prob
         keep_a, keep_b, omega = (1, 2), (0, 1, 2), noise.omega_a
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    block = project_local(ground_excited(state, noise), keep_a, keep_b, renormalize=False)
-    return _probe_verdict(block, omega ** 2)
+    return qubit_block_witness(ground_excited(state, noise), keep_a, keep_b, omega ** 2)
 
 
-def two_sided_probe(state: DensityMatrix) -> ProbeResult:
+def two_sided_probe(state: DensityMatrix) -> float | np.ndarray:
     """Distillability probe from the doublet-doublet corner.
 
     The {1,2}x{1,2} block is exactly the both-grounds-erased channel
@@ -299,21 +251,24 @@ def two_sided_probe(state: DensityMatrix) -> ProbeResult:
     touches it: its verdict is time independent. A negative witness
     certifies the state distillable at every finite time (it never loses
     distillability under this noise). Raises ZeroTraceError when the
-    corner is empty. Takes one state or a stack (see ProbeResult).
+    corner is empty. Takes one state or a stack.
     """
     if state.dims != QUTRIT_PAIR:
         raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
-    block = project_local(state, (1, 2), (1, 2), renormalize=False)
-    return _probe_verdict(block, 1.0)
+    return qubit_block_witness(state, (1, 2), (1, 2))
+
+
+def _mc_support(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.ix_ index of the |ii><jj| positions of a d x d pair."""
+    idx = [Dims(d, d).flat(i, i) for i in range(d)]
+    return np.ix_(idx, idx)
 
 
 def mc_state(spec: McSpec) -> DensityMatrix:
     """Lift a coefficient matrix to the maximally correlated state."""
     d = Dims(spec.d, spec.d)
     m = np.zeros((d.n, d.n), dtype=complex)
-    for i in range(spec.d):
-        for j in range(spec.d):
-            m[d.flat(i, i), d.flat(j, j)] = spec.a[i, j]
+    m[_mc_support(spec.d)] = spec.a
     return make_state(d, m)
 
 
@@ -328,11 +283,8 @@ def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:
     """
     rho = mc_state(spec)
     evolved = general_dephase(rho, noise)
-    d = evolved.dims
-    mask = np.zeros((d.n, d.n), dtype=bool)
-    for i in range(spec.d):
-        for j in range(spec.d):
-            mask[d.flat(i, i), d.flat(j, j)] = True
+    mask = np.zeros(evolved.mat.shape, dtype=bool)
+    mask[_mc_support(spec.d)] = True
     deviation = float(np.max(np.abs(np.where(mask, 0.0, evolved.mat))))
     off = np.abs(spec.a - np.diag(np.diag(spec.a)))
     entangled = bool(np.max(off) > TOL.coherence_floor)
@@ -367,17 +319,13 @@ def mc_projection(
     would be unsound. Raises ZeroTraceError on an empty projection.
     """
     sub = project_local(state, tuple(a_labels), tuple(b_labels), renormalize=True)
-    d = sub.dims
-    keep = (d.flat(0, 0), d.flat(1, 1))
+    support = _mc_support(2)
     mask = np.zeros((4, 4), dtype=bool)
-    for i in keep:
-        for j in keep:
-            mask[i, j] = True
+    mask[support] = True
     deviation = float(np.max(np.abs(np.where(mask, 0.0, sub.mat))))
     if deviation > TOL.mc_pattern:
         return None
-    a = np.array([[sub.mat[keep[0], keep[0]], sub.mat[keep[0], keep[1]]],
-                  [sub.mat[keep[1], keep[0]], sub.mat[keep[1], keep[1]]]])
+    a = sub.mat[support]
     if abs(a[0, 1]) <= TOL.mc_pattern:
         return None
     return McSpec(2, a / np.trace(a).real)
@@ -392,12 +340,11 @@ def limit_verdict(state: DensityMatrix) -> LimitVerdict:
     outright. A PPT-entangled limit is impossible, so the verdict is
     always one of the two.
     """
-    lim = infinite_limit(state)
     try:
-        probe = two_sided_probe(lim)
+        witness = two_sided_probe(infinite_limit(state))
     except ZeroTraceError:
         return LimitVerdict.SEPARABLE_LIMIT
-    return LimitVerdict.DISTILLABLE_LIMIT if probe.entangled else LimitVerdict.SEPARABLE_LIMIT
+    return LimitVerdict.DISTILLABLE_LIMIT if witness < -TOL.verdict else LimitVerdict.SEPARABLE_LIMIT
 
 
 def certificate_blocks() -> tuple[BlockSpec, BlockSpec, BlockSpec]:

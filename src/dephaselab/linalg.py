@@ -57,8 +57,8 @@ class Tolerances:
     allocation_slack: float = 1e-12      # certificate blocks may allocate 1 + this of a diagonal entry
     residual_offdiagonal: float = 1e-12  # certificate residual must be diagonal to this
     sign_floor: float = 1e-12            # crossing search: values in [0, sign_floor] are not positive
-    bisection: float = 1e-9              # bisection stops once its bracket is this narrow
-    crossing_horizon: float = 1e6        # crossing search reports no crossing (inf) past this time
+    bisection: float = 1e-9              # bisection stops once its bracket is this narrow (/ rate above 1)
+    crossing_horizon: float = 1e6        # crossing search reports no crossing (inf) past this time (/ rate below 1)
     mc_pattern: float = 1e-12            # |entry| up to this is zero in a maximally correlated pattern
     kraus_completeness: float = 1e-12    # sum of K†K may deviate from the identity by this, entrywise
 

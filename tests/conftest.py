@@ -192,7 +192,7 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
     """verify-lemmas' random-sample witnesses, one state at a time.
 
     Keys match the chunks of cli._sample_witnesses. A probe that raises
-    ZeroTraceError marks its state not live and leaves a NaN witness.
+    ZeroTraceError leaves a NaN witness.
     """
     rng = np.random.default_rng(seed)
     noise = NoiseParams(1.0, 1.0, 0.7)
@@ -210,11 +210,9 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
             ("one_sided", lambda: family.one_sided_probe(s, "B", noise)),
         ):
             try:
-                row[key], row[key + "_live"] = probe().min_pt_eigenvalue, True
+                row[key] = probe()
             except ZeroTraceError:
-                row[key], row[key + "_live"] = np.nan, False
+                row[key] = np.nan
         rows.append(row)
-    keys = ("limit_pt_min", "limit_excess", "two_sided", "two_sided_live", "parent_pt_min",
-            "one_sided", "one_sided_live", "evolved_pt_min")
-    return {key: np.array([row[key] for row in rows], dtype=bool if key.endswith("_live") else float)
-            for key in keys}
+    keys = ("limit_pt_min", "limit_excess", "two_sided", "parent_pt_min", "one_sided", "evolved_pt_min")
+    return {key: np.array([row[key] for row in rows], dtype=float) for key in keys}

@@ -15,7 +15,7 @@ import pytest
 from conftest import GOLDEN_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
 from dephaselab import cli
 from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
-from dephaselab.family import FamilyParams, certificate_blocks, evolved_closed_form, initial_state, swapped_state
+from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
 from dephaselab.qstate import Dims, random_state, state_from_json, state_to_json
 
 
@@ -30,7 +30,7 @@ class TestEvolve:
         result = run_cli("evolve", "--alpha", "4.5", "--t", "1.0")
         assert result.returncode == 0
         state = state_from_json(result.stdout.decode())
-        expected = evolved_closed_form(FamilyParams(4.5, NoiseParams(1.0, 1.0, 1.0)))
+        expected = evolved_closed_form(4.5, NoiseParams(1.0, 1.0, 1.0))
         assert np.max(np.abs(state.mat - expected.mat)) < 1e-12
 
     def test_rho_prime_matches_kraus_path(self):
@@ -46,11 +46,11 @@ class TestEvolve:
         result = run_cli("evolve", "--gamma-a", "0.6", "--gamma-b", "1.3", "--t", "0.9")
         assert result.returncode == 0
         state = state_from_json(result.stdout.decode())
-        expected = evolved_closed_form(FamilyParams(4.5, NoiseParams(0.6, 1.3, 0.9)))
+        expected = evolved_closed_form(4.5, NoiseParams(0.6, 1.3, 0.9))
         assert np.max(np.abs(state.mat - expected.mat)) < 1e-12
 
     def test_state_file_input(self, tmp_path):
-        source = evolved_closed_form(FamilyParams(4.2, NoiseParams(1.0, 1.0, 0.0)))
+        source = evolved_closed_form(4.2, NoiseParams(1.0, 1.0, 0.0))
         path = tmp_path / "state.json"
         path.write_text(state_to_json(source))
         result = run_cli("evolve", "--initial", str(path), "--t", "0.5")
@@ -123,7 +123,7 @@ class TestSweep:
         for row in rows:
             t = float(row[0])
             expected = realignment_excess(
-                evolved_closed_form(FamilyParams(4.5, NoiseParams(1.0, 1.0, t)))
+                evolved_closed_form(4.5, NoiseParams(1.0, 1.0, t))
             )
             assert abs(float(row[2]) - expected) < 1e-10
 
@@ -252,6 +252,14 @@ class TestThresholds:
             doc = json.loads(result.stdout.decode())
             assert abs(doc["t_d_analytic"] - doc["t_d_numeric"]) < 1e-6
             assert doc["certificate_onset"] >= doc["t_d_numeric"] - 1e-9
+        # Rates far from 1 move every transition by 1/gamma, so they are
+        # compared relative to the closed forms.
+        for gamma in ("1e-7", "1e-8", "1e-10", "3e6", "1e9"):
+            doc = json.loads(run_cli("thresholds", "--alpha", "4.5", "--gamma", gamma).stdout.decode())
+            onset = certificate_onset_time(4.5, float(gamma))
+            assert abs(doc["t_d_analytic"] - doc["t_d_numeric"]) <= 1e-9 * doc["t_d_analytic"], gamma
+            assert abs(doc["certificate_onset"] - onset) <= 1e-9 * onset, gamma
+            assert doc["t_d_numeric"] < doc["realignment_zero"] < doc["certificate_onset"], gamma
 
     def test_bound_window_ordering_at_reference_point(self):
         doc = json.loads(run_cli("thresholds", "--alpha", "4.5", "--gamma", "1").stdout.decode())

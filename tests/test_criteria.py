@@ -24,7 +24,6 @@ from dephaselab.criteria import (
     separability_certificate,
 )
 from dephaselab.family import (
-    FamilyParams,
     certificate_blocks,
     evolved_closed_form,
     initial_state,
@@ -35,7 +34,7 @@ from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, ra
 
 
 def family_at(t: float, alpha: float = 4.5, rate: float = 1.0):
-    return evolved_closed_form(FamilyParams(alpha, NoiseParams(rate, rate, t)))
+    return evolved_closed_form(alpha, NoiseParams(rate, rate, t))
 
 
 class TestWitnesses:
@@ -239,6 +238,14 @@ class TestFindSignChange:
     def test_no_bracket_raises(self):
         with pytest.raises(NoBracketError):
             find_sign_change(lambda t: t + 1.0, 0.0, 2.0)
+
+    def test_root_where_float_spacing_exceeds_tol(self):
+        # Floats near 1e10 are 2e-6 apart, so no bracket there narrows to
+        # 1e-9: the search ends when the midpoint rounds to an end. The step
+        # is never exactly zero, so no midpoint ends the search early.
+        root = 1e10 + 1.0 / 3.0
+        found = find_sign_change(lambda t: 1.0 if t > root else -1.0, 0.0, 2e10, tol=1e-9)
+        assert abs(found - root) <= 2e-6
 
     def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceededError):

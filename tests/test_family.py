@@ -10,13 +10,13 @@ from dephaselab.channels import NoiseParams, apply_channel, ground_excited, krau
 from dephaselab.criteria import (
     find_sign_change,
     min_pt_eigenvalue,
+    qubit_block_witness,
     realignment_excess,
     separability_certificate,
 )
 from dephaselab.family import (
     AlphaDomainError,
     AlreadyPptError,
-    FamilyParams,
     LimitVerdict,
     McSpec,
     certificate_blocks,
@@ -36,7 +36,7 @@ from dephaselab.family import (
     swapped_state,
     two_sided_probe,
 )
-from dephaselab.linalg import eigvals_hermitian
+from dephaselab.linalg import TOL, eigvals_hermitian
 from dephaselab.qstate import ZeroTraceError, make_state, partial_transpose
 
 
@@ -84,7 +84,7 @@ class TestConstruction:
         initial_state(3.0001)
         initial_state(5.0)
         with pytest.raises(AlphaDomainError):
-            FamilyParams(2.0, NoiseParams(1.0, 1.0, 1.0))
+            evolved_closed_form(2.0, NoiseParams(1.0, 1.0, 1.0))
 
     def test_ppt_split_at_alpha_four(self):
         assert min_pt_eigenvalue(initial_state(4.05)) < -1e-6
@@ -98,7 +98,7 @@ class TestEvolvedClosedForm:
             for ga, gb in ((1.0, 1.0), (0.6, 1.3)):
                 for t in (0.0, 0.5, 2.0):
                     noise = NoiseParams(ga, gb, t)
-                    closed = evolved_closed_form(FamilyParams(alpha, noise))
+                    closed = evolved_closed_form(alpha, noise)
                     kraus = apply_channel(initial_state(alpha), kraus_ground_excited(noise))
                     assert np.max(np.abs(closed.mat - kraus.mat)) < 1e-12
 
@@ -107,12 +107,12 @@ class TestEvolvedClosedForm:
             for ga, gb in ((0.4, 0.4), (1.0, 1.0), (0.6, 1.3), (1.3, 0.6)):
                 for t in (0.0, 0.25, 0.575, 1.0, 2.0, 3.0, 10.0):
                     noise = NoiseParams(ga, gb, t)
-                    closed = evolved_closed_form(FamilyParams(alpha, noise))
+                    closed = evolved_closed_form(alpha, noise)
                     assert np.array_equal(closed.mat, evolved_family_by_entries(alpha, noise).mat)
 
     def test_coherence_retention_factors(self):
         noise = NoiseParams(0.8, 1.4, 1.3)
-        state = evolved_closed_form(FamilyParams(4.5, noise))
+        state = evolved_closed_form(4.5, noise)
         d = QUTRIT_PAIR
         c = 2.0 / 21.0
         assert abs(state.mat[d.flat(0, 1), d.flat(1, 0)] - c * noise.gamma_a * noise.gamma_b) < 1e-15
@@ -121,7 +121,7 @@ class TestEvolvedClosedForm:
 
     def test_diagonal_is_static(self):
         before = initial_state(4.2)
-        after = evolved_closed_form(FamilyParams(4.2, NoiseParams(1.0, 1.0, 3.0)))
+        after = evolved_closed_form(4.2, NoiseParams(1.0, 1.0, 3.0))
         assert np.max(np.abs(np.diag(after.mat) - np.diag(before.mat))) < 1e-15
 
 
@@ -139,13 +139,13 @@ class TestPtSpectrum:
 
     def test_equal_rate_minimum_is_single_rate_branch(self):
         noise = NoiseParams(1.0, 1.0, 1.0)
-        evolved = evolved_closed_form(FamilyParams(4.5, noise))
+        evolved = evolved_closed_form(4.5, noise)
         assert abs(min_pt_eigenvalue(evolved) - pt_branch_eigenvalue(4.5, 1.0, 1.0)) < 1e-12
         assert abs(pt_branch_eigenvalue(4.5, 1.0, 1.0) - 0.007660592149545224) < 1e-12
 
     def test_branch_membership_unequal_rates(self):
         ga, gb, t = 0.6, 1.3, 0.9
-        evolved = evolved_closed_form(FamilyParams(4.5, NoiseParams(ga, gb, t)))
+        evolved = evolved_closed_form(4.5, NoiseParams(ga, gb, t))
         spectrum = eigvals_hermitian(partial_transpose(evolved, "B"))
         for lam in (ga, gb, ga + gb):
             target = pt_branch_eigenvalue(4.5, lam, t)
@@ -167,8 +167,8 @@ class TestThresholds:
 
     def test_onset_splits_npt_from_ppt(self):
         onset = ppt_onset_time(4.5, 1.0)
-        before = evolved_closed_form(FamilyParams(4.5, NoiseParams(1.0, 1.0, onset - 1e-4)))
-        after = evolved_closed_form(FamilyParams(4.5, NoiseParams(1.0, 1.0, onset + 1e-4)))
+        before = evolved_closed_form(4.5, NoiseParams(1.0, 1.0, onset - 1e-4))
+        after = evolved_closed_form(4.5, NoiseParams(1.0, 1.0, onset + 1e-4))
         assert min_pt_eigenvalue(before) < -1e-10
         assert min_pt_eigenvalue(after) > -1e-12
 
@@ -181,7 +181,7 @@ class TestThresholds:
         for alpha, rate in ((4.3, 1.0), (4.7, 0.5), (4.5, 1.7)):
             def pt_curve(t: float) -> float:
                 return min_pt_eigenvalue(
-                    evolved_closed_form(FamilyParams(alpha, NoiseParams(rate, rate, t)))
+                    evolved_closed_form(alpha, NoiseParams(rate, rate, t))
                 )
             root = find_sign_change(pt_curve, 0.0, 6.0, tol=1e-9)
             assert abs(root - ppt_onset_time(alpha, rate)) < 1e-6
@@ -191,7 +191,7 @@ class TestThresholds:
             for t in (0.0, 0.4, 0.8361513912283498, 1.5):
                 closed = realignment_closed_form(alpha, 1.0, t)
                 numeric = realignment_excess(
-                    evolved_closed_form(FamilyParams(alpha, NoiseParams(1.0, 1.0, t)))
+                    evolved_closed_form(alpha, NoiseParams(1.0, 1.0, t))
                 )
                 assert abs(closed - numeric) < 1e-10
 
@@ -212,7 +212,7 @@ class TestCertificateOnset:
         for alpha in (4.2, 4.5, 4.8):
             def margin(t: float) -> float:
                 result = separability_certificate(
-                    evolved_closed_form(FamilyParams(alpha, NoiseParams(1.0, 1.0, t))), blocks
+                    evolved_closed_form(alpha, NoiseParams(1.0, 1.0, t)), blocks
                 )
                 return min(min(b.min_eigenvalue, b.min_pt_eigenvalue) for b in result.blocks)
             onset = find_sign_change(margin, 0.05, 5.0, tol=1e-9)
@@ -253,37 +253,43 @@ class TestFidelityCurves:
 
 class TestProbes:
     def test_one_sided_frozen_values(self):
-        probe = one_sided_probe(swapped_state(4.5), "B", NoiseParams(1.0, 1.0, 1.0))
-        assert probe.entangled
-        assert abs(probe.min_pt_eigenvalue - (-0.023459080339013578)) < 1e-12
-        probe = one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 0.3))
-        assert probe.entangled
-        assert abs(probe.min_pt_eigenvalue - (-0.009914386446286241)) < 1e-12
-        probe = one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 1.0))
-        assert not probe.entangled
-        assert abs(probe.min_pt_eigenvalue - 0.01149088822431783) < 1e-12
+        witness = one_sided_probe(swapped_state(4.5), "B", NoiseParams(1.0, 1.0, 1.0))
+        assert witness < -TOL.verdict
+        assert abs(witness - (-0.023459080339013578)) < 1e-12
+        witness = one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 0.3))
+        assert witness < -TOL.verdict
+        assert abs(witness - (-0.009914386446286241)) < 1e-12
+        witness = one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 1.0))
+        assert not witness < -TOL.verdict
+        assert abs(witness - 0.01149088822431783) < 1e-12
 
     def test_one_sided_flag_tracks_ppt_onset(self):
         onset = ppt_onset_time(4.5, 1.0)
         for t in (0.1, 0.3, 0.5):
             assert t < onset
-            assert one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, t)).entangled
+            assert one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, t)) < -TOL.verdict
         for t in (0.65, 1.0, 2.0):
             assert t > onset
-            assert not one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, t)).entangled
+            assert not one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, t)) < -TOL.verdict
 
     def test_one_sided_swapped_both_sides_all_times(self):
         for side in ("A", "B"):
             for t in (0.2, 1.0, 5.0):
-                probe = one_sided_probe(swapped_state(4.5), side, NoiseParams(1.0, 1.0, t))
-                assert probe.entangled
+                assert one_sided_probe(swapped_state(4.5), side, NoiseParams(1.0, 1.0, t)) < -TOL.verdict
 
     def test_one_sided_weight_and_support(self):
+        # Side B's branch is the 3x2 block (0,1,2)x(1,2) of the evolved state, weighted by omega_b^2.
         noise = NoiseParams(1.0, 1.0, 1.0)
-        probe = one_sided_probe(initial_state(4.5), "B", noise)
-        assert abs(probe.weight - noise.omega_b**2 * (2.0 / 3.0)) < 1e-12
-        assert (probe.substate.dims.da, probe.substate.dims.db) == (3, 2)
-        assert abs(np.trace(probe.substate.mat) - 1.0) < 1e-12
+        evolved = ground_excited(initial_state(4.5), noise)
+        witness = qubit_block_witness(evolved, (0, 1, 2), (1, 2))
+        assert one_sided_probe(initial_state(4.5), "B", noise) == witness
+        # The block's trace is 2/3 at every t, so the branch weight omega_b^2 * 2/3
+        # crosses TOL.zero_trace at t of about 1.5e-12.
+        early, late = NoiseParams(1.0, 1.0, 0.5e-12), NoiseParams(1.0, 1.0, 3e-12)
+        assert early.omega_b ** 2 * (2.0 / 3.0) < TOL.zero_trace < late.omega_b ** 2 * (2.0 / 3.0)
+        with pytest.raises(ZeroTraceError):
+            one_sided_probe(initial_state(4.5), "B", early)
+        assert math.isfinite(one_sided_probe(initial_state(4.5), "B", late))
 
     def test_one_sided_needs_time(self):
         with pytest.raises(ZeroTraceError):
@@ -294,19 +300,17 @@ class TestProbes:
             one_sided_probe(initial_state(4.5), "C", NoiseParams(1.0, 1.0, 1.0))
 
     def test_two_sided_exact_witnesses(self):
-        probe = two_sided_probe(swapped_state(4.5))
-        assert probe.entangled
-        assert abs(probe.min_pt_eigenvalue - (5.0 - 4.0 * math.sqrt(2.0)) / 18.0) < 1e-12
-        assert abs(probe.weight - 3.0 / 7.0) < 1e-15
-        probe = two_sided_probe(initial_state(4.5))
-        assert not probe.entangled
-        assert abs(probe.min_pt_eigenvalue - 1.0 / 23.0) < 1e-12
+        witness = two_sided_probe(swapped_state(4.5))
+        assert witness < -TOL.verdict
+        assert abs(witness - (5.0 - 4.0 * math.sqrt(2.0)) / 18.0) < 1e-12
+        witness = two_sided_probe(initial_state(4.5))
+        assert not witness < -TOL.verdict
+        assert abs(witness - 1.0 / 23.0) < 1e-12
 
     def test_two_sided_is_time_independent(self):
         for t in (0.0, 0.7, 3.0):
             evolved = ground_excited(swapped_state(4.5), NoiseParams(1.0, 1.0, t))
-            probe = two_sided_probe(evolved)
-            assert abs(probe.min_pt_eigenvalue - (5.0 - 4.0 * math.sqrt(2.0)) / 18.0) < 1e-12
+            assert abs(two_sided_probe(evolved) - (5.0 - 4.0 * math.sqrt(2.0)) / 18.0) < 1e-12
 
 
 class TestMaximallyCorrelated:

@@ -21,7 +21,7 @@ from dephaselab.criteria import (
     separability_certificate,
 )
 from dephaselab.family import certificate_blocks, initial_state, one_sided_probe, two_sided_probe
-from dephaselab.linalg import TOL, NotHermitianError, NotPSDError, check_hermitian, eigvals_hermitian
+from dephaselab.linalg import NotHermitianError, NotPSDError, check_hermitian, eigvals_hermitian
 from dephaselab.qstate import DensityMatrix, Dims, NonFiniteError, ZeroTraceError, make_state, random_state
 
 SIZES = (1, STACK_CHUNK - 1, STACK_CHUNK, STACK_CHUNK + 1, 2 * STACK_CHUNK + 3)
@@ -146,19 +146,13 @@ class TestStacks:
             two_sided_probe,
             lambda s: one_sided_probe(s, "B", noise),
             lambda s: one_sided_probe(s, "A", noise),
+            lambda s: qubit_block_witness(s, (0, 2), (1, 2), 0.5),
+            lambda s: qubit_block_witness(s, (1, 2), (1, 2), 1e-13),  # no member carries weight
         ):
-            stacked = probe(stack)
-            live, alone = [], []
+            alone = []
             for s in members(stack):
                 try:
-                    result = probe(s)
+                    alone.append(probe(s))
                 except ZeroTraceError:
-                    live.append(False)
                     alone.append(np.nan)
-                else:
-                    live.append(True)
-                    alone.append(result.min_pt_eigenvalue)
-                    assert stacked.entangled[len(live) - 1] == result.entangled
-            assert_same_bits(stacked.weight >= TOL.zero_trace, live)
-            assert_same_bits(stacked.min_pt_eigenvalue, alone)
-            assert not stacked.entangled[~np.array(live)].any()
+            assert_same_bits(probe(stack), alone)
