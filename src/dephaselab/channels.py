@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,23 +50,20 @@ def ground_excited_retention(rate: float, t: float) -> float:
     return math.exp(-rate * t / 2)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(NamedTuple("NoiseParams", [("gamma_rate_a", float), ("gamma_rate_b", float), ("t", float)])):
     """Dephasing rates (inverse time) for each side and an evolution time.
 
     gamma_a / gamma_b are the surviving coherence factors exp(-rate*t/2);
     omega_a / omega_b are the complementary branch amplitudes.
     """
 
-    gamma_rate_a: float
-    gamma_rate_b: float
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("gamma_rate_a", "gamma_rate_b", "t"):
-            value = getattr(self, name)
+    def __new__(cls, gamma_rate_a: float, gamma_rate_b: float, t: float) -> NoiseParams:
+        for name, value in zip(cls._fields, (gamma_rate_a, gamma_rate_b, t)):
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        return super().__new__(cls, gamma_rate_a, gamma_rate_b, t)
 
     @property
     def gamma_a(self) -> float:
@@ -85,16 +82,14 @@ class NoiseParams:
         return math.sqrt(1.0 - self.gamma_b ** 2)
 
 
-@dataclass(frozen=True)
-class KrausSet:
+class KrausSet(NamedTuple("KrausSet", [("ops", tuple), ("dims", Dims)])):
     """A trace-preserving Kraus family on a fixed bipartite dimension."""
 
-    ops: tuple
-    dims: Dims
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.ops)
-        n = self.dims.n
+    def __new__(cls, ops, dims: Dims) -> KrausSet:
+        ops = tuple(np.asarray(k, dtype=complex) for k in ops)
+        n = dims.n
         for k in ops:
             if k.shape != (n, n):
                 raise BadShapeError(f"Kraus operator shape {k.shape}, expected {(n, n)}")
@@ -104,7 +99,7 @@ class KrausSet:
             raise IncompleteKrausError(
                 f"sum of K†K deviates from the identity beyond {TOL.kraus_completeness:.0e}"
             )
-        object.__setattr__(self, "ops", ops)
+        return super().__new__(cls, ops, dims)
 
 
 def local_pair(gamma: float) -> tuple[np.ndarray, np.ndarray]:

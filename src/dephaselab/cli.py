@@ -18,7 +18,6 @@ is byte-identical across reruns with identical flags and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -190,7 +189,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             chunk = points[start:start + STACK_CHUNK]
             rows += [[_fmt(t), _fmt(g), cell] for (t, g), cell in zip(chunk, cells(_dephased(base, chunk)))]
     # Written only once every row exists, so a failing sweep prints nothing.
-    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    # No cell holds a comma, a quote or a newline, so no cell needs quoting.
+    print("\n".join(map(",".join, rows)))
     return 0
 
 

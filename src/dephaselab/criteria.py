@@ -23,9 +23,8 @@ qubit_block_witness gives NaN where the member alone raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +51,7 @@ class Verdict(str, Enum):
     SEPARABLE_CERTIFIED = "SeparableCertified"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdict plus the witness values it was based on.
 
     certificate_passed is None when no certificate was evaluated (either
@@ -66,8 +64,11 @@ class Classification:
     certificate_passed: Optional[bool]
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(NamedTuple("BlockSpec", [
+    ("a_labels", tuple[int, int]),
+    ("b_labels", tuple[int, int]),
+    ("diag_weights", Mapping[int, float]),
+])):
     """One two-qubit block of a separability certificate.
 
     a_labels and b_labels pick two local basis labels per side; the block
@@ -77,25 +78,25 @@ class BlockSpec:
     share one diagonal entry while their sum stays a valid decomposition.
     """
 
-    a_labels: tuple[int, int]
-    b_labels: tuple[int, int]
-    diag_weights: Mapping[int, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for pair, side in ((self.a_labels, "a"), (self.b_labels, "b")):
+    def __new__(
+        cls, a_labels: tuple[int, int], b_labels: tuple[int, int], diag_weights: Mapping[int, float]
+    ) -> BlockSpec:
+        for pair, side in ((a_labels, "a"), (b_labels, "b")):
             if len(pair) != 2 or pair[0] == pair[1] or any(x < 0 for x in pair):
                 raise ValueError(f"{side}_labels must be two distinct nonnegative labels, got {pair}")
-        for idx, w in self.diag_weights.items():
+        for idx, w in diag_weights.items():
             if not 0 < w <= 1:
                 raise ValueError(f"diagonal weight for index {idx} must be in (0, 1], got {w}")
+        return super().__new__(cls, a_labels, b_labels, diag_weights)
 
     def flat_indices(self, dims: Dims) -> list[int]:
         """Composite indices of the four selected basis states."""
         return [dims.flat(a, b) for a in self.a_labels for b in self.b_labels]
 
 
-@dataclass(frozen=True)
-class BlockDiagnostic:
+class BlockDiagnostic(NamedTuple):
     """Per-block outcome of a certificate evaluation."""
 
     a_labels: tuple[int, int]
@@ -112,8 +113,7 @@ class BlockDiagnostic:
         return self.min_pt_eigenvalue >= TOL.psd_floor
 
 
-@dataclass(frozen=True)
-class CertificateResult:
+class CertificateResult(NamedTuple):
     """Certificate outcome with the evidence that produced it."""
 
     passed: bool
@@ -162,7 +162,9 @@ def qubit_block_witness(
     live = branch * tr >= TOL.zero_trace
     if block.mat.ndim == 2 and not live:
         raise ZeroTraceError(f"projected weight {branch * tr:.3e} below {TOL.zero_trace:.1e}")
-    witness = min_pt_eigenvalue(DensityMatrix(block.mat / np.where(live, tr, 1.0)[..., None, None], block.dims))
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which the Hermiticity check rejects
+        normalized = block.mat / np.where(live, tr, 1.0)[..., None, None]
+    witness = min_pt_eigenvalue(DensityMatrix(normalized, block.dims))
     return witness if block.mat.ndim == 2 else np.where(live, witness, np.nan)
 
 
@@ -184,6 +186,10 @@ def separability_certificate(
     no block or in more than one, or when the diagonal weights allocated
     to one entry exceed 1; for a stack, the error is the one the first
     failing member raises alone.
+
+    Returns one CertificateResult for one state, and a plain tuple of
+    them for a stack; a CertificateResult is itself a tuple, so test
+    isinstance(result, CertificateResult) to tell the two apart.
     """
     passed, minima, res_diag, res_off = (x.tolist() for x in _certify(state.stack, state.dims, blocks))
     members = tuple(
@@ -262,6 +268,10 @@ def classify(
     TOL.verdict; otherwise SeparableCertified if the supplied blocks
     certify, and PptUndetermined when they do not or none were given.
     The certificate runs only on the members the witnesses leave open.
+
+    Returns one Classification for one state, and a plain tuple of them
+    for a stack; a Classification is itself a tuple, so test
+    isinstance(result, Classification) to tell the two apart.
     """
     pt_min = np.atleast_1d(min_pt_eigenvalue(state)).tolist()
     excess = np.atleast_1d(realignment_excess(state)).tolist()

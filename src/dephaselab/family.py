@@ -24,9 +24,8 @@ handle one state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,30 +59,27 @@ def _check_rate(gamma_rate: float) -> float:
     return gamma_rate
 
 
-@dataclass(frozen=True)
-class McSpec:
+class McSpec(NamedTuple("McSpec", [("d", int), ("a", np.ndarray)])):
     """Coefficient matrix of a maximally correlated state sum a_ij |ii><jj|.
 
     The matrix must itself be a valid density matrix (check_state_matrix);
     that makes the lifted state valid. It is stored as given.
     """
 
-    d: int
-    a: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {self.d}")
-        a = np.array(self.a, dtype=complex)
-        if a.shape != (self.d, self.d):
-            raise ValueError(f"coefficient matrix shape {a.shape}, expected {(self.d, self.d)}")
+    def __new__(cls, d: int, a) -> McSpec:
+        if d < 2:
+            raise ValueError(f"local dimension must be >= 2, got {d}")
+        a = np.array(a, dtype=complex)
+        if a.shape != (d, d):
+            raise ValueError(f"coefficient matrix shape {a.shape}, expected {(d, d)}")
         check_state_matrix(a)
         a.setflags(write=False)
-        object.__setattr__(self, "a", a)
+        return super().__new__(cls, d, a)
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(NamedTuple):
     """Checks on a maximally correlated state under general dephasing.
 
     still_mc: the evolved state keeps the |ii><jj| support pattern;

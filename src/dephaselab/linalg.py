@@ -16,7 +16,7 @@ the result for that matrix alone. sqrt_psd takes one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class NoConvergenceError(RuntimeError):
     """The underlying eigenvalue / singular value iteration did not converge."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Shared numeric tolerances.
 
     hermitian and trace are relative to matrices of unit scale; psd_floor
@@ -77,14 +76,16 @@ def check_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> None:
     """Raise NotHermitianError unless a == a† within tol * max(1, ||a||_F).
 
     A stack (N, n, n) is checked member by member; the error reports the
-    first member that fails. A NaN or infinite entry fails: it makes the
-    deviation NaN or inf, and an infinite bound would let either through.
+    first member that fails. A NaN or infinite entry fails, without a
+    numpy warning: it makes the deviation NaN or inf, and an infinite
+    bound would let either through.
     """
-    dev = np.abs(a - a.conj().swapaxes(-1, -2))
-    if dev.max(initial=0.0) <= tol:
-        return  # the scale is at least 1, so no norm is needed; NaN lands below
-    dev = dev.max(axis=(-2, -1), initial=0.0)
-    bound = tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and an overflowing norm fail below
+        dev = np.abs(a - a.conj().swapaxes(-1, -2))
+        if dev.max(initial=0.0) <= tol:
+            return  # the scale is at least 1, so no norm is needed; NaN lands below
+        dev = dev.max(axis=(-2, -1), initial=0.0)
+        bound = tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     failing = np.flatnonzero(~(dev <= bound) | np.isinf(bound))
     if failing.size:
         k = failing[0]

@@ -18,8 +18,7 @@ one state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,16 +41,15 @@ class NonFiniteError(ValueError):
     """Matrix has a NaN or infinite entry."""
 
 
-@dataclass(frozen=True)
-class Dims:
+class Dims(NamedTuple("Dims", [("da", int), ("db", int)])):
     """Local dimensions (d_a, d_b) of a bipartite system."""
 
-    da: int
-    db: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.da < 2 or self.db < 2:
-            raise ValueError(f"local dimensions must be >= 2, got ({self.da}, {self.db})")
+    def __new__(cls, da: int, db: int) -> Dims:
+        if da < 2 or db < 2:
+            raise ValueError(f"local dimensions must be >= 2, got ({da}, {db})")
+        return super().__new__(cls, da, db)
 
     @property
     def n(self) -> int:
@@ -62,8 +60,7 @@ class Dims:
         return a * self.db + b
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(NamedTuple("DensityMatrix", [("mat", np.ndarray), ("dims", Dims)])):
     """Carrier for a bipartite operator together with its local dimensions.
 
     Direct construction only checks shape. Matrices entering the program
@@ -74,17 +71,14 @@ class DensityMatrix:
     for a stack of N.
     """
 
-    mat: np.ndarray
-    dims: Dims
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = np.array(self.mat, dtype=complex)
-        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dims.n, self.dims.n):
-            raise BadShapeError(
-                f"matrix shape {m.shape} does not match dims ({self.dims.da}, {self.dims.db})"
-            )
+    def __new__(cls, mat, dims: Dims) -> DensityMatrix:
+        m = np.array(mat, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (dims.n, dims.n):
+            raise BadShapeError(f"matrix shape {m.shape} does not match dims ({dims.da}, {dims.db})")
         m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        return super().__new__(cls, m, dims)
 
     @property
     def stack(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Contract tests for the dephasing channels and their fixed point."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,8 +74,14 @@ class TestNoiseParams:
         assert p.gamma_a == 1.0 and p.omega_a == 0.0
 
     def test_rejects_bad_values(self):
-        for args in ((-1.0, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, -0.1), (math.inf, 1.0, 1.0)):
-            with pytest.raises(ValueError):
+        for args, message in (
+            ((-1.0, 1.0, 1.0), "gamma_rate_a must be finite and nonnegative, got -1.0"),
+            ((1.0, math.nan, 1.0), "gamma_rate_b must be finite and nonnegative, got nan"),
+            ((1.0, 1.0, -0.1), "t must be finite and nonnegative, got -0.1"),
+            ((math.inf, 1.0, 1.0), "gamma_rate_a must be finite and nonnegative, got inf"),
+            ((1.0, -1.0, math.inf), "gamma_rate_b must be finite and nonnegative, got -1.0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 NoiseParams(*args)
 
 
@@ -103,11 +110,11 @@ class TestKrausSet:
         assert np.max(np.abs(right - np.eye(9))) < 1e-12
 
     def test_rejects_incomplete_family(self):
-        with pytest.raises(IncompleteKrausError):
+        with pytest.raises(IncompleteKrausError, match="deviates from the identity beyond 1e-12"):
             KrausSet((np.eye(9) * 0.5,), QUTRIT_PAIR)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(BadShapeError):
+        with pytest.raises(BadShapeError, match=re.escape("Kraus operator shape (4, 4), expected (9, 9)")):
             KrausSet((np.eye(4),), QUTRIT_PAIR)
 
 

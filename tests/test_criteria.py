@@ -1,6 +1,7 @@
 """Contract tests for the entanglement criteria and the certificate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,15 +86,15 @@ class TestBlockSpec:
         assert block.flat_indices(QUTRIT_PAIR) == [1, 2, 7, 8]
 
     def test_rejects_degenerate_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("a_labels must be two distinct nonnegative labels, got (1, 1)")):
             BlockSpec((1, 1), (0, 1), {})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("b_labels must be two distinct nonnegative labels, got (-1, 1)")):
             BlockSpec((0, 1), (-1, 1), {})
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("diagonal weight for index 0 must be in (0, 1], got 0.0")):
             BlockSpec((0, 1), (0, 1), {0: 0.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("got 1.5")):
             BlockSpec((0, 1), (0, 1), {0: 1.5})
 
 

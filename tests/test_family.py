@@ -1,6 +1,7 @@
 """Contract tests for the analytic family: closed forms, probes, verdicts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from dephaselab.family import (
     swapped_state,
     two_sided_probe,
 )
-from dephaselab.linalg import TOL, eigvals_hermitian
-from dephaselab.qstate import ZeroTraceError, make_state, partial_transpose
+from dephaselab.linalg import TOL, NotPSDError, eigvals_hermitian
+from dephaselab.qstate import TraceNotOneError, ZeroTraceError, make_state, partial_transpose
 
 
 def display_branch_eigenvalue(alpha: float, lam: float, t: float) -> float:
@@ -324,13 +325,13 @@ class TestMaximallyCorrelated:
         assert abs(np.sum(np.abs(state.mat)) - 3.0) < 1e-12
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("local dimension must be >= 2, got 1")):
             McSpec(1, np.array([[1.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("coefficient matrix shape (3, 3), expected (2, 2)")):
             McSpec(2, np.eye(3) / 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceNotOneError):
             McSpec(2, np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPSDError):
             McSpec(2, np.array([[1.5, 0.9], [0.9, -0.5]]))
 
     @pytest.mark.parametrize("d", [3, 4])

@@ -1,6 +1,7 @@
 """Contract tests for state construction, reshuffles and JSON I/O."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,9 +44,9 @@ class TestDims:
         assert Dims(2, 5).n == 10
 
     def test_rejects_trivial_locals(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("local dimensions must be >= 2, got (1, 3)")):
             Dims(1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("got (3, 0)")):
             Dims(3, 0)
 
 
@@ -85,7 +86,7 @@ class TestMakeState:
     def test_carrier_skips_physicality(self):
         half = DensityMatrix(np.eye(9, dtype=complex) / 18, QUTRIT_PAIR)
         assert abs(np.trace(half.mat) - 0.5) < 1e-15
-        with pytest.raises(BadShapeError):
+        with pytest.raises(BadShapeError, match=re.escape("matrix shape (4, 4) does not match dims (3, 3)")):
             DensityMatrix(np.eye(4, dtype=complex), QUTRIT_PAIR)
 
     def test_matrix_is_write_locked(self, rng):

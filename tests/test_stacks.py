@@ -14,6 +14,8 @@ from conftest import random_state_by_draws
 from dephaselab.channels import GROUND_EXCITED, NoiseParams, ground_excited, sector_dephase
 from dephaselab.cli import STACK_CHUNK
 from dephaselab.criteria import (
+    CertificateResult,
+    Classification,
     classify,
     min_pt_eigenvalue,
     qubit_block_witness,
@@ -75,6 +77,8 @@ class TestStacks:
             qubit_block_witness(stack, (1, 0), (0, 1)), [qubit_block_witness(s, (1, 0), (0, 1)) for s in singles]
         )
         assert classify(stack) == tuple(classify(s) for s in singles)
+        # A record is itself a tuple: a stack gives a plain tuple of records.
+        assert type(classify(stack)) is tuple and isinstance(classify(singles[0]), Classification)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=seeds, size=sizes, alpha=st.floats(4.05, 4.95), rate=st.floats(0.3, 2.0))
@@ -92,6 +96,7 @@ class TestStacks:
                     [getattr(r.blocks[k], field) for r in stacked], [getattr(r.blocks[k], field) for r in alone]
                 )
         assert stacked == tuple(alone)
+        assert type(stacked) is tuple and all(type(r) is CertificateResult for r in stacked + tuple(alone))
         assert classify(stack, blocks) == tuple(classify(s, blocks) for s in singles)
 
     @pytest.mark.parametrize("size", SIZES)
