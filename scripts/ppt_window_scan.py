@@ -1,11 +1,17 @@
 """Scan the bound-entanglement window under general dephasing.
 
 The ground/excited channel leaves a window where the evolved family is
-PPT yet realignment-witnessed. Whether that window survives when every
-local coherence decays (general dephasing) is open; this script maps it
-numerically. For each alpha it brackets the PPT onset and the
-realignment zero under general dephasing and prints the resulting
-window, if any. Exploration only: nothing here is asserted elsewhere.
+PPT yet realignment-witnessed. Under general dephasing at a symmetric
+rate g every family coherence changes level on both sides, so each one
+keeps exp(-2*g*t), and the window has a closed form:
+
+* PPT onset: t_d = ln(4 / (alpha * (5 - alpha))) / (4 * g);
+* realignment zero: exp(-2*g*t) = (7 - sqrt(3*alpha^2 - 15*alpha + 19)) / 6;
+* a window exactly when the realignment zero comes after t_d.
+
+For each alpha this script brackets both times numerically on the
+evolved states and prints the resulting window, if any; the test suite
+checks its output against the closed form.
 """
 
 import argparse

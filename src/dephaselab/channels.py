@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import TOL, hermitize
+from .linalg import TOL, CheckedRecord, hermitize
 from .qstate import BadShapeError, DensityMatrix, Dims, make_state, tensor
 
 
@@ -50,7 +50,9 @@ def ground_excited_retention(rate: float, t: float) -> float:
     return math.exp(-rate * t / 2)
 
 
-class NoiseParams(NamedTuple("NoiseParams", [("gamma_rate_a", float), ("gamma_rate_b", float), ("t", float)])):
+class NoiseParams(CheckedRecord, NamedTuple("NoiseParams", [
+    ("gamma_rate_a", float), ("gamma_rate_b", float), ("t", float),
+])):
     """Dephasing rates (inverse time) for each side and an evolution time.
 
     gamma_a / gamma_b are the surviving coherence factors exp(-rate*t/2);
@@ -82,13 +84,13 @@ class NoiseParams(NamedTuple("NoiseParams", [("gamma_rate_a", float), ("gamma_ra
         return math.sqrt(1.0 - self.gamma_b ** 2)
 
 
-class KrausSet(NamedTuple("KrausSet", [("ops", tuple), ("dims", Dims)])):
+class KrausSet(CheckedRecord, NamedTuple("KrausSet", [("ops", tuple), ("dims", Dims)])):
     """A trace-preserving Kraus family on a fixed bipartite dimension."""
 
     __slots__ = ()
 
     def __new__(cls, ops, dims: Dims) -> KrausSet:
-        ops = tuple(np.asarray(k, dtype=complex) for k in ops)
+        ops = tuple(np.array(k, dtype=complex) for k in ops)
         n = dims.n
         for k in ops:
             if k.shape != (n, n):

@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unreadable or malformed input files, malformed ranges), 3 content
-validation failure (parameters or matrices outside the physical domain).
+validation failure (parameters or matrices outside the physical domain):
+exactly the errors that subclass linalg.DomainError.
 All results go to standard output, diagnostics to standard error; output
 is byte-identical across reruns with identical flags and seed.
 """
@@ -28,38 +29,12 @@ import numpy as np
 
 from . import channels, criteria, family
 from .channels import GROUND_EXCITED, NoiseParams, ground_excited, ground_excited_retention, sector_dephase
-from .linalg import TOL, NotHermitianError, NotPSDError
-from .qstate import (
-    BadShapeError,
-    DensityMatrix,
-    NonFiniteError,
-    TraceNotOneError,
-    ZeroTraceError,
-    random_state,
-    state_from_json,
-    state_to_json,
-)
+from .linalg import TOL, DomainError
+from .qstate import DensityMatrix, random_state, state_from_json, state_to_json
 
 
 class UsageError(Exception):
     """Maps to exit code 2."""
-
-
-class ContentError(Exception):
-    """Maps to exit code 3."""
-
-
-_CONTENT_ERRORS = (
-    ContentError,
-    family.AlphaDomainError,
-    criteria.CoverageError,
-    BadShapeError,
-    NonFiniteError,
-    NotHermitianError,
-    TraceNotOneError,
-    NotPSDError,
-    ZeroTraceError,
-)
 
 
 def _nonneg_float(text: str) -> float:
@@ -90,8 +65,8 @@ def _load_state_file(path: str) -> DensityMatrix:
         raise UsageError(f"cannot read state file {path}: {exc}") from exc
     try:
         return state_from_json(text)
-    except _CONTENT_ERRORS as exc:
-        raise ContentError(f"invalid state in {path}: {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"invalid state in {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
 
@@ -434,7 +409,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CONTENT_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

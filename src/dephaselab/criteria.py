@@ -28,11 +28,11 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import TOL, eigvals_hermitian, singular_values, sqrt_psd, trace
+from .linalg import TOL, CheckedRecord, DomainError, eigvals_hermitian, singular_values, sqrt_psd, trace
 from .qstate import BadShapeError, DensityMatrix, Dims, ZeroTraceError, partial_transpose, project_local, realign
 
 
-class CoverageError(ValueError):
+class CoverageError(DomainError):
     """A coherence of the state lies in no certificate block, or in two."""
 
 
@@ -64,7 +64,7 @@ class Classification(NamedTuple):
     certificate_passed: Optional[bool]
 
 
-class BlockSpec(NamedTuple("BlockSpec", [
+class BlockSpec(CheckedRecord, NamedTuple("BlockSpec", [
     ("a_labels", tuple[int, int]),
     ("b_labels", tuple[int, int]),
     ("diag_weights", Mapping[int, float]),

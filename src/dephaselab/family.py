@@ -31,13 +31,13 @@ import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
 from .criteria import BlockSpec, qubit_block_witness
-from .linalg import TOL
+from .linalg import TOL, CheckedRecord, DomainError
 from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, make_state, project_local
 
 QUTRIT_PAIR = Dims(3, 3)
 
 
-class AlphaDomainError(ValueError):
+class AlphaDomainError(DomainError):
     """Population parameter outside the family domain (3, 5]."""
 
 
@@ -59,7 +59,7 @@ def _check_rate(gamma_rate: float) -> float:
     return gamma_rate
 
 
-class McSpec(NamedTuple("McSpec", [("d", int), ("a", np.ndarray)])):
+class McSpec(CheckedRecord, NamedTuple("McSpec", [("d", int), ("a", np.ndarray)])):
     """Coefficient matrix of a maximally correlated state sum a_ij |ii><jj|.
 
     The matrix must itself be a valid density matrix (check_state_matrix);
@@ -260,6 +260,13 @@ def _mc_support(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ix_(idx, idx)
 
 
+def _mc_deviation(mat: np.ndarray, d: int) -> float:
+    """Largest |entry| of a d x d pair's matrix off the |ii><jj| positions."""
+    off = np.array(mat)
+    off[_mc_support(d)] = 0.0
+    return float(np.max(np.abs(off)))
+
+
 def mc_state(spec: McSpec) -> DensityMatrix:
     """Lift a coefficient matrix to the maximally correlated state."""
     d = Dims(spec.d, spec.d)
@@ -279,9 +286,7 @@ def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:
     """
     rho = mc_state(spec)
     evolved = general_dephase(rho, noise)
-    mask = np.zeros(evolved.mat.shape, dtype=bool)
-    mask[_mc_support(spec.d)] = True
-    deviation = float(np.max(np.abs(np.where(mask, 0.0, evolved.mat))))
+    deviation = _mc_deviation(evolved.mat, spec.d)
     off = np.abs(spec.a - np.diag(np.diag(spec.a)))
     entangled = bool(np.max(off) > TOL.coherence_floor)
     if not entangled:
@@ -315,13 +320,9 @@ def mc_projection(
     would be unsound. Raises ZeroTraceError on an empty projection.
     """
     sub = project_local(state, tuple(a_labels), tuple(b_labels), renormalize=True)
-    support = _mc_support(2)
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[support] = True
-    deviation = float(np.max(np.abs(np.where(mask, 0.0, sub.mat))))
-    if deviation > TOL.mc_pattern:
+    if _mc_deviation(sub.mat, 2) > TOL.mc_pattern:
         return None
-    a = sub.mat[support]
+    a = sub.mat[_mc_support(2)]
     if abs(a[0, 1]) <= TOL.mc_pattern:
         return None
     return McSpec(2, a / np.trace(a).real)

@@ -5,6 +5,8 @@ fix output conventions (eigenvalues ascending, singular values descending,
 square roots positive semidefinite) and translate failures into typed
 errors. Every numeric tolerance used across the package lives in the
 Tolerances record so callers and tests share a single source of truth.
+DomainError is the base of every error that says an input lies outside
+the physical domain; the command line maps it, and only it, to exit 3.
 
 Leading-axis convention: check_hermitian, hermitize, trace,
 eig_hermitian, eigvals_hermitian, eigvals_hermitized and singular_values
@@ -21,15 +23,30 @@ from typing import NamedTuple
 import numpy as np
 
 
+class DomainError(ValueError):
+    """A parameter or matrix lies outside the physical domain."""
+
+
+class CheckedRecord:
+    """Base for a NamedTuple record whose __new__ validates its fields:
+    _make, and so _replace, build through __new__ as well."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class NotSquareError(ValueError):
     """Matrix is not square (or not 2-dimensional)."""
 
 
-class NotHermitianError(ValueError):
+class NotHermitianError(DomainError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 
 
-class NotPSDError(ValueError):
+class NotPSDError(DomainError):
     """Matrix has an eigenvalue below the positive-semidefinite floor."""
 
 

@@ -22,26 +22,26 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import TOL, NotHermitianError, NotPSDError, check_hermitian, eigvals_hermitized, hermitize, trace
+from .linalg import TOL, CheckedRecord, DomainError, NotPSDError, check_hermitian, eigvals_hermitized, hermitize, trace
 
 
-class BadShapeError(ValueError):
+class BadShapeError(DomainError):
     """Matrix shape does not match the declared local dimensions."""
 
 
-class TraceNotOneError(ValueError):
+class TraceNotOneError(DomainError):
     """Trace differs from 1 beyond tolerance."""
 
 
-class ZeroTraceError(ValueError):
+class ZeroTraceError(DomainError):
     """Projection left no weight to renormalize."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(DomainError):
     """Matrix has a NaN or infinite entry."""
 
 
-class Dims(NamedTuple("Dims", [("da", int), ("db", int)])):
+class Dims(CheckedRecord, NamedTuple("Dims", [("da", int), ("db", int)])):
     """Local dimensions (d_a, d_b) of a bipartite system."""
 
     __slots__ = ()
@@ -60,7 +60,7 @@ class Dims(NamedTuple("Dims", [("da", int), ("db", int)])):
         return a * self.db + b
 
 
-class DensityMatrix(NamedTuple("DensityMatrix", [("mat", np.ndarray), ("dims", Dims)])):
+class DensityMatrix(CheckedRecord, NamedTuple("DensityMatrix", [("mat", np.ndarray), ("dims", Dims)])):
     """Carrier for a bipartite operator together with its local dimensions.
 
     Direct construction only checks shape. Matrices entering the program
@@ -92,9 +92,6 @@ class DensityMatrix(NamedTuple("DensityMatrix", [("mat", np.ndarray), ("dims", D
         return self.mat.reshape(self.mat.shape[:-2] + (d.da, d.db, d.da, d.db))
 
 
-_STATE_ERRORS = (NonFiniteError, NotHermitianError, TraceNotOneError, NotPSDError)
-
-
 def check_state_matrix(m: np.ndarray) -> np.ndarray:
     """The package's one validity check for a square density matrix.
 
@@ -107,7 +104,7 @@ def check_state_matrix(m: np.ndarray) -> np.ndarray:
     if m.ndim == 3:
         try:
             return _check_members(m)
-        except _STATE_ERRORS:
+        except DomainError:
             for member in m:
                 _check_members(member)
             raise

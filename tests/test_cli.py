@@ -1,9 +1,11 @@
 """End-to-end tests of the command line: formats, exit codes, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dephaselab
 from conftest import GOLDEN_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
 from dephaselab import cli
 from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
 from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
+from dephaselab.linalg import DomainError
 from dephaselab.qstate import Dims, random_state, state_from_json, state_to_json
 
 
@@ -429,18 +433,44 @@ class TestExitCodes:
             assert result.stderr != b""
 
 
+def test_domain_errors_are_the_exit_3_classes():
+    """Every error class the package defines takes a side on purpose:
+    a DomainError subclass exits 3, any other error does not."""
+    defined = set()
+    for info in pkgutil.iter_modules(dephaselab.__path__):
+        module = importlib.import_module(f"dephaselab.{info.name}")
+        defined |= {
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == module.__name__
+        }
+    assert DomainError in defined and issubclass(DomainError, ValueError)
+    assert {kind.__name__ for kind in defined if issubclass(kind, DomainError) and kind is not DomainError} == {
+        "NotHermitianError", "NotPSDError", "BadShapeError", "TraceNotOneError",
+        "ZeroTraceError", "NonFiniteError", "CoverageError", "AlphaDomainError",
+    }
+
+
 class TestScripts:
     def test_window_scan_and_figure_data(self, tmp_path):
         scripts = Path(__file__).parent.parent / "scripts"
         scan = subprocess.run(
-            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.5"],
+            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.1", "4.5", "4.9"],
             capture_output=True,
             check=False,
             env=child_env(),
         )
         assert scan.returncode == 0
         lines = scan.stdout.decode().splitlines()
-        assert len(lines) == 3 and lines[2].split()[0] == "4.50"
+        assert len(lines) == 5 and lines[0] == "gamma = 1.0"
+        # Closed form at symmetric rate g = 1: every family coherence keeps exp(-2t).
+        for line, alpha in zip(lines[2:], (4.1, 4.5, 4.9)):
+            shown, t_ppt, t_real, window = line.split()
+            onset = math.log(4.0 / (alpha * (5.0 - alpha))) / 4.0
+            zero = -math.log((7.0 - math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0)) / 6.0) / 2.0
+            assert float(shown) == alpha
+            assert abs(float(t_ppt) - onset) <= 5e-7 and abs(float(t_real) - zero) <= 5e-7
+            assert (window == "empty") == (zero <= onset)
+        assert [line.split()[3] for line in lines[2:]] == ["0.1601", "0.1257", "empty"]
         figures = subprocess.run(
             [sys.executable, str(scripts / "figure_data.py"), "--out-dir", str(tmp_path), "--points", "5"],
             capture_output=True,

@@ -64,6 +64,27 @@ def test_records_are_immutable(record, kind, fields):
         record.extra = None
 
 
+# (validating record, a field it rejects, a value for that field)
+CHECKED = [
+    (QUTRIT_PAIR, "da", 1),
+    (initial_state(4.5), "mat", np.eye(4) / 4),
+    (NOISE, "t", -5.0),
+    (kraus_ground_excited(NOISE), "ops", (2 * np.eye(9),)),
+    (certificate_blocks()[0], "a_labels", (0, 0)),
+    (UNIFORM, "d", 1),
+]
+
+
+@pytest.mark.parametrize("record, field, bad", CHECKED, ids=[type(r).__name__ for r, _, _ in CHECKED])
+def test_make_and_replace_validate(record, field, bad):
+    kind = type(record)
+    assert type(kind._make(record)) is kind and type(record._replace()) is kind
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        kind._make(bad if name == field else value for name, value in zip(kind._fields, record))
+
+
 def test_record_arrays_are_read_only_copies():
     mat = np.eye(9) / 9
     state = DensityMatrix(mat, QUTRIT_PAIR)
@@ -71,6 +92,9 @@ def test_record_arrays_are_read_only_copies():
     for array in (state.mat, UNIFORM.a, kraus_ground_excited(NOISE).ops[0]):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
+    k = np.eye(9, dtype=complex)
+    kraus = KrausSet((k,), QUTRIT_PAIR)
+    assert k.flags.writeable and not np.shares_memory(kraus.ops[0], k)
     assert repr(QUTRIT_PAIR) == "Dims(da=3, db=3)"
 
 
