@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -308,15 +309,22 @@ def _sample_witnesses(seed: int, samples: int):
     noise = NoiseParams(1.0, 1.0, 0.7)
     for start in range(0, samples, STACK_CHUNK):
         states = random_state(rng, family.QUTRIT_PAIR, min(STACK_CHUNK, samples - start))
+        # Each derived stack is freed once its witnesses are taken, so at
+        # most one is alive beside the samples, and none during the next
+        # chunk's draw. One dephasing serves both evolved witnesses.
         lim = channels.infinite_limit(states)
-        yield {
+        witnesses = {
             "limit_pt_min": criteria.min_pt_eigenvalue(lim),
             "limit_excess": criteria.realignment_excess(lim),
             "two_sided": family.two_sided_probe(states),
             "parent_pt_min": criteria.min_pt_eigenvalue(states),
-            "one_sided": family.one_sided_probe(states, "B", noise),
-            "evolved_pt_min": criteria.min_pt_eigenvalue(ground_excited(states, noise)),
         }
+        del lim
+        evolved = ground_excited(states, noise)
+        witnesses["one_sided"] = family.erased_ground_witness(evolved, "B", noise)
+        witnesses["evolved_pt_min"] = criteria.min_pt_eigenvalue(evolved)
+        del evolved
+        yield witnesses
 
 
 def _violations(w: dict) -> np.ndarray:
@@ -414,5 +422,26 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """Process entry of `python -m dephaselab` and the installed script.
+
+    Runs main, flushes stdout and stderr, then ends the process with
+    os._exit: the interpreter's finalization (a full garbage collection
+    and module teardown) and atexit callbacks are skipped, since the CLI
+    leaves nothing but these two streams to finish. A stream that is
+    None (closed at start-up) has nothing to flush. A failed flush, an
+    exception or a SystemExit from main (usage errors, --help) takes the
+    interpreter's normal exit, which reports it as it always has.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -13,11 +13,12 @@ probe is criteria.qubit_block_witness on one local projection.
 All closed forms here are verified against the numerical path by the
 test suite; none are trusted on their own.
 
-Leading-axis convention: one_sided_probe and two_sided_probe take one
-state or a stack (N, 9, 9) and return a float or an (N,) array of
-witnesses, each member's bit-identical to probing that member alone; a
-member whose branch carries no weight gets NaN where probing it alone
-raises ZeroTraceError. The family constructors, mc_* and limit_verdict
+Leading-axis convention: the probes (one_sided_probe, its
+erased_ground_witness step, two_sided_probe) take one state or a stack
+(N, 9, 9) and return a float or an (N,) array of witnesses, each
+member's bit-identical to probing that member alone; a member whose
+branch carries no weight gets NaN where probing it alone raises
+ZeroTraceError. The family constructors, mc_* and limit_verdict
 handle one state.
 """
 
@@ -217,7 +218,15 @@ def fidelity_swapped(gamma_rate: float, t: float) -> float:
 
 
 def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> float | np.ndarray:
-    """Distillability probe from one erased-ground channel branch.
+    """Distillability probe from one erased-ground channel branch: the
+    erased_ground_witness of the state evolved to noise.t. Takes one
+    state or a stack."""
+    return erased_ground_witness(ground_excited(state, noise), side, noise)
+
+
+def erased_ground_witness(evolved: DensityMatrix, side: str, noise: NoiseParams) -> float | np.ndarray:
+    """Witness of the erased-ground branch of a state already evolved by
+    ground_excited to noise.
 
     Keeps the branch of the evolved state in which the chosen side's
     ground level was erased. That branch is omega^2 times the evolved
@@ -228,15 +237,15 @@ def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> floa
     omega^2 times the block's trace; raises ZeroTraceError when the
     branch carries no weight (t = 0). Takes one state or a stack.
     """
-    if state.dims != QUTRIT_PAIR:
-        raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
+    if evolved.dims != QUTRIT_PAIR:
+        raise ValueError(f"probe is defined on dims (3, 3), got {evolved.dims}")
     if side == "B":
         keep_a, keep_b, omega = (0, 1, 2), (1, 2), noise.omega_b
     elif side == "A":
         keep_a, keep_b, omega = (1, 2), (0, 1, 2), noise.omega_a
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return qubit_block_witness(ground_excited(state, noise), keep_a, keep_b, omega ** 2)
+    return qubit_block_witness(evolved, keep_a, keep_b, omega ** 2)
 
 
 def two_sided_probe(state: DensityMatrix) -> float | np.ndarray:

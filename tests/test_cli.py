@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: formats, exit codes, determinism."""
 
+import ast
 import csv
 import importlib
 import io
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import dephaselab
-from conftest import GOLDEN_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
+from conftest import GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
 from dephaselab import cli
 from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
 from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
@@ -431,6 +432,67 @@ class TestExitCodes:
             assert result.returncode == code
             assert result.stdout == b""
             assert result.stderr != b""
+
+
+def buffered_env() -> dict:
+    """child_env without PYTHONUNBUFFERED: the child block-buffers stdout,
+    as an installed CLI does, so its last block reaches the pipe only
+    through cli.run's flush."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+class TestProcessExit:
+    """cli.run ends the process with os._exit once stdout and stderr are
+    flushed. Called in pytest it would end the test process, so every
+    test here runs it in a child."""
+
+    def test_closed_stdout_exits_zero_quietly(self):
+        # Python starts with sys.stdout None when fd 1 is closed, and print
+        # then writes nowhere; an unconditional sys.stdout.flush() exits 1.
+        command = f'"{sys.executable}" -m dephaselab classify --t 0.5 >&-'
+        result = subprocess.run(["sh", "-c", command], capture_output=True, check=False, env=buffered_env())
+        assert (result.returncode, result.stderr) == (0, b"")
+
+    def test_long_sweep_arrives_whole_through_a_pipe(self):
+        args = ("sweep", "--quantity", "pt-min-eig", "--t-range", "0", "3", "20001")
+        result = subprocess.run(
+            [sys.executable, "-m", "dephaselab", *args], capture_output=True, check=False, env=buffered_env()
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        lines = result.stdout.decode().split("\n")
+        assert lines[0] == "t,gamma,value" and lines[-1] == ""
+        assert [line.split(",")[0] for line in lines[1:-1]] == [f"{t:.12g}" for t in np.linspace(0.0, 3.0, 20001)]
+
+    @pytest.mark.parametrize("args,code,message", [
+        (("evolve", "--t", "-1"), 2, "argument --t: must be finite and nonnegative, got -1"),
+        (("sweep", "--quantity", "verdict", "--t-range", "1", "0", "5"), 2,
+         "error: t range needs start < end, got 1.0 >= 0.0"),
+        (("classify", "--alpha", "9", "--t", "1"), 3, "error: alpha must lie in (3, 5], got 9.0"),
+    ])
+    def test_error_exits_keep_their_message(self, args, code, message):
+        result = subprocess.run(
+            [sys.executable, "-m", "dephaselab", *args], capture_output=True, check=False, env=buffered_env()
+        )
+        assert (result.returncode, result.stdout) == (code, b"")
+        assert message in result.stderr.decode()
+
+
+def test_console_script_is_the_module_entry():
+    """The installed `dephaselab` command and `python -m dephaselab` call
+    the same function."""
+    pyproject = (SRC_DIR.parent / "pyproject.toml").read_text()
+    module_name, function_name = re.search(
+        r'^\[project\.scripts\]\ndephaselab = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE
+    ).groups()
+    entry_source = (SRC_DIR / "dephaselab" / "__main__.py").read_text()
+    (guard,) = [node for node in ast.parse(entry_source).body if isinstance(node, ast.If)]
+    (statement,) = guard.body
+    called = statement.value.func.id
+    entry = importlib.import_module("dephaselab.__main__")
+    assert getattr(entry, called) is getattr(importlib.import_module(module_name), function_name)
+    assert function_name == "run"
 
 
 def test_domain_errors_are_the_exit_3_classes():

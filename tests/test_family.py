@@ -22,6 +22,7 @@ from dephaselab.family import (
     McSpec,
     certificate_blocks,
     certificate_onset_time,
+    erased_ground_witness,
     evolved_closed_form,
     fidelity_initial,
     fidelity_swapped,
@@ -38,7 +39,7 @@ from dephaselab.family import (
     two_sided_probe,
 )
 from dephaselab.linalg import TOL, NotPSDError, eigvals_hermitian
-from dephaselab.qstate import TraceNotOneError, ZeroTraceError, make_state, partial_transpose
+from dephaselab.qstate import Dims, TraceNotOneError, ZeroTraceError, make_state, partial_transpose
 
 
 def display_branch_eigenvalue(alpha: float, lam: float, t: float) -> float:
@@ -284,6 +285,7 @@ class TestProbes:
         evolved = ground_excited(initial_state(4.5), noise)
         witness = qubit_block_witness(evolved, (0, 1, 2), (1, 2))
         assert one_sided_probe(initial_state(4.5), "B", noise) == witness
+        assert erased_ground_witness(evolved, "B", noise) == witness
         # The block's trace is 2/3 at every t, so the branch weight omega_b^2 * 2/3
         # crosses TOL.zero_trace at t of about 1.5e-12.
         early, late = NoiseParams(1.0, 1.0, 0.5e-12), NoiseParams(1.0, 1.0, 3e-12)
@@ -299,6 +301,16 @@ class TestProbes:
     def test_one_sided_rejects_bad_side(self):
         with pytest.raises(ValueError):
             one_sided_probe(initial_state(4.5), "C", NoiseParams(1.0, 1.0, 1.0))
+
+    def test_one_sided_rejects_other_dims(self):
+        # The probe dephases first, so ground_excited's BadShapeError (a
+        # ValueError) comes before the witness step's own dims check.
+        pair = make_state(Dims(3, 2), np.eye(6) / 6)
+        noise = NoiseParams(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            one_sided_probe(pair, "B", noise)
+        with pytest.raises(ValueError, match=re.escape("probe is defined on dims (3, 3)")):
+            erased_ground_witness(pair, "B", noise)
 
     def test_two_sided_exact_witnesses(self):
         witness = two_sided_probe(swapped_state(4.5))
