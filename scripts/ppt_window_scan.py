@@ -10,8 +10,8 @@ keeps exp(-2*g*t), and the window has a closed form:
 * a window exactly when the realignment zero comes after t_d.
 
 For each alpha this script brackets both times numerically on the
-evolved states and prints the resulting window, if any; the test suite
-checks its output against the closed form.
+evolved states, over t in [0, 12], and prints the resulting window, if
+any; the test suite checks its output against the closed form.
 """
 
 import argparse
@@ -30,7 +30,7 @@ from dephaselab.family import initial_state
 T_HI = 12.0
 
 
-def onset(f, t_lo=1e-6, t_hi=T_HI):
+def onset(f, t_lo=0.0, t_hi=T_HI):
     try:
         return find_sign_change(f, t_lo, t_hi)
     except NoBracketError:

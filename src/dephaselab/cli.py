@@ -304,6 +304,13 @@ def _sample_witnesses(seed: int, samples: int):
     entries describe the infinite-time limit, parent_pt_min the state
     itself and evolved_pt_min the state at t = 0.7. A probe's witness is
     NaN where the probe of that state alone raises ZeroTraceError.
+
+    Each claim is a conjunction of two witnesses, so the second is taken
+    only where the first fires, and is NaN elsewhere: limit_pt_min where
+    limit_excess exceeds TOL.verdict, parent_pt_min where two_sided and
+    evolved_pt_min where one_sided is below -TOL.verdict. A NaN fails
+    every test of _violations, so the counts are those of the full
+    computation.
     """
     rng = np.random.default_rng(seed)
     noise = NoiseParams(1.0, 1.0, 0.7)
@@ -313,25 +320,41 @@ def _sample_witnesses(seed: int, samples: int):
         # most one is alive beside the samples, and none during the next
         # chunk's draw. One dephasing serves both evolved witnesses.
         lim = channels.infinite_limit(states)
-        witnesses = {
-            "limit_pt_min": criteria.min_pt_eigenvalue(lim),
-            "limit_excess": criteria.realignment_excess(lim),
-            "two_sided": family.two_sided_probe(states),
-            "parent_pt_min": criteria.min_pt_eigenvalue(states),
-        }
+        limit_excess = criteria.realignment_excess(lim)
+        limit_pt_min = _pt_min_where(limit_excess > TOL.verdict, lim)
         del lim
+        two_sided = family.two_sided_probe(states)
+        parent_pt_min = _pt_min_where(two_sided < -TOL.verdict, states)
         evolved = ground_excited(states, noise)
-        witnesses["one_sided"] = family.erased_ground_witness(evolved, "B", noise)
-        witnesses["evolved_pt_min"] = criteria.min_pt_eigenvalue(evolved)
+        one_sided = family.erased_ground_witness(evolved, "B", noise)
+        evolved_pt_min = _pt_min_where(one_sided < -TOL.verdict, evolved)
         del evolved
-        yield witnesses
+        yield {
+            "limit_excess": limit_excess,
+            "limit_pt_min": limit_pt_min,
+            "two_sided": two_sided,
+            "parent_pt_min": parent_pt_min,
+            "one_sided": one_sided,
+            "evolved_pt_min": evolved_pt_min,
+        }
+
+
+def _pt_min_where(mask: np.ndarray, state: DensityMatrix) -> np.ndarray:
+    """min_pt_eigenvalue of the members of the stack state that the
+    boolean mask selects, NaN for the others; no eigensolve when it
+    selects none."""
+    values = np.full(len(mask), np.nan)
+    if mask.any():
+        values[mask] = criteria.min_pt_eigenvalue(DensityMatrix(state.mat[mask], state.dims))
+    return values
 
 
 def _violations(w: dict) -> np.ndarray:
     """States of one _sample_witnesses chunk that break each claim: a PPT
     limit the realignment witness calls entangled; an entangled two-sided
     probe of a PPT parent; an entangled one-sided probe of a PPT evolved
-    parent. A NaN probe witness is never entangled."""
+    parent. A NaN witness (a probe's, or a second witness that was not
+    taken) counts as neither entangled nor PPT."""
     limit = (w["limit_pt_min"] >= -TOL.verdict) & (w["limit_excess"] > TOL.verdict)
     two = (w["two_sided"] < -TOL.verdict) & (w["parent_pt_min"] >= -TOL.verdict)
     one = (w["one_sided"] < -TOL.verdict) & (w["evolved_pt_min"] >= -TOL.verdict)

@@ -28,7 +28,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import TOL, CheckedRecord, DomainError, eigvals_hermitian, singular_values, sqrt_psd, trace
+from .linalg import (
+    TOL, CheckedRecord, DomainError, eigvals_hermitian, eigvals_hermitized, singular_values, sqrt_psd, trace,
+)
 from .qstate import BadShapeError, DensityMatrix, Dims, ZeroTraceError, partial_transpose, project_local, realign
 
 
@@ -231,8 +233,10 @@ def _certify(
         diag_alloc[idx] += weights
         cover[rows, cols] += pairs
         embedded[:, rows, cols] += padded
-        w_min = eigvals_hermitian((padded + padded.conj().swapaxes(-1, -2)) / 2)[:, 0]
+        # The PT check rejects a non-finite block, so the Hermitian part,
+        # Hermitian by construction, needs no check of its own.
         pt_min = eigvals_hermitian(partial_transpose(DensityMatrix(padded, Dims(2, 2)), "B"))[:, 0]
+        w_min = eigvals_hermitized((padded + padded.conj().swapaxes(-1, -2)) / 2)[:, 0]
         minima.append((w_min, pt_min))
     minima = np.reshape(minima, (len(blocks), 2, len(mats)))
     off = ~np.eye(n, dtype=bool)

@@ -167,8 +167,8 @@ def eigvals_hermitian(a) -> np.ndarray:
 
 
 def eigvals_hermitized(a: np.ndarray) -> np.ndarray:
-    """eigvals_hermitian without the Hermiticity check, for the output of
-    hermitize, which is Hermitian by construction."""
+    """eigvals_hermitian without the Hermiticity check, for a matrix that
+    is Hermitian by construction, such as the output of hermitize."""
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:

@@ -192,7 +192,10 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
     """verify-lemmas' random-sample witnesses, one state at a time.
 
     Keys match the chunks of cli._sample_witnesses. A probe that raises
-    ZeroTraceError leaves a NaN witness.
+    ZeroTraceError leaves a NaN witness. Every witness is computed for
+    every state, including the second witnesses that the chunks compute
+    only where their claim's first witness fires; a test applies that
+    gate to this full result.
     """
     rng = np.random.default_rng(seed)
     noise = NoiseParams(1.0, 1.0, 0.7)

@@ -20,7 +20,7 @@ from conftest import GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples,
 from dephaselab import cli
 from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
 from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
-from dephaselab.linalg import DomainError
+from dephaselab.linalg import TOL, DomainError
 from dephaselab.qstate import Dims, random_state, state_from_json, state_to_json
 
 
@@ -349,13 +349,39 @@ class TestVerifyLemmas:
         assert [len(c["limit_pt_min"]) for c in chunks] == [
             min(cli.STACK_CHUNK, samples - start) for start in range(0, samples, cli.STACK_CHUNK)
         ]
-        expected = lemma_witnesses_by_samples(seed, samples)
+        oracle = lemma_witnesses_by_samples(seed, samples)
+        # A claim's second witness is taken only where its first fires.
+        gates = {
+            "limit_pt_min": oracle["limit_excess"] > TOL.verdict,
+            "parent_pt_min": oracle["two_sided"] < -TOL.verdict,
+            "evolved_pt_min": oracle["one_sided"] < -TOL.verdict,
+        }
+        expected = {key: np.where(gates[key], want, np.nan) if key in gates else want for key, want in oracle.items()}
         assert all(c.keys() == expected.keys() for c in chunks)
         for key, want in expected.items():
             stacked = np.concatenate([c[key] for c in chunks] or [want[:0]])
             assert stacked.dtype == want.dtype, key
             assert np.array_equal(stacked, want, equal_nan=True), key
             assert stacked.tobytes() == want.tobytes(), key
+
+    def test_violations_count_only_rows_where_both_witnesses_fire(self):
+        # Random samples break no claim, so their counts cannot tell a
+        # dropped or inverted conjunct from a right one: count a hand-built
+        # chunk instead. Column order: limit_excess, limit_pt_min,
+        # two_sided, parent_pt_min, one_sided, evolved_pt_min.
+        nan, edge = np.nan, TOL.verdict
+        rows = [
+            (1e-3, 0.0, -1e-3, -1e-3, nan, nan),  # breaks the limit claim; NPT parent, empty probe branch
+            (0.0, nan, -1e-3, 0.0, -1e-3, -1e-3),  # breaks the two-sided claim; NPT evolved state
+            (2 * edge, -1e-3, nan, nan, -1e-3, -edge),  # breaks the one-sided claim; NPT limit, empty corner
+            (-0.5, 0.0, 0.0, 0.0, 0.0, 0.0),  # only the second conjuncts hold
+            (edge, -edge, -edge, 0.0, -edge, 0.0),  # first conjuncts at their thresholds, which do not fire
+            (1e-3, nan, -1e-3, nan, -1e-3, nan),  # first conjuncts fire, second witnesses NaN
+            (1e-3, -2 * edge, -1e-3, -2 * edge, -1e-3, -2 * edge),  # every state NPT
+        ]
+        keys = ("limit_excess", "limit_pt_min", "two_sided", "parent_pt_min", "one_sided", "evolved_pt_min")
+        chunk = dict(zip(keys, np.array(rows).T))
+        assert cli._violations(chunk).tolist() == [1, 1, 1]
 
 
 class TestDeterminism:
@@ -516,23 +542,24 @@ class TestScripts:
     def test_window_scan_and_figure_data(self, tmp_path):
         scripts = Path(__file__).parent.parent / "scripts"
         scan = subprocess.run(
-            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.1", "4.5", "4.9"],
+            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.1", "4.5", "4.9", "4.000001"],
             capture_output=True,
             check=False,
             env=child_env(),
         )
         assert scan.returncode == 0
         lines = scan.stdout.decode().splitlines()
-        assert len(lines) == 5 and lines[0] == "gamma = 1.0"
+        assert len(lines) == 6 and lines[0] == "gamma = 1.0"
         # Closed form at symmetric rate g = 1: every family coherence keeps exp(-2t).
-        for line, alpha in zip(lines[2:], (4.1, 4.5, 4.9)):
+        # At 4.000001 the onset is 1.9e-7, so a bracket must start at t = 0.
+        for line, alpha in zip(lines[2:], (4.1, 4.5, 4.9, 4.000001)):
             shown, t_ppt, t_real, window = line.split()
             onset = math.log(4.0 / (alpha * (5.0 - alpha))) / 4.0
             zero = -math.log((7.0 - math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0)) / 6.0) / 2.0
-            assert float(shown) == alpha
+            assert shown == f"{alpha:.2f}"
             assert abs(float(t_ppt) - onset) <= 5e-7 and abs(float(t_real) - zero) <= 5e-7
             assert (window == "empty") == (zero <= onset)
-        assert [line.split()[3] for line in lines[2:]] == ["0.1601", "0.1257", "empty"]
+        assert [line.split()[3] for line in lines[2:]] == ["0.1601", "0.1257", "empty", "0.1603"]
         figures = subprocess.run(
             [sys.executable, str(scripts / "figure_data.py"), "--out-dir", str(tmp_path), "--points", "5"],
             capture_output=True,

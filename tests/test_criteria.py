@@ -75,7 +75,11 @@ class TestWitnesses:
         mat = np.array(initial_state(4.5).mat)
         mat[1, 3] = value
         state = DensityMatrix(mat, QUTRIT_PAIR)
-        for witness in (min_pt_eigenvalue, lambda s: qubit_block_witness(s, (0, 1), (0, 1))):
+        for witness in (
+            min_pt_eigenvalue,
+            lambda s: qubit_block_witness(s, (0, 1), (0, 1)),
+            lambda s: separability_certificate(s, certificate_blocks()),
+        ):
             with pytest.raises(NotHermitianError):
                 witness(state)
 
