@@ -47,7 +47,7 @@ def main() -> None:
         return general_dephase(initial_state(alpha), NoiseParams(args.gamma, args.gamma, t))
 
     print(f"gamma = {args.gamma}")
-    print(f"{'alpha':>6} {'t_ppt':>10} {'realign_zero':>13} {'window':>10}")
+    print(f"{'alpha':>8} {'t_ppt':>10} {'realign_zero':>13} {'window':>10}")
     for alpha in args.alphas:
         t_ppt = onset(lambda t: min_pt_eigenvalue(evolved(alpha, t)))
         t_real = onset(lambda t: realignment_excess(evolved(alpha, t)))
@@ -58,7 +58,7 @@ def main() -> None:
         else:
             window = f"{t_real - t_ppt:.4f}"
         show = lambda v: f"{v:.6f}" if v is not None else "-"
-        print(f"{alpha:>6.2f} {show(t_ppt):>10} {show(t_real):>13} {window:>10}")
+        print(f"{alpha:>8.6f} {show(t_ppt):>10} {show(t_real):>13} {window:>10}")
 
 
 if __name__ == "__main__":

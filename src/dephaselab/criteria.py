@@ -235,7 +235,7 @@ def _certify(
         embedded[:, rows, cols] += padded
         # The PT check rejects a non-finite block, so the Hermitian part,
         # Hermitian by construction, needs no check of its own.
-        pt_min = eigvals_hermitian(partial_transpose(DensityMatrix(padded, Dims(2, 2)), "B"))[:, 0]
+        pt_min = min_pt_eigenvalue(DensityMatrix(padded, Dims(2, 2)))
         w_min = eigvals_hermitized((padded + padded.conj().swapaxes(-1, -2)) / 2)[:, 0]
         minima.append((w_min, pt_min))
     minima = np.reshape(minima, (len(blocks), 2, len(mats)))

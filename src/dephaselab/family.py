@@ -19,7 +19,8 @@ erased_ground_witness step, two_sided_probe) take one state or a stack
 member's bit-identical to probing that member alone; a member whose
 branch carries no weight gets NaN where probing it alone raises
 ZeroTraceError. The family constructors, mc_* and limit_verdict
-handle one state.
+handle one state. The constructors build it from checked inputs (an
+alpha, a McSpec) valid by construction, without make_state.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
 from .criteria import BlockSpec, qubit_block_witness
-from .linalg import TOL, CheckedRecord, DomainError
-from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, make_state, project_local
+from .linalg import TOL, CheckedRecord, DomainError, hermitize
+from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, project_local
 
 QUTRIT_PAIR = Dims(3, 3)
 
@@ -109,7 +110,8 @@ def initial_state(alpha: float) -> DensityMatrix:
 
     (2/21) projector onto |01>+|10>+|22>, plus alpha/21 on each of
     |00>, |12>, |21> and (5-alpha)/21 on each of |11>, |20>, |02>.
-    NPT exactly for alpha > 4; PPT entangled on (3, 4].
+    NPT exactly for alpha > 4; PPT entangled on (3, 4]. Positive terms
+    of total weight 1, so valid by construction.
     """
     alpha = _check_alpha(alpha)
     d = QUTRIT_PAIR
@@ -121,7 +123,7 @@ def initial_state(alpha: float) -> DensityMatrix:
         m[d.flat(a, b), d.flat(a, b)] += alpha / 21.0
     for a, b in ((1, 1), (2, 0), (0, 2)):
         m[d.flat(a, b), d.flat(a, b)] += (5.0 - alpha) / 21.0
-    return make_state(d, m)
+    return DensityMatrix(hermitize(m), d)
 
 
 def swapped_state(alpha: float) -> DensityMatrix:
@@ -193,28 +195,26 @@ def realignment_closed_form(alpha: float, gamma_rate: float, t: float) -> float:
 
 
 def fidelity_initial(gamma_rate: float, t: float) -> float:
-    """Closed-form fidelity curve of the unswapped family.
+    """Uhlmann-Bures fidelity of the family state and its ground/excited
+    evolution at symmetric rate g = gamma_rate.
 
-    [(15 + sqrt(6*(x + 2 + sqrt(x^2 + 8x)))) / 21]^2 with x = exp(-g*t);
-    independent of alpha. This is the branch-paired spectral overlap of
-    the initial and evolved states; it coincides with bures_fidelity only
-    where they commute (t = 0), a gap documented by the acceptance suite.
+    [(15 + 2*sqrt(3 + 2*(x + 2*sqrt(x)))) / 21]^2 with x = exp(-g*t),
+    independent of alpha; at rates (a, b), x + 2*sqrt(x) becomes
+    ga*gb + ga + gb with the single-side retentions.
     """
     x = math.exp(-float(gamma_rate) * t)
-    inner = 6.0 * (x + 2.0 + math.sqrt(x * x + 8.0 * x))
-    return ((15.0 + math.sqrt(inner)) / 21.0) ** 2
+    return ((15.0 + 2.0 * math.sqrt(3.0 + 2.0 * (x + 2.0 * math.sqrt(x)))) / 21.0) ** 2
 
 
 def fidelity_swapped(gamma_rate: float, t: float) -> float:
-    """Closed-form fidelity curve of the swapped family.
+    """Uhlmann-Bures fidelity of the swapped family and its evolution.
 
-    [(15 + sqrt(18 + 6*sqrt(1 + 8*exp(-2*g*t)))) / 21]^2, independent of
-    alpha. Same caveat as fidelity_initial: branch-paired spectral
-    overlap, not the Uhlmann fidelity of the evolved pair.
+    [(15 + 2*sqrt(5 + 4*x)) / 21]^2 with x = exp(-g*t), independent of
+    alpha; at rates (a, b), x is ga*gb. Never below fidelity_initial:
+    the gap reduces to (1 - ga)(1 - gb) >= 0.
     """
-    x = math.exp(-2.0 * float(gamma_rate) * t)
-    inner = 18.0 + 6.0 * math.sqrt(1.0 + 8.0 * x)
-    return ((15.0 + math.sqrt(inner)) / 21.0) ** 2
+    x = math.exp(-float(gamma_rate) * t)
+    return ((15.0 + 2.0 * math.sqrt(5.0 + 4.0 * x)) / 21.0) ** 2
 
 
 def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> float | np.ndarray:
@@ -277,11 +277,12 @@ def _mc_deviation(mat: np.ndarray, d: int) -> float:
 
 
 def mc_state(spec: McSpec) -> DensityMatrix:
-    """Lift a coefficient matrix to the maximally correlated state."""
+    """Lift a coefficient matrix to the maximally correlated state, which
+    is valid by construction when the McSpec is."""
     d = Dims(spec.d, spec.d)
     m = np.zeros((d.n, d.n), dtype=complex)
     m[_mc_support(spec.d)] = spec.a
-    return make_state(d, m)
+    return DensityMatrix(hermitize(m), d)
 
 
 def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:

@@ -66,7 +66,7 @@ class Tolerances(NamedTuple):
     trace: float = 1e-12                 # |tr - 1| for density matrices
     psd_floor: float = -1e-10            # eigenvalue floor for PSD checks
     residual: float = 1e-10              # eigendecomposition residual / unitarity
-    sqrt_residual: float = 1e-9          # sqrt_psd(a) @ sqrt_psd(a) vs a
+    sqrt_floor: float = 1e-12            # sqrt_psd zeroes eigenvalues below this times the largest
     zero_trace: float = 1e-12            # projected weight below this is "zero"
     verdict: float = 1e-10               # entanglement witness threshold
     coherence_floor: float = 1e-14       # |entry| above this is a coherence a certificate must cover
@@ -189,12 +189,13 @@ def singular_values(a) -> np.ndarray:
 def sqrt_psd(a) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues within the rounding band [TOL.psd_floor, 0) are clipped to
-    zero; anything below the floor raises NotPSDError. The result r
-    satisfies r @ r = a within TOL.sqrt_residual.
+    An eigenvalue below TOL.psd_floor raises NotPSDError. Eigenvalues
+    below TOL.sqrt_floor times the largest, negative rounding included,
+    are zeroed: a rank-deficient matrix's ~1e-17 rounding eigenvalues
+    would otherwise add their ~3e-9 roots.
     """
     w, v = eig_hermitian(a)
     if w.size and float(w[0]) < TOL.psd_floor:
         raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} below {TOL.psd_floor:.1e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.where(w < TOL.sqrt_floor * w.max(initial=0.0), 0.0, w))) @ v.conj().T
     return (root + root.conj().T) / 2

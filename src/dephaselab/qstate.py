@@ -6,13 +6,18 @@ flat index a * d_b + b, so a qutrit-qutrit matrix is ordered
 transpose, realignment, local projection) is a reindexing of the flat
 matrix viewed as the four-index tensor rho[a, b, a', b'].
 
+A matrix is validated once, where it enters the program: make_state
+checks it. A state the program derives is valid by construction and is
+built as a DensityMatrix directly: random_state and the family states
+as DensityMatrix(hermitize(m), dims), dephasing masks and level
+permutations from a state that is already valid.
+
 Leading-axis convention: a DensityMatrix may carry one matrix (n, n) or
-a stack (N, n, n) of states on the same dims. check_state_matrix,
-make_state, partial_transpose, realign and project_local map a stack
-member by member onto the same leading axis, each member's result
-bit-identical to that member's alone, and random_state draws a stack
-when given a size. state_from_json, tensor and state_to_json handle
-one state.
+a stack (N, n, n) of states on the same dims. partial_transpose, realign
+and project_local map a stack member by member onto the same leading
+axis, each member's result bit-identical to that member's alone, and
+random_state draws a stack when given a size. check_state_matrix,
+make_state, state_from_json, tensor and state_to_json handle one state.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ class DensityMatrix(CheckedRecord, NamedTuple("DensityMatrix", [("mat", np.ndarr
     """Carrier for a bipartite operator together with its local dimensions.
 
     Direct construction only checks shape. Matrices entering the program
-    go through make_state instead; direct construction carries the outputs
-    of maps that provably keep a state valid (dephasing masks, level
-    permutations) and deliberately unnormalized intermediates, such as
-    raw channel-branch terms. mat is (n, n) for one state or (N, n, n)
-    for a stack of N.
+    go through make_state instead; direct construction carries states
+    that are valid by construction (random Gram matrices, the family
+    states, dephasing masks, level permutations) and deliberately
+    unnormalized intermediates, such as raw channel-branch terms. mat is
+    (n, n) for one state or (N, n, n) for a stack of N.
     """
 
     __slots__ = ()
@@ -93,52 +98,35 @@ class DensityMatrix(CheckedRecord, NamedTuple("DensityMatrix", [("mat", np.ndarr
 
 
 def check_state_matrix(m: np.ndarray) -> np.ndarray:
-    """The package's one validity check for a square density matrix.
+    """The package's one validity check for a square density matrix (n, n).
 
     Raises NonFiniteError, NotHermitianError, TraceNotOneError or
     NotPSDError; each invariant is checked independently in that order.
-    Returns the hermitized matrix (linalg.hermitize). A stack (N, n, n)
-    is checked as a whole, and every member must pass; the error raised
-    is the one its first failing member raises alone.
+    Returns the hermitized matrix (linalg.hermitize).
     """
-    if m.ndim == 3:
-        try:
-            return _check_members(m)
-        except DomainError:
-            for member in m:
-                _check_members(member)
-            raise
-    return _check_members(m)
-
-
-def _check_members(m: np.ndarray) -> np.ndarray:
-    """check_state_matrix's checks over one matrix or a whole stack; for a
-    stack, the first failing check reports its own first failing member."""
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has NaN or infinite entries")
     check_hermitian(m)
     tr = trace(m)
-    off = np.abs(tr - 1.0) > TOL.trace
-    if off.any():
-        k = np.flatnonzero(off)[0]
-        raise TraceNotOneError(f"trace {complex(tr.flat[k]):.15g} differs from 1 beyond {TOL.trace:.1e}")
+    if abs(tr - 1.0) > TOL.trace:
+        raise TraceNotOneError(f"trace {complex(tr):.15g} differs from 1 beyond {TOL.trace:.1e}")
     hermitized = hermitize(m)
-    w_min = eigvals_hermitized(hermitized)[..., 0]
-    if w_min.min(initial=np.inf) < TOL.psd_floor:
-        k = np.flatnonzero(w_min < TOL.psd_floor)[0]
-        raise NotPSDError(f"minimum eigenvalue {w_min.flat[k]:.3e} below {TOL.psd_floor:.1e}")
+    w_min = eigvals_hermitized(hermitized)[0]
+    if w_min < TOL.psd_floor:
+        raise NotPSDError(f"minimum eigenvalue {w_min:.3e} below {TOL.psd_floor:.1e}")
     return hermitized
 
 
 def make_state(dims: Dims, mat) -> DensityMatrix:
-    """Validated constructor for a matrix, or a stack of them, entering the program.
+    """Validated constructor for one matrix entering the program.
 
-    State files, user matrices, random_state and the family constructors
-    come through here; maps that keep a state valid build DensityMatrix
-    directly. Raises BadShapeError, then the check_state_matrix errors.
+    State files and user matrices come through here; states the program
+    derives are valid by construction and build DensityMatrix directly.
+    Raises BadShapeError (for a stack too), then the check_state_matrix
+    errors.
     """
     m = np.asarray(mat, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (dims.n, dims.n):
+    if m.shape != (dims.n, dims.n):
         raise BadShapeError(f"expected shape {(dims.n, dims.n)}, got {m.shape}")
     return DensityMatrix(check_state_matrix(m), dims)
 
@@ -213,16 +201,18 @@ def random_state(rng: np.random.Generator, dims: Dims, size: Optional[int] = Non
     """Full-rank random state G G† / tr(G G†), G with i.i.d. standard
     complex normal entries. Deterministic given the generator state.
 
-    With a size, a stack of that many states, drawn with the same
-    generator calls in the same order: the stack equals size calls
-    without one, bit for bit.
+    A state by construction (G G† is positive semidefinite, hermitize
+    makes it Hermitian, the division gives unit trace to rounding), so it
+    is not validated. With a size, a stack of that many states, drawn
+    with the same generator calls in the same order: the stack equals
+    size calls without one, bit for bit.
     """
     n = dims.n
     draws = rng.standard_normal(((2,) if size is None else (size, 2)) + (n, n))
     g = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
     m = g @ g.conj().swapaxes(-1, -2)
     m /= trace(m).real[..., None, None]
-    return make_state(dims, m)
+    return DensityMatrix(hermitize(m), dims)
 
 
 def state_to_json(state: DensityMatrix) -> str:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -152,6 +153,42 @@ def bures_by_eigh(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
+def family_fidelity_by_mpmath(alpha: float, swapped: bool, rate_a: float, rate_b: float, t):
+    """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 at 50 digits
+    between the family state (the swapped one as the mixture of
+    swapped_family_by_mixture) and its ground/excited evolution to time
+    t (mpmath.inf for the infinite-time limit), as an mpmath number.
+
+    Both states are real symmetric and built entry by entry from their
+    definitions in mpmath; each root comes from a Jacobi
+    eigendecomposition (mpmath.eigsy), with rounding-level negative
+    eigenvalues set to zero.
+    """
+    with mpmath.workdps(50):
+        d = QUTRIT_PAIR
+        alpha = mpmath.mpf(alpha)
+        rho = mpmath.zeros(9, 9)
+        triple = [(0, 0), (1, 1), (2, 2)] if swapped else [(0, 1), (1, 0), (2, 2)]
+        for i in triple:
+            for j in triple:
+                rho[d.flat(*i), d.flat(*j)] += mpmath.mpf(2) / 21
+        for a in range(3):
+            up, down = ((a, (a + 1) % 3), (a, (a - 1) % 3)) if swapped else ((a, 2 * a % 3), (a, (2 - a) % 3))
+            rho[d.flat(*up), d.flat(*up)] += alpha / 21
+            rho[d.flat(*down), d.flat(*down)] += (5 - alpha) / 21
+        gamma_a, gamma_b = (mpmath.exp(-mpmath.mpf(rate) * t / 2) for rate in (rate_a, rate_b))
+        sigma = rho.copy()
+        for i in range(9):
+            for j in range(9):
+                if (i // 3 == 0) != (j // 3 == 0):
+                    sigma[i, j] *= gamma_a
+                if (i % 3 == 0) != (j % 3 == 0):
+                    sigma[i, j] *= gamma_b
+        w, q = mpmath.eigsy(rho)
+        root = q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.T
+        return mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in mpmath.eigsy(root * sigma * root)[0]) ** 2
+
+
 def sweep_by_points(quantity: str, base: DensityMatrix, blocks, ts, gammas) -> str:
     """The witness and verdict sweep CSV, one grid point at a time.
 
@@ -182,7 +219,8 @@ def hermitize_by_passes(m: np.ndarray, passes: int = 1) -> np.ndarray:
 
 def random_state_by_draws(rng: np.random.Generator, dims: Dims) -> DensityMatrix:
     """One random state drawn as two separate (n, n) normal draws, real
-    then imaginary part, normalized on its own."""
+    then imaginary part, normalized on its own and validated by
+    make_state, which random_state itself skips."""
     g = rng.standard_normal((dims.n, dims.n)) + 1j * rng.standard_normal((dims.n, dims.n))
     m = g @ g.conj().T
     return make_state(dims, m / np.trace(m).real)

@@ -22,7 +22,7 @@ from dephaselab.channels import (
     sector_dephase,
 )
 from dephaselab.linalg import eigvals_hermitian
-from dephaselab.qstate import BadShapeError, Dims, make_state, random_state
+from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state
 
 
 def ground_excited_damping(gamma_a: float, gamma_b: float) -> np.ndarray:
@@ -155,7 +155,7 @@ class TestApplyChannel:
         g = rng.standard_normal((40, 9, 9)) + 1j * (0.0 if real else rng.standard_normal((40, 9, 9)))
         raw = g @ g.conj().swapaxes(-1, -2)
         raw /= np.trace(raw, axis1=-2, axis2=-1).real[:, None, None]
-        states = make_state(QUTRIT_PAIR, raw)
+        states = DensityMatrix(np.stack([make_state(QUTRIT_PAIR, m).mat for m in raw]), QUTRIT_PAIR)
         assert states.mat.tobytes() == hermitize_by_passes(raw).tobytes()
         keeps = [1.0, 0.7, 1e-300, 1e-310, 2.7e-321, 5e-324, 0.0]
         negative_zeros = 0

@@ -556,7 +556,7 @@ class TestScripts:
             shown, t_ppt, t_real, window = line.split()
             onset = math.log(4.0 / (alpha * (5.0 - alpha))) / 4.0
             zero = -math.log((7.0 - math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0)) / 6.0) / 2.0
-            assert shown == f"{alpha:.2f}"
+            assert float(shown) == alpha
             assert abs(float(t_ppt) - onset) <= 5e-7 and abs(float(t_real) - zero) <= 5e-7
             assert (window == "empty") == (zero <= onset)
         assert [line.split()[3] for line in lines[2:]] == ["0.1601", "0.1257", "empty", "0.1603"]

@@ -3,12 +3,14 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import QUTRIT_PAIR, evolved_family_by_entries, swapped_family_by_mixture
+from conftest import QUTRIT_PAIR, evolved_family_by_entries, family_fidelity_by_mpmath, swapped_family_by_mixture
 from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
 from dephaselab.criteria import (
+    bures_fidelity,
     find_sign_change,
     min_pt_eigenvalue,
     qubit_block_witness,
@@ -71,6 +73,8 @@ class TestConstruction:
             b = swapped_family_by_mixture(alpha)
             assert np.max(np.abs(a.mat - b.mat)) < 1e-15
             assert make_state(a.dims, a.mat).mat.tobytes() == a.mat.tobytes()
+            start = initial_state(alpha)
+            assert make_state(start.dims, start.mat).mat.tobytes() == start.mat.tobytes()
 
     def test_swapped_state_moves_coherence_triple(self):
         state = swapped_state(4.5)
@@ -235,8 +239,8 @@ class TestFidelityCurves:
         assert fidelity_swapped(1.0, 0.0) == 1.0
 
     def test_known_values(self):
-        assert abs(fidelity_initial(1.0, 1.0) - 0.9046160261878066) < 1e-12
-        assert abs(fidelity_swapped(1.0, 1.0) - 0.9218949543425569) < 1e-12
+        assert abs(fidelity_initial(1.0, 1.0) - 0.9038239244786144) < 1e-12
+        assert abs(fidelity_swapped(1.0, 1.0) - 0.9150139205415989) < 1e-12
 
     def test_monotone_decay_and_dominance(self):
         ts = np.linspace(0.0, 6.0, 61)
@@ -248,9 +252,30 @@ class TestFidelityCurves:
 
     def test_large_time_limits(self):
         lim_rho = ((15.0 + math.sqrt(12.0)) / 21.0) ** 2
-        lim_prime = ((15.0 + math.sqrt(24.0)) / 21.0) ** 2
+        lim_prime = ((15.0 + 2.0 * math.sqrt(5.0)) / 21.0) ** 2
         assert abs(fidelity_initial(1.0, 200.0) - lim_rho) < 1e-14
         assert abs(fidelity_swapped(1.0, 200.0) - lim_prime) < 1e-14
+
+    def test_pinned_values_and_curves_match_a_50_digit_uhlmann_fidelity(self):
+        # The values pinned above against the fidelity of the family states
+        # themselves, evolved to t = 1 and to the limit; two ulps at 0.9.
+        # bures_fidelity meets the curves only with sqrt_psd's eigenvalue
+        # floor: without it the rank-7 states put it 3e-9 off.
+        for alpha in (4.1, 4.5):
+            for swapped, at_one, limit in (
+                (False, 0.9038239244786144, ((15.0 + math.sqrt(12.0)) / 21.0) ** 2),
+                (True, 0.9150139205415989, ((15.0 + 2.0 * math.sqrt(5.0)) / 21.0) ** 2),
+            ):
+                assert abs(family_fidelity_by_mpmath(alpha, swapped, 1.0, 1.0, 1.0) - at_one) < 2.3e-16
+                assert abs(family_fidelity_by_mpmath(alpha, swapped, 1.0, 1.0, mpmath.inf) - limit) < 2.3e-16
+        for t in (0.3, 2.0, 5.0):
+            for swapped, state, curve in (
+                (False, initial_state(4.9), fidelity_initial),
+                (True, swapped_state(4.9), fidelity_swapped),
+            ):
+                assert abs(family_fidelity_by_mpmath(4.9, swapped, 0.5, 0.5, t) - curve(0.5, t)) < 4.5e-16
+                evolved = ground_excited(state, NoiseParams(0.5, 0.5, t))
+                assert abs(bures_fidelity(state, evolved) - curve(0.5, t)) < 2e-15
 
 
 class TestProbes:
@@ -335,6 +360,7 @@ class TestMaximallyCorrelated:
             for j in range(3):
                 assert abs(state.mat[d.flat(i, i), d.flat(j, j)] - 1.0 / 3.0) < 1e-15
         assert abs(np.sum(np.abs(state.mat)) - 3.0) < 1e-12
+        assert make_state(d, state.mat).mat.tobytes() == state.mat.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match=re.escape("local dimension must be >= 2, got 1")):

@@ -56,8 +56,9 @@ class TestMakeState:
         assert abs(np.trace(state.mat) - 1.0) < 1e-12
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(BadShapeError):
-            make_state(QUTRIT_PAIR, np.eye(4) / 4)
+        for m in (np.eye(4) / 4, np.stack([np.eye(9) / 9] * 2)):
+            with pytest.raises(BadShapeError):
+                make_state(QUTRIT_PAIR, m)
 
     def test_rejects_non_hermitian(self, rng):
         m = np.array(random_state(rng, QUTRIT_PAIR).mat)

@@ -23,8 +23,8 @@ from dephaselab.criteria import (
     separability_certificate,
 )
 from dephaselab.family import certificate_blocks, initial_state, one_sided_probe, two_sided_probe
-from dephaselab.linalg import NotHermitianError, NotPSDError, check_hermitian, eigvals_hermitian
-from dephaselab.qstate import DensityMatrix, Dims, NonFiniteError, ZeroTraceError, make_state, random_state
+from dephaselab.linalg import NotHermitianError, check_hermitian, eigvals_hermitian
+from dephaselab.qstate import DensityMatrix, Dims, ZeroTraceError, random_state
 
 SIZES = (1, STACK_CHUNK - 1, STACK_CHUNK, STACK_CHUNK + 1, 2 * STACK_CHUNK + 3)
 
@@ -106,13 +106,12 @@ class TestStacks:
         mats = np.array(stack.mat)
         bad = int(rng.integers(size))
         mats[bad, 0, 1] += 1e-6
-        for check in (check_hermitian, eigvals_hermitian, lambda m: make_state(stack.dims, m)):
+        for check in (check_hermitian, eigvals_hermitian):
             with pytest.raises(NotHermitianError):
                 check(mats)
         with pytest.raises(NotHermitianError):
             min_pt_eigenvalue(DensityMatrix(mats, stack.dims))
         eigvals_hermitian(np.delete(mats, bad, axis=0))
-        make_state(stack.dims, np.delete(mats, bad, axis=0))
 
     @pytest.mark.parametrize("size", (0,) + SIZES)
     @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
@@ -125,18 +124,6 @@ class TestStacks:
         assert stacked.bit_generator.state == single.bit_generator.state
         one = random_state(np.random.default_rng(size), dims)
         assert_same_bits(one.mat, random_state_by_draws(np.random.default_rng(size), dims).mat)
-
-    def test_stack_raises_the_first_failing_members_error(self):
-        mats = np.array(random_stack(np.random.default_rng(3), Dims(3, 3), 6).mat)
-        mats[2] = np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0, 0])  # Hermitian, unit trace, not PSD
-        mats[4, 3, 3] = np.nan
-        with pytest.raises(NotPSDError) as alone:
-            make_state(Dims(3, 3), mats[2])
-        with pytest.raises(NotPSDError) as stacked:
-            make_state(Dims(3, 3), mats)
-        assert str(stacked.value) == str(alone.value)
-        with pytest.raises(NonFiniteError):
-            make_state(Dims(3, 3), mats[3:])
 
     @pytest.mark.parametrize("size", SIZES)
     def test_probes_skip_exactly_the_members_a_single_probe_rejects(self, size):
