@@ -123,7 +123,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(spec: list[float], what: str) -> np.ndarray:
+def _grid(spec: list[float], what: str) -> list[float]:
     start, end, steps = spec
     if not all(math.isfinite(x) for x in spec):
         raise UsageError(f"{what} range must be finite, got {spec}")
@@ -131,21 +131,21 @@ def _grid(spec: list[float], what: str) -> np.ndarray:
         raise UsageError(f"{what} range needs an integer step count >= 2, got {steps}")
     if not start < end:
         raise UsageError(f"{what} range needs start < end, got {start} >= {end}")
-    return np.linspace(start, end, int(steps))
+    return np.linspace(start, end, int(steps)).tolist()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ts = _grid(args.t_range, "t")
-    if np.any(ts < 0):
+    if min(ts) < 0:
         raise UsageError("t range must be nonnegative")
     if args.gamma is not None and args.gamma_range is not None:
         raise UsageError("pass either --gamma or --gamma-range, not both")
     if args.gamma_range is not None:
         gammas = _grid(args.gamma_range, "gamma")
-        if np.any(gammas < 0):
+        if min(gammas) < 0:
             raise UsageError("gamma range must be nonnegative")
     else:
-        gammas = np.array([1.0 if args.gamma is None else args.gamma])
+        gammas = [1.0 if args.gamma is None else args.gamma]
     if args.quantity == "fidelity":
         rows = [["t", "gamma", "f_rho", "f_rho_prime"]] + [
             [_fmt(t), _fmt(g), _fmt(family.fidelity_initial(g, t)), _fmt(family.fidelity_swapped(g, t))]
@@ -174,13 +174,13 @@ def _crossing(curve: Callable[[float], float], rate: float) -> float:
     """Root of curve on t >= 0 by doubling then bisection; inf past the horizon.
 
     Every curve here is a function of rate * t, so the search scales with
-    1/rate: the horizon TOL.crossing_horizon grows by 1/min(rate, 1) and
-    the bisection tolerance TOL.bisection shrinks by 1/max(rate, 1).
+    1/rate: the horizon TOL.crossing_horizon grows by 1/min(rate, 1) up to
+    the largest double, and the tolerance TOL.bisection shrinks by 1/max(rate, 1).
     The sign test treats values in [0, TOL.sign_floor] as not yet
     positive, so a curve that only decays to zero (never genuinely
     crossing) reports inf instead of chasing eigensolver noise.
     """
-    cap = TOL.crossing_horizon / min(rate, 1.0)
+    cap = min(TOL.crossing_horizon / min(rate, 1.0), sys.float_info.max)
     sign0 = curve(0.0) > TOL.sign_floor
     hi = 0.5
     while hi <= cap:
@@ -254,7 +254,7 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
         yield name, (witness < -TOL.verdict) == entangled, f"witness {witness:.6g}"
 
     evolved = _dephased(rho_prime0, [(k * 0.5, 1.0) for k in range(21)])
-    worst = float(np.max(criteria.qubit_block_witness(evolved, (1, 2), (1, 2))))
+    worst = float(np.max(family.two_sided_probe(evolved)))
     yield "swapped family witness stays negative on t in [0, 10]", worst < -TOL.verdict, f"max witness {worst:.6g}"
 
     # (claim, coefficient matrix, whether the evolved state must be entangled and distillable)

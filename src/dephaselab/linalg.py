@@ -89,8 +89,8 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> None:
-    """Raise NotHermitianError unless a == a† within tol * max(1, ||a||_F).
+def check_hermitian(a: np.ndarray) -> None:
+    """Raise NotHermitianError unless a == a† within TOL.hermitian * max(1, ||a||_F).
 
     A stack (N, n, n) is checked member by member; the error reports the
     first member that fails. A NaN or infinite entry fails, without a
@@ -99,10 +99,10 @@ def check_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> None:
     """
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and an overflowing norm fail below
         dev = np.abs(a - a.conj().swapaxes(-1, -2))
-        if dev.max(initial=0.0) <= tol:
+        if dev.max(initial=0.0) <= TOL.hermitian:
             return  # the scale is at least 1, so no norm is needed; NaN lands below
         dev = dev.max(axis=(-2, -1), initial=0.0)
-        bound = tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+        bound = TOL.hermitian * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     failing = np.flatnonzero(~(dev <= bound) | np.isinf(bound))
     if failing.size:
         k = failing[0]

@@ -31,9 +31,12 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 def child_env() -> dict:
     """The environment with src first on PYTHONPATH, so child
-    interpreters import this checkout's package without an install."""
+    interpreters import this checkout's package without an install, and
+    with error::RuntimeWarning on PYTHONWARNINGS, so a RuntimeWarning
+    fails a child as pyproject's filterwarnings fails an in-process test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = ",".join(w for w in (env.get("PYTHONWARNINGS"), "error::RuntimeWarning") if w)
     return env
 
 

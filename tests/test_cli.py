@@ -220,6 +220,22 @@ class TestSweep:
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == sweep_by_points(quantity, base, blocks, ts, gammas)
 
+    def test_overflowing_rate_times_time_is_silent(self, capsys):
+        # gamma * t overflows to inf on the last two points, whose
+        # coherences are then gone; a numpy overflow warning there would
+        # be an error under pytest's filterwarnings.
+        grid = ["--t-range", "0", "1e308", "3", "--gamma", "1e308"]
+        assert cli.main(["sweep", "--quantity", "verdict", *grid]) == 0
+        assert capsys.readouterr().out == (
+            "t,gamma,verdict\n0,1e+308,NptFreeEntangled\n"
+            "5e+307,1e+308,SeparableCertified\n1e+308,1e+308,SeparableCertified\n"
+        )
+        assert cli.main(["sweep", "--quantity", "fidelity", *grid]) == 0
+        assert capsys.readouterr().out == (
+            "t,gamma,f_rho,f_rho_prime\n0,1e+308,1,1\n"
+            "5e+307,1e+308,0.773068137084,0.85978249127\n1e+308,1e+308,0.773068137084,0.85978249127\n"
+        )
+
     def test_conflicting_gamma_flags_is_usage_error(self):
         result = run_cli(
             "sweep", "--quantity", "verdict", "--gamma", "1", "--gamma-range", "0.1", "2", "5"
@@ -265,6 +281,21 @@ class TestThresholds:
             assert abs(doc["t_d_analytic"] - doc["t_d_numeric"]) <= 1e-9 * doc["t_d_analytic"], gamma
             assert abs(doc["certificate_onset"] - onset) <= 1e-9 * onset, gamma
             assert doc["t_d_numeric"] < doc["realignment_zero"] < doc["certificate_onset"], gamma
+
+    def test_extreme_rates_answer(self):
+        # The bisection ends by construction and the horizon stops at the
+        # largest double, so every accepted rate gives a report. At
+        # gamma = 1e-308 the PPT onset (5.8e307) is still inside the
+        # horizon; at 1e-310 and below every transition is past it.
+        for gamma in ("2e51", "1e308", "1e-308", "1e-310", "5e-324"):
+            result = run_cli("thresholds", "--alpha", "4.5", "--gamma", gamma)
+            assert result.returncode == 0, result.stderr
+            doc = json.loads(result.stdout.decode())
+            if float(gamma) > 1e-309:
+                assert abs(doc["t_d_numeric"] - doc["t_d_analytic"]) <= 1e-8 * doc["t_d_analytic"], gamma
+            else:
+                times = ("t_d_analytic", "t_d_numeric", "realignment_zero", "certificate_onset")
+                assert {doc[key] for key in times} == {"inf"}, gamma
 
     def test_bound_window_ordering_at_reference_point(self):
         doc = json.loads(run_cli("thresholds", "--alpha", "4.5", "--gamma", "1").stdout.decode())

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from conftest import QUTRIT_PAIR, bures_by_eigh, random_separable_mixture
 from dephaselab.channels import NoiseParams
 from dephaselab.criteria import (
     BlockSpec,
-    BudgetExceededError,
     CoverageError,
     NoBracketError,
     Verdict,
@@ -30,7 +30,7 @@ from dephaselab.family import (
     initial_state,
     swapped_state,
 )
-from dephaselab.linalg import NotHermitianError
+from dephaselab.linalg import TOL, NotHermitianError
 from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state
 
 
@@ -252,6 +252,36 @@ class TestFindSignChange:
         found = find_sign_change(lambda t: 1.0 if t > root else -1.0, 0.0, 2e10, tol=1e-9)
         assert abs(found - root) <= 2e-6
 
-    def test_budget_exceeded_raises(self):
-        with pytest.raises(BudgetExceededError):
-            find_sign_change(lambda t: t - 1.0 / 3.0, 0.0, 1.0, tol=1e-15, max_iter=3)
+    @pytest.mark.parametrize(
+        "t_lo, t_hi, root, tol",
+        [
+            (0.0, 1e308, 1e-320, 0.0),  # down through every binade and the subnormals
+            (0.0, 2.0 ** 1022, 0.999 * 2.0 ** 1022, TOL.bisection),
+            (0.0, sys.float_info.max, 0.75 * sys.float_info.max, TOL.bisection),  # t_lo + t_hi overflows
+            (-sys.float_info.max, sys.float_info.max, -0.5 * sys.float_info.max, 0.0),  # so does t_hi - t_lo
+        ],
+        ids=["subnormal-root", "root-near-2**1022", "sum-overflows", "width-overflows"],
+    )
+    def test_extreme_finite_brackets_end(self, t_lo, t_hi, root, tol):
+        calls = []
+
+        def step(t):
+            calls.append(t)
+            return 1.0 if t > root else -1.0
+
+        found = find_sign_change(step, t_lo, t_hi, tol=tol)
+        assert t_lo <= found <= t_hi
+        assert abs(found - root) <= math.ulp(root)
+        assert len(calls) <= 2 + 2100
+
+    def test_nan_inside_the_bracket_still_ends(self):
+        found = find_sign_change(lambda t: -1.0 if t == 0.0 else 1.0 if t == 2.0 else math.nan, 0.0, 2.0)
+        assert 0.0 <= found <= 2.0
+
+    @pytest.mark.parametrize(
+        "t_lo, t_hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)],
+        ids=["inf-hi", "inf-lo", "nan-lo", "nan-hi"],
+    )
+    def test_non_finite_end_raises(self, t_lo, t_hi):
+        with pytest.raises(ValueError, match="finite"):
+            find_sign_change(lambda t: t - 0.5, t_lo, t_hi)
