@@ -176,6 +176,8 @@ def _crossing(curve: Callable[[float], float], rate: float) -> float:
     Every curve here is a function of rate * t, so the search scales with
     1/rate: the horizon TOL.crossing_horizon grows by 1/min(rate, 1) up to
     the largest double, and the tolerance TOL.bisection shrinks by 1/max(rate, 1).
+    The doubling probes the horizon itself last, so inf means no crossing
+    up to the horizon, not up to the last power of two below it.
     The sign test treats values in [0, TOL.sign_floor] as not yet
     positive, so a curve that only decays to zero (never genuinely
     crossing) reports inf instead of chasing eigensolver noise.
@@ -183,11 +185,13 @@ def _crossing(curve: Callable[[float], float], rate: float) -> float:
     cap = min(TOL.crossing_horizon / min(rate, 1.0), sys.float_info.max)
     sign0 = curve(0.0) > TOL.sign_floor
     hi = 0.5
-    while hi <= cap:
-        if (curve(hi) > TOL.sign_floor) != sign0:
-            return criteria.find_sign_change(curve, 0.0, hi, tol=TOL.bisection / max(rate, 1.0))
+    while True:
+        t = min(hi, cap)
+        if (curve(t) > TOL.sign_floor) != sign0:
+            return criteria.find_sign_change(curve, 0.0, t, tol=TOL.bisection / max(rate, 1.0))
+        if t == cap:
+            return math.inf
         hi *= 2
-    return math.inf
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:

@@ -30,9 +30,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .linalg import (
-    TOL, CheckedRecord, DomainError, eigvals_hermitian, eigvals_hermitized, singular_values, sqrt_psd, trace,
+    TOL, CheckedRecord, DomainError, eigvals_hermitian, eigvals_hermitized, singular_values, trace,
 )
-from .qstate import BadShapeError, DensityMatrix, Dims, ZeroTraceError, partial_transpose, project_local, realign
+from .qstate import DensityMatrix, Dims, ZeroTraceError, partial_transpose, project_local, realign
 
 
 class CoverageError(DomainError):
@@ -105,11 +105,11 @@ class BlockDiagnostic(NamedTuple):
 
     @property
     def psd(self) -> bool:
-        return self.min_eigenvalue >= TOL.psd_floor
+        return self.min_eigenvalue >= 0.0
 
     @property
     def ppt(self) -> bool:
-        return self.min_pt_eigenvalue >= TOL.psd_floor
+        return self.min_pt_eigenvalue >= 0.0
 
 
 class CertificateResult(NamedTuple):
@@ -128,7 +128,7 @@ def _per_member(values: np.ndarray) -> float | np.ndarray:
 
 def min_pt_eigenvalue(state: DensityMatrix) -> float | np.ndarray:
     """Smallest eigenvalue of the side-B partial transpose."""
-    return _per_member(eigvals_hermitian(partial_transpose(state, "B"))[..., 0])
+    return _per_member(eigvals_hermitian(partial_transpose(state))[..., 0])
 
 
 def realignment_excess(state: DensityMatrix) -> float | np.ndarray:
@@ -176,7 +176,9 @@ def separability_certificate(
     composite states at full magnitude, diagonals scaled by the block's
     weights. The certificate passes when every block is PSD and PPT as a
     2x2-by-2x2 state and the residual (state minus all embedded blocks)
-    is diagonal with nonnegative entries; each block is then separable
+    is diagonal with nonnegative entries. Each float minimum is tested
+    against 0 with no negative slack, since a block with a negative
+    eigenvalue is not separable. Each passing block is then separable
     (PPT is sufficient at these dimensions) and the residual is a mixture
     of product basis states, so passing proves the state separable.
     Failing proves nothing.
@@ -252,9 +254,9 @@ def _certify(
     res_off = np.abs(residual[:, off]).max(axis=-1)
     res_diag = residual.diagonal(axis1=-2, axis2=-1).real.min(axis=-1)
     passed = (
-        (minima >= TOL.psd_floor).all(axis=(0, 1))
+        (minima >= 0.0).all(axis=(0, 1))
         & (res_off <= TOL.residual_offdiagonal)
-        & (res_diag >= TOL.psd_floor)
+        & (res_diag >= 0.0)
     )
     return passed, minima, res_diag, res_off
 
@@ -295,20 +297,6 @@ def classify(
         for p, e, is_npt, is_bound, ok in zip(pt_min, excess, npt, bound, passed)
     )
     return members if state.mat.ndim == 3 else members[0]
-
-
-def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann-Bures fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2.
-
-    Evaluated as the squared trace norm of sqrt(rho) @ sqrt(sigma), which
-    is the same quantity with far less rounding amplification near zero
-    eigenvalues. Symmetric; 1 exactly when the states coincide.
-    """
-    if rho.dims != sigma.dims:
-        raise BadShapeError(f"dims {rho.dims} and {sigma.dims} do not match")
-    cross = sqrt_psd(rho.mat) @ sqrt_psd(sigma.mat)
-    root_sum = float(np.sum(singular_values(cross)))
-    return min(max(root_sum ** 2, 0.0), 1.0)
 
 
 def find_sign_change(f: Callable[[float], float], t_lo: float, t_hi: float, tol: float = TOL.bisection) -> float:

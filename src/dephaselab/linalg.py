@@ -1,10 +1,10 @@
 """Dense Hermitian linear algebra with explicit tolerance contracts.
 
 Thin wrappers over LAPACK (through numpy.linalg) that validate inputs,
-fix output conventions (eigenvalues ascending, singular values descending,
-square roots positive semidefinite) and translate failures into typed
-errors. Every numeric tolerance used across the package lives in the
-Tolerances record so callers and tests share a single source of truth.
+fix output conventions (eigenvalues ascending, singular values
+descending) and translate failures into typed errors. Every numeric
+tolerance used across the package lives in the Tolerances record so
+callers and tests share a single source of truth.
 DomainError is the base of every error that says an input lies outside
 the physical domain; the command line maps it, and only it, to exit 3.
 
@@ -13,7 +13,7 @@ eig_hermitian, eigvals_hermitian, eigvals_hermitized and singular_values
 take one matrix or a stack of N matrices (N, n, m) and return the
 members' results along the same leading axis. numpy runs the same
 LAPACK call on each member, so a member's result is bit-identical to
-the result for that matrix alone. sqrt_psd takes one matrix.
+the result for that matrix alone.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class Tolerances(NamedTuple):
     trace: float = 1e-12                 # |tr - 1| for density matrices
     psd_floor: float = -1e-10            # eigenvalue floor for PSD checks
     residual: float = 1e-10              # eigendecomposition residual / unitarity
-    sqrt_floor: float = 1e-12            # sqrt_psd zeroes eigenvalues below this times the largest
     zero_trace: float = 1e-12            # projected weight below this is "zero"
     verdict: float = 1e-10               # entanglement witness threshold
     coherence_floor: float = 1e-14       # |entry| above this is a coherence a certificate must cover
@@ -184,18 +183,3 @@ def singular_values(a) -> np.ndarray:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-
-
-def sqrt_psd(a) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    An eigenvalue below TOL.psd_floor raises NotPSDError. Eigenvalues
-    below TOL.sqrt_floor times the largest, negative rounding included,
-    are zeroed: a rank-deficient matrix's ~1e-17 rounding eigenvalues
-    would otherwise add their ~3e-9 roots.
-    """
-    w, v = eig_hermitian(a)
-    if w.size and float(w[0]) < TOL.psd_floor:
-        raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} below {TOL.psd_floor:.1e}")
-    root = (v * np.sqrt(np.where(w < TOL.sqrt_floor * w.max(initial=0.0), 0.0, w))) @ v.conj().T
-    return (root + root.conj().T) / 2

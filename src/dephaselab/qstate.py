@@ -13,10 +13,10 @@ as DensityMatrix(hermitize(m), dims), dephasing masks and level
 permutations from a state that is already valid.
 
 Leading-axis convention: a DensityMatrix may carry one matrix (n, n) or
-a stack (N, n, n) of states on the same dims. partial_transpose, realign
-and project_local map a stack member by member onto the same leading
-axis, each member's result bit-identical to that member's alone, and
-random_state draws a stack when given a size. check_state_matrix,
+a stack (N, n, n) of states on the same dims. partial_transpose (side
+B), realign and project_local map a stack member by member onto the
+same leading axis, each member's result bit-identical to that member's
+alone; random_state draws a stack when given a size; check_state_matrix,
 make_state, state_from_json, tensor and state_to_json handle one state.
 """
 
@@ -131,21 +131,14 @@ def make_state(dims: Dims, mat) -> DensityMatrix:
     return DensityMatrix(check_state_matrix(m), dims)
 
 
-def partial_transpose(state: DensityMatrix, side: str = "B") -> np.ndarray:
-    """Transpose one subsystem's indices.
+def partial_transpose(state: DensityMatrix) -> np.ndarray:
+    """Transpose subsystem B's indices.
 
-    Side "B": entry ((i,k),(j,l)) of the result equals rho((i,l),(j,k)).
-    Side "A" is the analogous transpose on the first subsystem. The result
-    is Hermitian with unit trace but in general not positive.
+    Entry ((i,k),(j,l)) of the result equals rho((i,l),(j,k)). The result
+    is Hermitian with unit trace but in general not positive. Side A's
+    partial transpose is its full transpose, with the same spectrum.
     """
-    t = state.tensor4
-    if side == "B":
-        out = t.swapaxes(-3, -1)
-    elif side == "A":
-        out = t.swapaxes(-4, -2)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return np.ascontiguousarray(out.reshape(state.mat.shape))
+    return np.ascontiguousarray(state.tensor4.swapaxes(-3, -1).reshape(state.mat.shape))
 
 
 def realign(state: DensityMatrix) -> np.ndarray:

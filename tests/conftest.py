@@ -3,6 +3,8 @@
 The reshuffle and fidelity oracles here are written as explicit index
 loops or textbook formulas on purpose: they give every vectorized
 implementation a second, independently derived route to agree with.
+bures_fidelity (with sqrt_psd) is the numerical Bures route that checks
+the shipped closed forms family.fidelity_initial and fidelity_swapped.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import pytest
 from dephaselab import channels, criteria, family
 from dephaselab.channels import NoiseParams, ground_excited
 from dephaselab.family import initial_state
-from dephaselab.linalg import eigvals_hermitian, sqrt_psd
-from dephaselab.qstate import DensityMatrix, Dims, ZeroTraceError, make_state
+from dephaselab.linalg import TOL, NotPSDError, eig_hermitian, eigvals_hermitian, singular_values
+from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, ZeroTraceError, make_state
 
 QUTRIT_PAIR = Dims(3, 3)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SQRT_FLOOR = 1e-12  # sqrt_psd zeroes eigenvalues below this times the largest
 
 
 def child_env() -> dict:
@@ -141,6 +144,35 @@ def realign_by_loops(state: DensityMatrix) -> np.ndarray:
                 for b2 in range(d.db):
                     out[a * d.da + a2, b * d.db + b2] = state.mat[d.flat(a, b), d.flat(a2, b2)]
     return out
+
+
+def sqrt_psd(a) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix.
+
+    An eigenvalue below TOL.psd_floor raises NotPSDError. Eigenvalues
+    below SQRT_FLOOR times the largest, negative rounding included,
+    are zeroed: a rank-deficient matrix's ~1e-17 rounding eigenvalues
+    would otherwise add their ~3e-9 roots.
+    """
+    w, v = eig_hermitian(a)
+    if w.size and float(w[0]) < TOL.psd_floor:
+        raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} below {TOL.psd_floor:.1e}")
+    root = (v * np.sqrt(np.where(w < SQRT_FLOOR * w.max(initial=0.0), 0.0, w))) @ v.conj().T
+    return (root + root.conj().T) / 2
+
+
+def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann-Bures fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2.
+
+    Evaluated as the squared trace norm of sqrt(rho) @ sqrt(sigma), which
+    is the same quantity with far less rounding amplification near zero
+    eigenvalues. Symmetric; 1 exactly when the states coincide.
+    """
+    if rho.dims != sigma.dims:
+        raise BadShapeError(f"dims {rho.dims} and {sigma.dims} do not match")
+    cross = sqrt_psd(rho.mat) @ sqrt_psd(sigma.mat)
+    root_sum = float(np.sum(singular_values(cross)))
+    return min(max(root_sum ** 2, 0.0), 1.0)
 
 
 def bures_by_eigh(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from conftest import GOLDEN_DIR, QUTRIT_PAIR, random_separable_mixture, run_cli
+from conftest import GOLDEN_DIR, QUTRIT_PAIR, bures_fidelity, random_separable_mixture, run_cli
 from dephaselab.channels import (
     NoiseParams,
     apply_channel,
@@ -20,7 +20,6 @@ from dephaselab.channels import (
 )
 from dephaselab.criteria import (
     Verdict,
-    bures_fidelity,
     classify,
     find_sign_change,
     min_pt_eigenvalue,

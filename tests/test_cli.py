@@ -86,6 +86,17 @@ class TestClassify:
         assert metrics["min_pt_eigenvalue"] > -1e-10
         assert metrics["realignment_excess"] <= 1e-10
 
+    @pytest.mark.parametrize("alpha,t", [("4.9", "2.09964423"), ("4.5", "1.386294359")])
+    def test_no_certificate_from_negative_block_minima(self, alpha, t):
+        # Just before an onset a block minimum is negative by less than
+        # 1e-10. A block with a negative eigenvalue is not separable, so
+        # nothing is certified.
+        result = run_cli("classify", "--alpha", alpha, "--t", t, "--certificate", "three-block")
+        assert result.returncode == 0
+        lines = result.stdout.decode().splitlines()
+        assert lines[0] == "PptUndetermined"
+        assert json.loads(lines[1])["certificate_passed"] is False
+
     def test_metrics_json_shape(self):
         result = run_cli("classify", "--t", "0.3")
         lines = result.stdout.decode().splitlines()
@@ -286,8 +297,11 @@ class TestThresholds:
         # The bisection ends by construction and the horizon stops at the
         # largest double, so every accepted rate gives a report. At
         # gamma = 1e-308 the PPT onset (5.8e307) is still inside the
-        # horizon; at 1e-310 and below every transition is past it.
-        for gamma in ("2e51", "1e308", "1e-308", "1e-310", "5e-324"):
+        # horizon; at 5e-309 and 4e-309 it (1.15e308, 1.44e308) lies past
+        # the doubling's last power of two, 2**1023, but not past the
+        # horizon, which the search probes itself; at 1e-310 and below
+        # every transition is past the horizon.
+        for gamma in ("2e51", "1e308", "1e-308", "5e-309", "4e-309", "1e-310", "5e-324"):
             result = run_cli("thresholds", "--alpha", "4.5", "--gamma", gamma)
             assert result.returncode == 0, result.stderr
             doc = json.loads(result.stdout.decode())

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import QUTRIT_PAIR, bures_by_eigh, random_separable_mixture
+from conftest import QUTRIT_PAIR, bures_by_eigh, bures_fidelity, random_separable_mixture
 from dephaselab.channels import NoiseParams
 from dephaselab.criteria import (
     BlockSpec,
     CoverageError,
     NoBracketError,
     Verdict,
-    bures_fidelity,
     classify,
     find_sign_change,
     min_pt_eigenvalue,
@@ -118,6 +117,19 @@ class TestSeparabilityCertificate:
         result = separability_certificate(family_at(0.3), certificate_blocks())
         assert not result.passed
         assert any(not (b.psd and b.ppt) for b in result.blocks)
+
+    @pytest.mark.parametrize("alpha, t", [(4.9, 2.09964423), (4.5, 1.386294359)])
+    def test_negative_block_minimum_fails(self, alpha, t):
+        # Just before an onset a block minimum is negative by less than
+        # 1e-10: a PT minimum (-8.9e-11) at alpha = 4.9, where the state is
+        # NPT, and a doublet block's eigenvalue (-5.0e-11) 2.1e-9 before
+        # 2 ln 2 at alpha = 4.5. A block with a negative eigenvalue is not
+        # separable.
+        result = separability_certificate(family_at(t, alpha), certificate_blocks())
+        assert not result.passed
+        failing = [b for b in result.blocks if not (b.psd and b.ppt)]
+        assert failing and all(-1e-10 < min(b.min_eigenvalue, b.min_pt_eigenvalue) < 0 for b in failing)
+        assert classify(family_at(t, alpha), certificate_blocks()).verdict == Verdict.PPT_UNDETERMINED
 
     def test_diagonal_state_passes(self, rng):
         diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))

@@ -7,10 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import QUTRIT_PAIR, evolved_family_by_entries, family_fidelity_by_mpmath, swapped_family_by_mixture
+from conftest import (
+    QUTRIT_PAIR, bures_fidelity, evolved_family_by_entries, family_fidelity_by_mpmath, swapped_family_by_mixture,
+)
 from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
 from dephaselab.criteria import (
-    bures_fidelity,
     find_sign_change,
     min_pt_eigenvalue,
     qubit_block_witness,
@@ -152,7 +153,7 @@ class TestPtSpectrum:
     def test_branch_membership_unequal_rates(self):
         ga, gb, t = 0.6, 1.3, 0.9
         evolved = evolved_closed_form(4.5, NoiseParams(ga, gb, t))
-        spectrum = eigvals_hermitian(partial_transpose(evolved, "B"))
+        spectrum = eigvals_hermitian(partial_transpose(evolved))
         for lam in (ga, gb, ga + gb):
             target = pt_branch_eigenvalue(4.5, lam, t)
             assert float(np.min(np.abs(spectrum - target))) < 1e-10

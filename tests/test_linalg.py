@@ -16,10 +16,9 @@ from dephaselab.linalg import (
     eigvals_hermitian,
     hermitize,
     singular_values,
-    sqrt_psd,
     trace,
 )
-from conftest import hermitize_by_passes
+from conftest import hermitize_by_passes, sqrt_psd
 
 
 def random_hermitian(rng, n):

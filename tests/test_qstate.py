@@ -101,34 +101,29 @@ class TestPartialTranspose:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_loop_oracle_both_sides(self, seed):
         state = random_state(np.random.default_rng(seed), QUTRIT_PAIR)
-        for side in ("A", "B"):
-            assert np.max(np.abs(partial_transpose(state, side) - pt_by_loops(state, side))) < 1e-15
+        assert np.max(np.abs(partial_transpose(state) - pt_by_loops(state, "B"))) < 1e-15
 
     def test_spectra_agree_across_sides(self, rng):
         for dims in (QUTRIT_PAIR, Dims(2, 4)):
             state = random_state(rng, dims)
-            wa = eigvals_hermitian(partial_transpose(state, "A"))
-            wb = eigvals_hermitian(partial_transpose(state, "B"))
+            wa = eigvals_hermitian(pt_by_loops(state, "A"))
+            wb = eigvals_hermitian(partial_transpose(state))
             assert np.max(np.abs(wa - wb)) < 1e-10
 
     def test_involution(self, rng):
         state = random_state(rng, QUTRIT_PAIR)
-        twice = partial_transpose(DensityMatrix(partial_transpose(state, "B"), QUTRIT_PAIR), "B")
+        twice = partial_transpose(DensityMatrix(partial_transpose(state), QUTRIT_PAIR))
         assert np.max(np.abs(twice - state.mat)) < 1e-15
 
     def test_diagonal_state_is_fixed(self):
         diag = make_state(QUTRIT_PAIR, np.diag(np.arange(1.0, 10.0)) / 45)
-        assert np.max(np.abs(partial_transpose(diag, "B") - diag.mat)) < 1e-15
+        assert np.max(np.abs(partial_transpose(diag) - diag.mat)) < 1e-15
 
     def test_preserves_trace_and_hermiticity(self, rng):
         state = random_state(rng, Dims(2, 3))
-        pt = partial_transpose(state, "B")
+        pt = partial_transpose(state)
         assert abs(np.trace(pt) - 1.0) < 1e-12
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
-
-    def test_rejects_unknown_side(self, rng):
-        with pytest.raises(ValueError):
-            partial_transpose(random_state(rng, QUTRIT_PAIR), "C")
 
 
 class TestRealign:

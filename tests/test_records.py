@@ -100,11 +100,11 @@ def test_record_arrays_are_read_only_copies():
 
 def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
     # numpy.random (with secrets, hashlib and OpenSSL) is imported by the
-    # first np.random call, which only verify-lemmas makes. mpmath serves
-    # only the test oracles.
+    # first np.random call, which only verify-lemmas makes. mpmath, sympy,
+    # scipy and hypothesis serve only the tests and their oracles.
     code = (
-        "import sys, dephaselab.cli; "
-        "print(sorted({'dataclasses', 'csv', 'numpy.random', 'mpmath'} & set(sys.modules)))"
+        "import sys, dephaselab.cli; print(sorted("
+        "{'dataclasses', 'csv', 'numpy.random', 'mpmath', 'sympy', 'scipy', 'hypothesis'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
