@@ -307,7 +307,7 @@ def _sample_witnesses(seed: int, samples: int):
     Each chunk is a dict of arrays with one entry per state: the limit
     entries describe the infinite-time limit, parent_pt_min the state
     itself and evolved_pt_min the state at t = 0.7. A probe's witness is
-    NaN where the probe of that state alone raises ZeroTraceError.
+    NaN where its projection carries no weight.
 
     Each claim is a conjunction of two witnesses, so the second is taken
     only where the first fires, and is NaN elsewhere: limit_pt_min where

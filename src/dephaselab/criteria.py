@@ -17,8 +17,7 @@ Leading-axis convention: each classifier takes one state or a stack
 (N, n, n) and is written once, over the stack. For one state a witness
 is a float and a record a single record; for a stack a witness is an
 (N,) array and a record a tuple of N records, member k's result
-bit-identical to classifying member k alone, except that
-qubit_block_witness gives NaN where the member alone raises.
+bit-identical to classifying member k alone.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from .linalg import (
     TOL, CheckedRecord, DomainError, eigvals_hermitian, eigvals_hermitized, singular_values, trace,
 )
-from .qstate import DensityMatrix, Dims, ZeroTraceError, partial_transpose, project_local, realign
+from .qstate import DensityMatrix, Dims, partial_transpose, project_local, realign
 
 
 class CoverageError(DomainError):
@@ -152,19 +151,16 @@ def qubit_block_witness(
     local projection of a PPT state is PPT, so a negative witness
     certifies the parent state distillable (Horodecki, PRL 80, 5239).
 
-    The weight is branch * trace of the raw block. One state raises
-    ZeroTraceError when it is below TOL.zero_trace; a stack member below
-    it gets a NaN witness, which fails every test against -TOL.verdict.
+    The weight is branch * trace of the raw block. A state, or a stack
+    member, whose weight is below TOL.zero_trace gets a NaN witness,
+    which fails every test against -TOL.verdict.
     """
-    block = project_local(state, tuple(a_labels), tuple(b_labels), renormalize=False)
+    block = project_local(state, tuple(a_labels), tuple(b_labels))
     tr = trace(block.mat).real
     live = branch * tr >= TOL.zero_trace
-    if block.mat.ndim == 2 and not live:
-        raise ZeroTraceError(f"projected weight {branch * tr:.3e} below {TOL.zero_trace:.1e}")
     with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which the Hermiticity check rejects
         normalized = block.mat / np.where(live, tr, 1.0)[..., None, None]
-    witness = min_pt_eigenvalue(DensityMatrix(normalized, block.dims))
-    return witness if block.mat.ndim == 2 else np.where(live, witness, np.nan)
+    return _per_member(np.where(live, min_pt_eigenvalue(DensityMatrix(normalized, block.dims)), np.nan))
 
 
 def separability_certificate(

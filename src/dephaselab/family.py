@@ -16,11 +16,11 @@ test suite; none are trusted on their own.
 Leading-axis convention: the probes (one_sided_probe, its
 erased_ground_witness step, two_sided_probe) take one state or a stack
 (N, 9, 9) and return a float or an (N,) array of witnesses, each
-member's bit-identical to probing that member alone; a member whose
-branch carries no weight gets NaN where probing it alone raises
-ZeroTraceError. The family constructors, mc_* and limit_verdict
-handle one state. The constructors build it from checked inputs (an
-alpha, a McSpec) valid by construction, without make_state.
+member's bit-identical to probing that member alone, and NaN where the
+branch carries no weight; mc_projection gives None for an empty
+projection. The family constructors, mc_* and limit_verdict handle one
+state. The constructors build it from checked inputs (an alpha, a
+McSpec) valid by construction, without make_state.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
 from .criteria import BlockSpec, qubit_block_witness
-from .linalg import TOL, CheckedRecord, DomainError, hermitize
-from .qstate import DensityMatrix, Dims, ZeroTraceError, check_state_matrix, project_local
+from .linalg import TOL, CheckedRecord, DomainError, hermitize, trace
+from .qstate import DensityMatrix, Dims, check_state_matrix, project_local
 
 QUTRIT_PAIR = Dims(3, 3)
 
@@ -156,12 +156,15 @@ def pt_branch_eigenvalue(alpha: float, rate_sum: float, t: float) -> float:
     Each surviving coherence of the evolved family pairs, after partial
     transposition, against two background populations; the branch damped
     at total rate rate_sum contributes the eigenvalue
-    (5 - sqrt((2*alpha - 5)^2 + 16*exp(-rate_sum*t))) / 42.
+    (5 - sqrt(s)) / 42 = 2*(alpha*(5 - alpha) - 4*x) / (21*(5 + sqrt(s))),
+    s = (2*alpha - 5)^2 + 16*x, x = exp(-rate_sum*t); the second form,
+    evaluated here, keeps its sign and relative accuracy near zero.
     The three branches use rate_a + rate_b, rate_a and rate_b. Negative
     exactly while exp(-rate_sum*t) > alpha*(5 - alpha)/4.
     """
     alpha = _check_alpha(alpha)
-    return (5.0 - math.sqrt((2.0 * alpha - 5.0) ** 2 + 16.0 * math.exp(-rate_sum * t))) / 42.0
+    x = math.exp(-rate_sum * t)
+    return 2.0 * (alpha * (5.0 - alpha) - 4.0 * x) / (21.0 * (5.0 + math.sqrt((2.0 * alpha - 5.0) ** 2 + 16.0 * x)))
 
 
 def ppt_onset_time(alpha: float, gamma_rate: float) -> float:
@@ -234,8 +237,8 @@ def erased_ground_witness(evolved: DensityMatrix, side: str, noise: NoiseParams)
     "B") or 2x3 (side "A") support, where NPT is conclusive, so a
     negative witness certifies the evolved state distillable at this
     time. Returns the witness of the normalized branch, whose weight is
-    omega^2 times the block's trace; raises ZeroTraceError when the
-    branch carries no weight (t = 0). Takes one state or a stack.
+    omega^2 times the block's trace, and NaN when the branch carries no
+    weight (t = 0). Takes one state or a stack.
     """
     if evolved.dims != QUTRIT_PAIR:
         raise ValueError(f"probe is defined on dims (3, 3), got {evolved.dims}")
@@ -255,8 +258,8 @@ def two_sided_probe(state: DensityMatrix) -> float | np.ndarray:
     branch up to a positive scalar, and the ground/excited noise never
     touches it: its verdict is time independent. A negative witness
     certifies the state distillable at every finite time (it never loses
-    distillability under this noise). Raises ZeroTraceError when the
-    corner is empty. Takes one state or a stack.
+    distillability under this noise). NaN when the corner is empty.
+    Takes one state or a stack.
     """
     if state.dims != QUTRIT_PAIR:
         raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
@@ -320,19 +323,23 @@ def mc_projection(
     """Read off a maximally correlated state from a two-qubit projection.
 
     Projects onto the labels (|i><i| + |j><j|) x (|m><m| + |n><n|) and
-    renormalizes. Returns the 2x2 coefficient matrix when the projection
-    has support exactly on the maximally correlated positions (both
-    cross populations and all other coherences up to TOL.mc_pattern) with a
-    nonzero off-diagonal; such a finding certifies the parent state
-    distillable at every finite time under general dephasing. Returns
-    None otherwise - including for states whose projection merely
-    contains a coherence among extra populations, where that certificate
-    would be unsound. Raises ZeroTraceError on an empty projection.
+    divides by the block's weight. Returns the 2x2 coefficient matrix
+    when the projection has support exactly on the maximally correlated
+    positions (both cross populations and all other coherences up to
+    TOL.mc_pattern) with a nonzero off-diagonal; such a finding certifies
+    the parent state distillable at every finite time under general
+    dephasing. Returns None otherwise: for an empty projection, and for
+    states whose projection merely contains a coherence among extra
+    populations, where that certificate would be unsound.
     """
-    sub = project_local(state, tuple(a_labels), tuple(b_labels), renormalize=True)
-    if _mc_deviation(sub.mat, 2) > TOL.mc_pattern:
+    block = project_local(state, tuple(a_labels), tuple(b_labels)).mat
+    weight = trace(block).real
+    if weight < TOL.zero_trace:
         return None
-    a = sub.mat[_mc_support(2)]
+    sub = block / weight
+    if _mc_deviation(sub, 2) > TOL.mc_pattern:
+        return None
+    a = sub[_mc_support(2)]
     if abs(a[0, 1]) <= TOL.mc_pattern:
         return None
     return McSpec(2, a / np.trace(a).real)
@@ -345,12 +352,9 @@ def limit_verdict(state: DensityMatrix) -> LimitVerdict:
     term except the doublet-doublet corner is manifestly separable, and
     the corner lives on a 2x2 support where PPT decides separability
     outright. A PPT-entangled limit is impossible, so the verdict is
-    always one of the two.
+    always one of the two; an empty corner's NaN witness reads separable.
     """
-    try:
-        witness = two_sided_probe(infinite_limit(state))
-    except ZeroTraceError:
-        return LimitVerdict.SEPARABLE_LIMIT
+    witness = two_sided_probe(infinite_limit(state))
     return LimitVerdict.DISTILLABLE_LIMIT if witness < -TOL.verdict else LimitVerdict.SEPARABLE_LIMIT
 
 

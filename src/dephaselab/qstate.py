@@ -14,10 +14,11 @@ permutations from a state that is already valid.
 
 Leading-axis convention: a DensityMatrix may carry one matrix (n, n) or
 a stack (N, n, n) of states on the same dims. partial_transpose (side
-B), realign and project_local map a stack member by member onto the
-same leading axis, each member's result bit-identical to that member's
-alone; random_state draws a stack when given a size; check_state_matrix,
-make_state, state_from_json, tensor and state_to_json handle one state.
+B), realign and project_local (the raw block, weight included) map a
+stack member by member onto the same leading axis, each member's result
+bit-identical to that member's alone; random_state draws a stack when
+given a size; check_state_matrix, make_state, state_from_json, tensor
+and state_to_json handle one state.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class BadShapeError(DomainError):
 
 class TraceNotOneError(DomainError):
     """Trace differs from 1 beyond tolerance."""
-
-
-class ZeroTraceError(DomainError):
-    """Projection left no weight to renormalize."""
 
 
 class NonFiniteError(DomainError):
@@ -153,19 +150,11 @@ def realign(state: DensityMatrix) -> np.ndarray:
     )
 
 
-def project_local(
-    state: DensityMatrix,
-    keep_a: Sequence[int],
-    keep_b: Sequence[int],
-    renormalize: bool = True,
-) -> DensityMatrix:
+def project_local(state: DensityMatrix, keep_a: Sequence[int], keep_b: Sequence[int]) -> DensityMatrix:
     """Restrict to the subspace spanned by the kept local basis labels.
 
-    Returns a state on dimensions (len(keep_a), len(keep_b)) in the order
-    the labels are given. With renormalize the block is scaled to unit
-    trace (ZeroTraceError if its weight is below TOL.zero_trace; for a
-    stack, the first such member's error); without it the raw compressed
-    block is returned, weight included.
+    Returns the raw block, weight included, on dimensions
+    (len(keep_a), len(keep_b)) in the order the labels are given.
     """
     keep_a = list(keep_a)
     keep_b = list(keep_b)
@@ -175,14 +164,7 @@ def project_local(
         if len(set(label)) != len(label) or any(x < 0 or x >= dim for x in label):
             raise ValueError(f"invalid labels {label} for side {side} of dimension {dim}")
     idx = np.array([state.dims.flat(a, b) for a in keep_a for b in keep_b])
-    block = state.mat[..., idx[:, None], idx]
-    if renormalize:
-        weight = trace(block).real
-        low = np.flatnonzero(weight < TOL.zero_trace)
-        if low.size:
-            raise ZeroTraceError(f"projected weight {weight.flat[low[0]]:.3e} below {TOL.zero_trace:.1e}")
-        block /= weight[..., None, None]
-    return DensityMatrix(block, Dims(len(keep_a), len(keep_b)))
+    return DensityMatrix(state.mat[..., idx[:, None], idx], Dims(len(keep_a), len(keep_b)))
 
 
 def tensor(sigma_a, sigma_b) -> np.ndarray:
@@ -221,13 +203,16 @@ def state_to_json(state: DensityMatrix) -> str:
 def state_from_json(text: str) -> DensityMatrix:
     """Parse the interchange schema and validate through make_state.
 
-    Malformed documents raise ValueError (or json.JSONDecodeError, a
-    subclass); physically invalid matrices raise the make_state errors.
+    Malformed documents, dimensions other than JSON integers among them,
+    raise ValueError (or its subclass json.JSONDecodeError); physically
+    invalid matrices raise the make_state errors.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or not {"da", "db", "mat"} <= set(doc):
         raise ValueError("state document must carry keys 'da', 'db', 'mat'")
-    dims = Dims(int(doc["da"]), int(doc["db"]))
+    if any(type(doc[key]) is not int for key in ("da", "db")):  # a bool is an int, but not a dimension
+        raise ValueError(f"'da' and 'db' must be JSON integers, got {json.dumps([doc['da'], doc['db']])}")
+    dims = Dims(doc["da"], doc["db"])
     pairs = doc["mat"]
     if not isinstance(pairs, list) or len(pairs) != dims.n ** 2:
         raise ValueError(f"'mat' must list {dims.n ** 2} [re, im] pairs")

@@ -24,7 +24,7 @@ from dephaselab import channels, criteria, family
 from dephaselab.channels import NoiseParams, ground_excited
 from dephaselab.family import initial_state
 from dephaselab.linalg import TOL, NotPSDError, eig_hermitian, eigvals_hermitian, singular_values
-from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, ZeroTraceError, make_state
+from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state
 
 QUTRIT_PAIR = Dims(3, 3)
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -264,8 +264,8 @@ def random_state_by_draws(rng: np.random.Generator, dims: Dims) -> DensityMatrix
 def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]:
     """verify-lemmas' random-sample witnesses, one state at a time.
 
-    Keys match the chunks of cli._sample_witnesses. A probe that raises
-    ZeroTraceError leaves a NaN witness. Every witness is computed for
+    Keys match the chunks of cli._sample_witnesses. A probe whose
+    projection carries no weight gives a NaN witness. Every witness is computed for
     every state, including the second witnesses that the chunks compute
     only where their claim's first witness fires; a test applies that
     gate to this full result.
@@ -275,20 +275,13 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
     rows = []
     for s in [random_state_by_draws(rng, QUTRIT_PAIR) for _ in range(samples)]:
         lim = channels.infinite_limit(s)
-        row = {
+        rows.append({
             "limit_pt_min": criteria.min_pt_eigenvalue(lim),
             "limit_excess": criteria.realignment_excess(lim),
             "parent_pt_min": criteria.min_pt_eigenvalue(s),
             "evolved_pt_min": criteria.min_pt_eigenvalue(ground_excited(s, noise)),
-        }
-        for key, probe in (
-            ("two_sided", lambda: family.two_sided_probe(s)),
-            ("one_sided", lambda: family.one_sided_probe(s, "B", noise)),
-        ):
-            try:
-                row[key] = probe()
-            except ZeroTraceError:
-                row[key] = np.nan
-        rows.append(row)
+            "two_sided": family.two_sided_probe(s),
+            "one_sided": family.one_sided_probe(s, "B", noise),
+        })
     keys = ("limit_pt_min", "limit_excess", "two_sided", "parent_pt_min", "one_sided", "evolved_pt_min")
     return {key: np.array([row[key] for row in rows], dtype=float) for key in keys}

@@ -458,6 +458,16 @@ class TestExitCodes:
         short.write_text(json.dumps({"da": 3, "db": 3, "mat": [[1.0, 0.0]] * 4}))
         assert run_cli("evolve", "--initial", str(short), "--t", "1").returncode == 2
 
+    @pytest.mark.parametrize("da", [None, [3], 3.9, "3"], ids=["null", "list", "float", "string"])
+    def test_non_integer_dimensions_exit_two(self, da, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(state_to_json(initial_state(4.5)).replace('"da": 3', f'"da": {json.dumps(da)}'))
+        result = run_cli("classify", "--initial", str(path), "--t", "1")
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.decode().startswith("error: malformed state file")
+        assert b"Traceback" not in result.stderr
+
     def test_content_errors_exit_three(self, tmp_path):
         assert run_cli("evolve", "--alpha", "5.5", "--t", "1").returncode == 3
         assert run_cli("classify", "--alpha", "3.0", "--t", "1").returncode == 3
@@ -579,7 +589,7 @@ def test_domain_errors_are_the_exit_3_classes():
     assert DomainError in defined and issubclass(DomainError, ValueError)
     assert {kind.__name__ for kind in defined if issubclass(kind, DomainError) and kind is not DomainError} == {
         "NotHermitianError", "NotPSDError", "BadShapeError", "TraceNotOneError",
-        "ZeroTraceError", "NonFiniteError", "CoverageError", "AlphaDomainError",
+        "NonFiniteError", "CoverageError", "AlphaDomainError",
     }
 
 

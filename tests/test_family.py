@@ -42,7 +42,7 @@ from dephaselab.family import (
     two_sided_probe,
 )
 from dephaselab.linalg import TOL, NotPSDError, eigvals_hermitian
-from dephaselab.qstate import Dims, TraceNotOneError, ZeroTraceError, make_state, partial_transpose
+from dephaselab.qstate import Dims, TraceNotOneError, make_state, partial_transpose
 
 
 def display_branch_eigenvalue(alpha: float, lam: float, t: float) -> float:
@@ -316,13 +316,11 @@ class TestProbes:
         # crosses TOL.zero_trace at t of about 1.5e-12.
         early, late = NoiseParams(1.0, 1.0, 0.5e-12), NoiseParams(1.0, 1.0, 3e-12)
         assert early.omega_b ** 2 * (2.0 / 3.0) < TOL.zero_trace < late.omega_b ** 2 * (2.0 / 3.0)
-        with pytest.raises(ZeroTraceError):
-            one_sided_probe(initial_state(4.5), "B", early)
+        assert math.isnan(one_sided_probe(initial_state(4.5), "B", early))
         assert math.isfinite(one_sided_probe(initial_state(4.5), "B", late))
 
     def test_one_sided_needs_time(self):
-        with pytest.raises(ZeroTraceError):
-            one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 0.0))
+        assert math.isnan(one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 0.0)))
 
     def test_one_sided_rejects_bad_side(self):
         with pytest.raises(ValueError):
@@ -416,12 +414,10 @@ class TestMaximallyCorrelated:
         diag = mc_state(McSpec(3, np.diag([0.2, 0.3, 0.5])))
         assert mc_projection(diag, (0, 1), (0, 1)) is None
 
-    def test_projection_empty_block_raises(self):
+    def test_projection_empty_block_is_none(self):
         m = np.zeros((9, 9), dtype=complex)
         m[0, 0] = 1.0
-        state = make_state(QUTRIT_PAIR, m)
-        with pytest.raises(ZeroTraceError):
-            mc_projection(state, (1, 2), (1, 2))
+        assert mc_projection(make_state(QUTRIT_PAIR, m), (1, 2), (1, 2)) is None
 
 
 class TestLimitVerdict:
