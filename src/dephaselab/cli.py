@@ -19,7 +19,6 @@ is byte-identical across reruns with identical flags and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -108,6 +107,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    import json
+
     noise = NoiseParams(args.gamma_a, args.gamma_b, args.t)
     state = ground_excited(_base_state(args.initial, args.alpha), noise)
     blocks = family.certificate_blocks() if args.certificate == "three-block" else None
@@ -198,6 +199,8 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     """Print the family's transition times as JSON: a float, "inf" where
     the transition never happens, or null where it is undefined (no PPT
     onset exists for alpha <= 4)."""
+    import json
+
     alpha, gamma = args.alpha, args.gamma
     base = family.initial_state(alpha)
     blocks = family.certificate_blocks()

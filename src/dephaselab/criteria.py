@@ -209,31 +209,34 @@ def _certify(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The certificate over an (N, n, n) stack.
 
+    One index gathers the B blocks of every member into a (B * N, 4, 4)
+    stack, so the PT eigensolve and the block eigensolve run once each
+    for all blocks; a block's values are those of its own eigensolve.
+
     Returns (passed, minima, residual_diagonal_min, residual_offdiagonal_max)
     as arrays over the members; minima[b] holds block b's minimum
     eigenvalue and minimum PT eigenvalue, each of shape (N,).
     """
-    n = dims.n
-    cover = np.zeros((n, n), dtype=int)
-    diag_alloc = np.zeros(n)
+    n, count, size = dims.n, len(blocks), len(mats)
+    idx = np.array([block.flat_indices(dims) for block in blocks], dtype=int).reshape(count, 4)
+    weights = np.array([[float(b.diag_weights.get(i, 1.0)) for i in row] for b, row in zip(blocks, idx.tolist())])
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    # How many blocks hold each off-diagonal entry, and how much of each
+    # diagonal entry they take in all.
+    cover = np.bincount((rows * n + cols)[:, ~np.eye(4, dtype=bool)].ravel(), minlength=n * n).reshape(n, n)
+    diag_alloc = np.bincount(idx.ravel(), weights.ravel(), minlength=n)
+    # Block major, so the Hermiticity check reports block 0's members first.
+    padded = np.ascontiguousarray(mats[:, rows, cols].swapaxes(0, 1))
+    padded.reshape(count, size, 16)[..., ::5] *= weights[:, None, :]  # each block's diagonal, as a view
     embedded = np.zeros_like(mats)
-    minima = []
-    pairs = ~np.eye(4, dtype=bool)
-    for block in blocks:
-        idx = block.flat_indices(dims)
-        rows, cols = np.ix_(idx, idx)
-        weights = np.array([float(block.diag_weights.get(i, 1.0)) for i in idx])
-        padded = mats[:, rows, cols]
-        padded.reshape(len(mats), 16)[:, ::5] *= weights  # each block's diagonal, as a view
-        diag_alloc[idx] += weights
-        cover[rows, cols] += pairs
-        embedded[:, rows, cols] += padded
-        # The PT check rejects a non-finite block, so the Hermitian part,
-        # Hermitian by construction, needs no check of its own.
-        pt_min = min_pt_eigenvalue(DensityMatrix(padded, Dims(2, 2)))
-        w_min = eigvals_hermitized((padded + padded.conj().swapaxes(-1, -2)) / 2)[:, 0]
-        minima.append((w_min, pt_min))
-    minima = np.reshape(minima, (len(blocks), 2, len(mats)))
+    for b in range(count):
+        embedded[:, rows[b], cols[b]] += padded[b]
+    # The PT check rejects a non-finite block, so the Hermitian part,
+    # Hermitian by construction, needs no check of its own.
+    padded = padded.reshape(-1, 4, 4)
+    pt_min = min_pt_eigenvalue(DensityMatrix(padded, Dims(2, 2)))
+    w_min = eigvals_hermitized((padded + padded.conj().swapaxes(-1, -2)) / 2)[:, 0]
+    minima = np.stack((w_min.reshape(count, size), pt_min.reshape(count, size)), axis=1)
     off = ~np.eye(n, dtype=bool)
     live = (np.abs(mats) > TOL.coherence_floor) & off
     overallocated = (diag_alloc > 1 + TOL.allocation_slack).any()

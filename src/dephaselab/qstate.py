@@ -23,7 +23,6 @@ and state_to_json handle one state.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -196,6 +195,8 @@ def state_to_json(state: DensityMatrix) -> str:
     {"da": 3, "db": 3, "mat": [[re, im], ...]} with "mat" the row-major
     flattening of the matrix, one [real, imag] pair per entry.
     """
+    import json
+
     pairs = [[float(z.real), float(z.imag)] for z in state.mat.ravel()]
     return json.dumps({"da": state.dims.da, "db": state.dims.db, "mat": pairs})
 
@@ -207,6 +208,8 @@ def state_from_json(text: str) -> DensityMatrix:
     raise ValueError (or its subclass json.JSONDecodeError); physically
     invalid matrices raise the make_state errors.
     """
+    import json
+
     doc = json.loads(text)
     if not isinstance(doc, dict) or not {"da", "db", "mat"} <= set(doc):
         raise ValueError("state document must carry keys 'da', 'db', 'mat'")

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephaselab import linalg
+from dephaselab.channels import infinite_limit, sector_dephase
+from dephaselab.family import initial_state
 from dephaselab.linalg import (
     TOL,
     NotHermitianError,
@@ -18,6 +21,7 @@ from dephaselab.linalg import (
     singular_values,
     trace,
 )
+from dephaselab.qstate import Dims, partial_transpose, random_state, realign
 from conftest import hermitize_by_passes, sqrt_psd
 
 
@@ -136,6 +140,80 @@ class TestSingularValues:
             singular_values(np.zeros(4))
         with pytest.raises(NotSquareError):
             singular_values(np.zeros((2, 2, 2, 2)))
+
+
+def dense_singular_values(a):
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def splits(a, hermitian: bool) -> bool:
+    """Whether every member of a is solved block by block, not densely."""
+    stack = np.reshape(a, (-1,) + np.shape(a)[-2:])
+    return all(linalg._split(m.shape, (m != 0).tobytes(), hermitian) is not None for m in stack)
+
+
+def permuted_block_hermitian(rng, sizes):
+    """A random Hermitian matrix of unit Frobenius norm, block diagonal
+    with the given block sizes under a random symmetric permutation."""
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k in sizes:
+        m[start:start + k, start:start + k] = random_hermitian(rng, k)
+        start += k
+    p = rng.permutation(n)
+    return m[np.ix_(p, p)] / np.linalg.norm(m)
+
+
+class TestBlockSplit:
+    """Spectra taken block by block match one dense LAPACK call."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), size=st.integers(1, 9))
+    def test_permuted_block_diagonal_hermitian_stacks(self, seed, size):
+        rng = np.random.default_rng(seed)
+        layouts = [(1, 2, 3, 3), (3, 3, 3), (2, 2, 2, 1, 1, 1), (1,) * 9, (3, 2, 2, 1, 1)]
+        stack = np.array([permuted_block_hermitian(rng, layouts[rng.integers(len(layouts))]) for _ in range(size)])
+        assert splits(stack, hermitian=True)
+        assert np.max(np.abs(eigvals_hermitian(stack) - np.linalg.eigvalsh(stack))) <= 1e-14
+        assert np.max(np.abs(singular_values(stack) - dense_singular_values(stack))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "a, hermitian, split",
+        [
+            # The limit keeps a 5x5 core of the realigned matrix, with four zero rows and columns.
+            (realign(infinite_limit(random_state(np.random.default_rng(5), Dims(3, 3), 7))), False, True),
+            (realign(random_state(np.random.default_rng(6), Dims(2, 3))), False, False),
+            (realign(sector_dephase(random_state(np.random.default_rng(6), Dims(2, 3)), (0, 1), (0, 1, 1), 0, 0)),
+             False, True),
+            (realign(initial_state(4.5)), False, True),
+            (partial_transpose(initial_state(4.5)), True, True),
+            (np.zeros((9, 9)), True, True),
+        ],
+        ids=["limit-core", "rectangular", "rectangular-limit", "family-realigned", "family-pt", "zero"],
+    )
+    def test_split_matches_dense(self, a, hermitian, split):
+        assert splits(a, hermitian) == split
+        assert np.max(np.abs(singular_values(a) - dense_singular_values(a))) <= 1e-14
+        if hermitian:
+            assert np.max(np.abs(eigvals_hermitian(a) - np.linalg.eigvalsh(a))) <= 1e-14
+
+    def test_empty_rows_and_columns_add_zero_singular_values(self):
+        a = realign(infinite_limit(random_state(np.random.default_rng(5), Dims(3, 3))))
+        assert np.count_nonzero(a.any(axis=0)) == np.count_nonzero(a.any(axis=1)) == 5
+        assert np.all(singular_values(a)[5:] == 0.0)
+
+    def test_zero_matrix_and_empty_stack(self):
+        assert np.array_equal(eigvals_hermitian(np.zeros((9, 9))), np.zeros(9))
+        assert np.array_equal(singular_values(np.zeros((9, 9))), np.zeros(9))
+        empty = np.zeros((0, 9, 9))
+        assert eigvals_hermitian(empty).shape == singular_values(empty).shape == (0, 9)
+
+    def test_nan_in_a_splittable_matrix_is_not_hermitian(self):
+        a = np.array(partial_transpose(initial_state(4.5)))
+        a[0, 4] = a[4, 0] = np.nan
+        with pytest.raises(NotHermitianError):
+            eigvals_hermitian(a)
 
 
 class TestSqrtPsd:

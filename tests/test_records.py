@@ -2,7 +2,7 @@
 
 Every record keeps its field names and order and its repr, and rejects
 assignment to a field. A cold `import dephaselab.cli` loads neither
-`dataclasses` nor `csv`.
+`dataclasses`, `csv` nor `json`.
 """
 
 import importlib
@@ -100,11 +100,13 @@ def test_record_arrays_are_read_only_copies():
 
 def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
     # numpy.random (with secrets, hashlib and OpenSSL) is imported by the
-    # first np.random call, which only verify-lemmas makes. mpmath, sympy,
-    # scipy and hypothesis serve only the tests and their oracles.
+    # first np.random call, which only verify-lemmas makes. json is
+    # imported by the commands that read or print JSON, not by sweeps or
+    # verify-lemmas. mpmath, sympy, scipy and hypothesis serve only the
+    # tests and their oracles.
     code = (
-        "import sys, dephaselab.cli; print(sorted("
-        "{'dataclasses', 'csv', 'numpy.random', 'mpmath', 'sympy', 'scipy', 'hypothesis'} & set(sys.modules)))"
+        "import sys, dephaselab.cli; print(sorted({'dataclasses', 'csv', 'json', 'numpy.random', "
+        "'mpmath', 'sympy', 'scipy', 'hypothesis'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

@@ -53,6 +53,18 @@ def family_stack(rng: np.random.Generator, alpha: float, rate: float, size: int)
     return sector_dephase(initial_state(alpha), GROUND_EXCITED, GROUND_EXCITED, keep, keep)
 
 
+def mixed_support_stack(rng: np.random.Generator, alpha: float, rate: float, size: int) -> DensityMatrix:
+    """family_stack whose members differ in support, as sweeps at large
+    rates make them: beside times in [0, 4 / rate], some points have
+    rate * t in [800, 1400], where the retention product
+    exp(-rate * t) underflows to 0 and the (|01>, |10>) coherence
+    vanishes, and some have rate * t >= 1600, where every retention
+    exp(-rate * t / 2) underflows to 0 and the state is diagonal."""
+    ranges = np.array([[0.0, 4.0], [800.0, 1400.0], [1600.0, 4000.0]])[rng.integers(3, size=size)]
+    keep = np.array([NoiseParams(rate, rate, t).gamma_a for t in rng.uniform(ranges[:, 0], ranges[:, 1]) / rate])
+    return sector_dephase(initial_state(alpha), GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+
+
 class TestStacks:
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, size=sizes, rate_a=st.floats(0.0, 3.0), rate_b=st.floats(0.0, 3.0))
@@ -97,6 +109,24 @@ class TestStacks:
                 )
         assert stacked == tuple(alone)
         assert type(stacked) is tuple and all(type(r) is CertificateResult for r in stacked + tuple(alone))
+        assert classify(stack, blocks) == tuple(classify(s, blocks) for s in singles)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=seeds, size=sizes, alpha=st.floats(4.05, 4.95), rate=st.floats(0.3, 2.0))
+    def test_mixed_supports(self, seed, size, alpha, rate):
+        stack = mixed_support_stack(np.random.default_rng(seed), alpha, rate, size)
+        singles = members(stack)
+        blocks = certificate_blocks()
+        assert_same_bits(min_pt_eigenvalue(stack), [min_pt_eigenvalue(s) for s in singles])
+        assert_same_bits(realignment_excess(stack), [realignment_excess(s) for s in singles])
+        stacked = separability_certificate(stack, blocks)
+        alone = [separability_certificate(s, blocks) for s in singles]
+        for k in range(len(blocks)):
+            for field in ("min_eigenvalue", "min_pt_eigenvalue"):
+                assert_same_bits(
+                    [getattr(r.blocks[k], field) for r in stacked], [getattr(r.blocks[k], field) for r in alone]
+                )
+        assert stacked == tuple(alone)
         assert classify(stack, blocks) == tuple(classify(s, blocks) for s in singles)
 
     @pytest.mark.parametrize("size", SIZES)
