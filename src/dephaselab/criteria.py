@@ -23,8 +23,9 @@ bit-identical to classifying member k alone.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,32 +66,38 @@ class Classification(NamedTuple):
 class BlockSpec(CheckedRecord, NamedTuple("BlockSpec", [
     ("a_labels", tuple[int, int]),
     ("b_labels", tuple[int, int]),
-    ("diag_weights", Mapping[int, float]),
+    ("diag_weights", tuple[float, float, float, float]),
 ])):
     """One two-qubit block of a separability certificate.
 
     a_labels and b_labels pick two local basis labels per side; the block
     keeps the coherences among the four selected composite states at full
-    magnitude and takes the fraction diag_weights[flat_index] of each
-    selected diagonal entry (default 1). Fractions let several blocks
-    share one diagonal entry while their sum stays a valid decomposition.
+    magnitude and takes the fraction diag_weights[k] of the k-th selected
+    diagonal entry, in flat_indices order: (a0, b0), (a0, b1), (a1, b0),
+    (a1, b1). Fractions let several blocks share one diagonal entry while
+    their sum stays a valid decomposition. The fields are stored as
+    tuples of ints and floats, so a block is immutable and hashable.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, a_labels: tuple[int, int], b_labels: tuple[int, int], diag_weights: Mapping[int, float]
-    ) -> BlockSpec:
-        for pair, side in ((a_labels, "a"), (b_labels, "b")):
-            if len(pair) != 2 or pair[0] == pair[1] or any(x < 0 for x in pair):
+    def __new__(cls, a_labels: Sequence[int], b_labels: Sequence[int], diag_weights: Sequence[float]) -> BlockSpec:
+        try:
+            labels = [tuple(map(operator.index, pair)) for pair in (a_labels, b_labels)]
+        except TypeError:
+            raise ValueError(f"block labels must be integers, got {a_labels} and {b_labels}") from None
+        for pair, side in zip(labels, "ab"):
+            if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
                 raise ValueError(f"{side}_labels must be two distinct nonnegative labels, got {pair}")
-        for idx, w in diag_weights.items():
-            if not 0 < w <= 1:
-                raise ValueError(f"diagonal weight for index {idx} must be in (0, 1], got {w}")
-        return super().__new__(cls, a_labels, b_labels, diag_weights)
+        diag_weights = tuple(map(float, diag_weights))
+        if len(diag_weights) != 4 or not all(0 < w <= 1 for w in diag_weights):
+            raise ValueError(f"diag_weights must be 4 weights in (0, 1], got {diag_weights}")
+        return super().__new__(cls, *labels, diag_weights)
 
     def flat_indices(self, dims: Dims) -> list[int]:
-        """Composite indices of the four selected basis states."""
+        """Composite indices of the four selected basis states, in weight order."""
+        if max(self.a_labels) >= dims.da or max(self.b_labels) >= dims.db:
+            raise ValueError(f"labels {self.a_labels} x {self.b_labels} lie outside dims ({dims.da}, {dims.db})")
         return [dims.flat(a, b) for a in self.a_labels for b in self.b_labels]
 
 
@@ -101,14 +108,6 @@ class BlockDiagnostic(NamedTuple):
     b_labels: tuple[int, int]
     min_eigenvalue: float
     min_pt_eigenvalue: float
-
-    @property
-    def psd(self) -> bool:
-        return self.min_eigenvalue >= 0.0
-
-    @property
-    def ppt(self) -> bool:
-        return self.min_pt_eigenvalue >= 0.0
 
 
 class CertificateResult(NamedTuple):
@@ -182,7 +181,8 @@ def separability_certificate(
     Raises CoverageError when an off-diagonal entry of the state lies in
     no block or in more than one, or when the diagonal weights allocated
     to one entry exceed 1; for a stack, the error is the one the first
-    failing member raises alone.
+    failing member raises alone. Raises ValueError when a block's label
+    lies outside the state's local dimensions.
 
     Returns one CertificateResult for one state, and a plain tuple of
     them for a stack; a CertificateResult is itself a tuple, so test
@@ -193,7 +193,7 @@ def separability_certificate(
         CertificateResult(
             passed[k],
             tuple(
-                BlockDiagnostic(tuple(b.a_labels), tuple(b.b_labels), w_min[k], pt_min[k])
+                BlockDiagnostic(b.a_labels, b.b_labels, w_min[k], pt_min[k])
                 for b, (w_min, pt_min) in zip(blocks, minima)
             ),
             res_diag[k],
@@ -219,7 +219,7 @@ def _certify(
     """
     n, count, size = dims.n, len(blocks), len(mats)
     idx = np.array([block.flat_indices(dims) for block in blocks], dtype=int).reshape(count, 4)
-    weights = np.array([[float(b.diag_weights.get(i, 1.0)) for i in row] for b, row in zip(blocks, idx.tolist())])
+    weights = np.array([b.diag_weights for b in blocks]).reshape(count, 4)
     rows, cols = idx[:, :, None], idx[:, None, :]
     # How many blocks hold each off-diagonal entry, and how much of each
     # diagonal entry they take in all.
@@ -243,12 +243,13 @@ def _certify(
     failing = np.flatnonzero((live & (cover != 1)).any(axis=(1, 2)) | overallocated)
     if failing.size:
         k = failing[0]
+        ket = [f"|{a},{b}>" for a in range(dims.da) for b in range(dims.db)]  # by flat index
         for hit, where in ((live[k] & (cover == 0), "no block"), (live[k] & (cover > 1), "more than one block")):
             if hit.any():
                 i, j = np.argwhere(hit)[0]
-                raise CoverageError(f"coherence at ({i}, {j}) lies in {where}")
+                raise CoverageError(f"coherence between {ket[i]} and {ket[j]} lies in {where}")
         i = int(np.argmax(diag_alloc))
-        raise CoverageError(f"diagonal entry {i} allocated weight {diag_alloc[i]:.6f} > 1")
+        raise CoverageError(f"diagonal entry {ket[i]} allocated weight {diag_alloc[i]:.6f} > 1")
     residual = mats - embedded
     res_off = np.abs(residual[:, off]).max(axis=-1)
     res_diag = residual.diagonal(axis1=-2, axis2=-1).real.min(axis=-1)

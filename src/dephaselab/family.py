@@ -367,15 +367,10 @@ def certificate_blocks() -> tuple[BlockSpec, BlockSpec, BlockSpec]:
     residual is exactly zero. With these weights the certificate first
     passes at t = max(2*ln2, ppt_onset_time) / gamma_rate.
     """
-    d = QUTRIT_PAIR
-    i01, i10, i22 = d.flat(0, 1), d.flat(1, 0), d.flat(2, 2)
-    i00, i11 = d.flat(0, 0), d.flat(1, 1)
-    i02, i21 = d.flat(0, 2), d.flat(2, 1)
-    i12, i20 = d.flat(1, 2), d.flat(2, 0)
     return (
-        BlockSpec((0, 1), (0, 1), {i01: 0.5, i10: 0.5, i00: 1.0, i11: 1.0}),
-        BlockSpec((0, 2), (1, 2), {i01: 0.5, i22: 0.5, i02: 1.0, i21: 1.0}),
-        BlockSpec((1, 2), (0, 2), {i10: 0.5, i22: 0.5, i12: 1.0, i20: 1.0}),
+        BlockSpec((0, 1), (0, 1), (1.0, 0.5, 0.5, 1.0)),
+        BlockSpec((0, 2), (1, 2), (0.5, 1.0, 1.0, 0.5)),
+        BlockSpec((1, 2), (0, 2), (0.5, 1.0, 1.0, 0.5)),
     )
 
 

@@ -594,7 +594,7 @@ def test_domain_errors_are_the_exit_3_classes():
 
 
 class TestScripts:
-    def test_window_scan_and_figure_data(self, tmp_path):
+    def test_window_scan_and_figure_data(self):
         scripts = Path(__file__).parent.parent / "scripts"
         scan = subprocess.run(
             [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.1", "4.5", "4.9", "4.000001"],
@@ -615,12 +615,13 @@ class TestScripts:
             assert abs(float(t_ppt) - onset) <= 5e-7 and abs(float(t_real) - zero) <= 5e-7
             assert (window == "empty") == (zero <= onset)
         assert [line.split()[3] for line in lines[2:]] == ["0.1601", "0.1257", "empty", "0.1603"]
-        figures = subprocess.run(
-            [sys.executable, str(scripts / "figure_data.py"), "--out-dir", str(tmp_path), "--points", "5"],
-            capture_output=True,
-            check=False,
-            env=child_env(),
-        )
-        assert figures.returncode == 0
-        for name, rows in (("pt_min_eig.csv", 15), ("realignment_excess.csv", 5), ("fidelity.csv", 5)):
-            assert len((tmp_path / name).read_text().splitlines()) == rows + 1
+        # The data behind the standard figures, as README lists it.
+        t_range = ["--t-range", "0", "3.0", "5"]
+        for args, rows in (
+            (["--quantity", "pt-min-eig", "--alpha", "4.5", *t_range, "--gamma-range", "0.4", "1.0", "3"], 15),
+            (["--quantity", "realignment", "--alpha", "4.5", *t_range], 5),
+            (["--quantity", "fidelity", *t_range], 5),
+        ):
+            sweep = run_cli("sweep", *args)
+            assert sweep.returncode == 0
+            assert len(sweep.stdout.decode().splitlines()) == rows + 1

@@ -85,20 +85,35 @@ class TestWitnesses:
 
 class TestBlockSpec:
     def test_flat_indices(self):
-        block = BlockSpec((0, 2), (1, 2), {})
+        block = BlockSpec((0, 2), (1, 2), (1.0, 1.0, 1.0, 1.0))
         assert block.flat_indices(QUTRIT_PAIR) == [1, 2, 7, 8]
 
     def test_rejects_degenerate_labels(self):
         with pytest.raises(ValueError, match=re.escape("a_labels must be two distinct nonnegative labels, got (1, 1)")):
-            BlockSpec((1, 1), (0, 1), {})
+            BlockSpec((1, 1), (0, 1), (1.0, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match=re.escape("b_labels must be two distinct nonnegative labels, got (-1, 1)")):
-            BlockSpec((0, 1), (-1, 1), {})
+            BlockSpec((0, 1), (-1, 1), (1.0, 1.0, 1.0, 1.0))
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match=re.escape("diagonal weight for index 0 must be in (0, 1], got 0.0")):
-            BlockSpec((0, 1), (0, 1), {0: 0.0})
-        with pytest.raises(ValueError, match=re.escape("got 1.5")):
-            BlockSpec((0, 1), (0, 1), {0: 1.5})
+        with pytest.raises(ValueError, match=re.escape("must be 4 weights in (0, 1], got (0.0, 1.0, 1.0, 1.0)")):
+            BlockSpec((0, 1), (0, 1), (0.0, 1.0, 1.0, 1.0))
+        for weights in ((1.0, 1.0, 1.0, 1.5), (1.0,) * 3, (1.0,) * 5):
+            with pytest.raises(ValueError, match=re.escape(f"got {weights}")):
+                BlockSpec((0, 1), (0, 1), weights)
+
+    def test_is_hashable(self):
+        blocks = certificate_blocks()
+        assert len({*blocks, *certificate_blocks()}) == 3
+        assert hash(blocks[0]) == hash(BlockSpec((0, 1), (0, 1), (1.0, 0.5, 0.5, 1.0)))
+
+    def test_holds_copies_of_its_arguments(self):
+        a_labels, b_labels, weights = [0, 1], np.array([0, 1]), [1.0, 0.5, 0.5, 1.0]
+        block = BlockSpec(a_labels, b_labels, weights)
+        before = separability_certificate(family_at(2.0), (block, *certificate_blocks()[1:]))
+        a_labels[0], b_labels[0], weights[0] = 2, 2, 0.0
+        assert block == certificate_blocks()[0] and all(type(field) is tuple for field in block)
+        assert [type(x) for field in block for x in field] == [int] * 4 + [float] * 4
+        assert separability_certificate(family_at(2.0), (block, *certificate_blocks()[1:])) == before
 
 
 class TestSeparabilityCertificate:
@@ -116,7 +131,7 @@ class TestSeparabilityCertificate:
     def test_failing_block_is_reported(self):
         result = separability_certificate(family_at(0.3), certificate_blocks())
         assert not result.passed
-        assert any(not (b.psd and b.ppt) for b in result.blocks)
+        assert any(min(b.min_eigenvalue, b.min_pt_eigenvalue) < 0.0 for b in result.blocks)
 
     @pytest.mark.parametrize("alpha, t", [(4.9, 2.09964423), (4.5, 1.386294359)])
     def test_negative_block_minimum_fails(self, alpha, t):
@@ -127,7 +142,7 @@ class TestSeparabilityCertificate:
         # separable.
         result = separability_certificate(family_at(t, alpha), certificate_blocks())
         assert not result.passed
-        failing = [b for b in result.blocks if not (b.psd and b.ppt)]
+        failing = [b for b in result.blocks if min(b.min_eigenvalue, b.min_pt_eigenvalue) < 0.0]
         assert failing and all(-1e-10 < min(b.min_eigenvalue, b.min_pt_eigenvalue) < 0 for b in failing)
         assert classify(family_at(t, alpha), certificate_blocks()).verdict == Verdict.PPT_UNDETERMINED
 
@@ -135,23 +150,50 @@ class TestSeparabilityCertificate:
         diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))
         assert separability_certificate(diag, certificate_blocks()).passed
 
+    def test_no_blocks_certify_only_diagonal_states(self, rng):
+        diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))
+        result = separability_certificate(diag, ())
+        assert result.passed and result.blocks == ()
+        with pytest.raises(CoverageError, match=re.escape("coherence between |0,1> and |1,0> lies in no block")):
+            separability_certificate(family_at(1.0), ())
+
     def test_uncovered_coherence_raises(self):
-        with pytest.raises(CoverageError):
+        with pytest.raises(CoverageError, match=re.escape("coherence between |1,0> and |2,2> lies in no block")):
             separability_certificate(family_at(1.0), certificate_blocks()[:2])
 
     def test_double_cover_raises(self):
         blocks = certificate_blocks()
-        with pytest.raises(CoverageError):
+        with pytest.raises(CoverageError, match=re.escape("between |0,1> and |1,0> lies in more than one block")):
             separability_certificate(family_at(1.0), (blocks[0], blocks[0], blocks[1], blocks[2]))
 
     def test_diagonal_overallocation_raises(self, rng):
         diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))
         greedy = (
-            BlockSpec((0, 1), (0, 1), {1: 1.0}),
-            BlockSpec((0, 2), (1, 2), {1: 1.0}),
+            BlockSpec((0, 1), (0, 1), (1.0, 1.0, 1.0, 1.0)),
+            BlockSpec((0, 2), (1, 2), (1.0, 1.0, 1.0, 1.0)),
         )
-        with pytest.raises(CoverageError):
+        with pytest.raises(CoverageError, match=re.escape("diagonal entry |0,1> allocated weight 2.000000 > 1")):
             separability_certificate(diag, greedy)
+
+    def test_label_outside_dims_raises(self):
+        # (|02> + |10>)/sqrt2 is NPT, but in a qutrit pair the label pair
+        # (0, 3) would alias |10>, and the block would certify it.
+        psi = np.zeros(9)
+        psi[[2, 3]] = 1.0 / math.sqrt(2.0)
+        state = make_state(QUTRIT_PAIR, np.outer(psi, psi))
+        assert abs(min_pt_eigenvalue(state) + 0.5) < 1e-12
+        block = BlockSpec((0, 1), (2, 3), (1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=re.escape("labels (0, 1) x (2, 3) lie outside dims (3, 3)")):
+            separability_certificate(state, [block])
+
+    def test_non_integer_label_raises(self):
+        # (|01> + |10>)/sqrt2 is NPT; a label 0.5 would truncate to indices
+        # that span no product subspace, and the block would certify it.
+        psi = np.zeros(9)
+        psi[[1, 3]] = 1.0 / math.sqrt(2.0)
+        assert abs(min_pt_eigenvalue(make_state(QUTRIT_PAIR, np.outer(psi, psi))) + 0.5) < 1e-12
+        with pytest.raises(ValueError, match=re.escape("block labels must be integers, got (0.5, 1) and (0, 1)")):
+            BlockSpec((0.5, 1), (0, 1), (1.0, 1.0, 1.0, 1.0))
 
 
 class TestClassify:

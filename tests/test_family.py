@@ -228,7 +228,7 @@ class TestCertificateOnset:
     def test_blocks_cover_all_nine_diagonals_once(self):
         alloc = {}
         for block in certificate_blocks():
-            for idx, w in block.diag_weights.items():
+            for idx, w in zip(block.flat_indices(QUTRIT_PAIR), block.diag_weights):
                 alloc[idx] = alloc.get(idx, 0.0) + w
         assert set(alloc) == set(range(9))
         assert all(abs(total - 1.0) < 1e-15 for total in alloc.values())
