@@ -9,32 +9,20 @@ keeps exp(-2*g*t), and the window has a closed form:
 * realignment zero: exp(-2*g*t) = (7 - sqrt(3*alpha^2 - 15*alpha + 19)) / 6;
 * a window exactly when the realignment zero comes after t_d.
 
-For each alpha this script brackets both times numerically on the
-evolved states, over t in [0, 12], and prints the resulting window, if
-any; the test suite checks its output against the closed form.
+For each alpha this script finds both times on the evolved states with
+criteria.transition_times, the search behind `dephaselab thresholds`,
+and prints the resulting window, if any; the test suite checks its
+output against the closed form.
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from dephaselab.channels import NoiseParams, general_dephase
-from dephaselab.criteria import (
-    NoBracketError,
-    find_sign_change,
-    min_pt_eigenvalue,
-    realignment_excess,
-)
+from dephaselab.criteria import transition_times
 from dephaselab.family import initial_state
-
-T_HI = 12.0
-
-
-def onset(f, t_lo=0.0, t_hi=T_HI):
-    try:
-        return find_sign_change(f, t_lo, t_hi)
-    except NoBracketError:
-        return None
 
 
 def main() -> None:
@@ -42,18 +30,18 @@ def main() -> None:
     parser.add_argument("--gamma", type=float, default=1.0)
     parser.add_argument("--alphas", type=float, nargs="+", default=list(np.arange(4.05, 5.001, 0.05)))
     args = parser.parse_args()
+    gamma = args.gamma
+    if not (math.isfinite(gamma) and gamma > 0):
+        parser.error(f"--gamma must be finite and positive, got {gamma}")
 
-    def evolved(alpha, t):
-        return general_dephase(initial_state(alpha), NoiseParams(args.gamma, args.gamma, t))
-
-    print(f"gamma = {args.gamma}")
+    print(f"gamma = {gamma}")
     print(f"{'alpha':>8} {'t_ppt':>10} {'realign_zero':>13} {'window':>10}")
     for alpha in args.alphas:
-        t_ppt = onset(lambda t: min_pt_eigenvalue(evolved(alpha, t)))
-        t_real = onset(lambda t: realignment_excess(evolved(alpha, t)))
+        base = initial_state(alpha)
+        t_ppt, t_real = transition_times(lambda t: general_dephase(base, NoiseParams(gamma, gamma, t)), gamma)
         if t_ppt is None:
             window = "no PPT onset"
-        elif t_real is None or t_real <= t_ppt:
+        elif t_real <= t_ppt:
             window = "empty"
         else:
             window = f"{t_real - t_ppt:.4f}"

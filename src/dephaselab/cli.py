@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -171,30 +170,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _crossing(curve: Callable[[float], float], rate: float) -> float:
-    """Root of curve on t >= 0 by doubling then bisection; inf past the horizon.
-
-    Every curve here is a function of rate * t, so the search scales with
-    1/rate: the horizon TOL.crossing_horizon grows by 1/min(rate, 1) up to
-    the largest double, and the tolerance TOL.bisection shrinks by 1/max(rate, 1).
-    The doubling probes the horizon itself last, so inf means no crossing
-    up to the horizon, not up to the last power of two below it.
-    The sign test treats values in [0, TOL.sign_floor] as not yet
-    positive, so a curve that only decays to zero (never genuinely
-    crossing) reports inf instead of chasing eigensolver noise.
-    """
-    cap = min(TOL.crossing_horizon / min(rate, 1.0), sys.float_info.max)
-    sign0 = curve(0.0) > TOL.sign_floor
-    hi = 0.5
-    while True:
-        t = min(hi, cap)
-        if (curve(t) > TOL.sign_floor) != sign0:
-            return criteria.find_sign_change(curve, 0.0, t, tol=TOL.bisection / max(rate, 1.0))
-        if t == cap:
-            return math.inf
-        hi *= 2
-
-
 def cmd_thresholds(args: argparse.Namespace) -> int:
     """Print the family's transition times as JSON: a float, "inf" where
     the transition never happens, or null where it is undefined (no PPT
@@ -208,24 +183,18 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     def evolved(t: float) -> DensityMatrix:
         return ground_excited(base, NoiseParams(gamma, gamma, t))
 
-    def pt_curve(t: float) -> float:
-        return criteria.min_pt_eigenvalue(evolved(t))
-
     def certificate_margin(t: float) -> float:
         result = criteria.separability_certificate(evolved(t), blocks)
         return min(min(b.min_eigenvalue, b.min_pt_eigenvalue) for b in result.blocks)
 
-    try:
-        t_d_analytic = family.ppt_onset_time(alpha, gamma)
-    except family.AlreadyPptError:
-        t_d_analytic = None
+    t_d_numeric, realignment_zero = criteria.transition_times(evolved, gamma)
     report = {
         "alpha": alpha,
         "gamma": gamma,
-        "t_d_analytic": t_d_analytic,
-        "t_d_numeric": None if pt_curve(0.0) >= -TOL.verdict else _crossing(pt_curve, gamma),
-        "realignment_zero": _crossing(lambda t: criteria.realignment_excess(evolved(t)), gamma),
-        "certificate_onset": _crossing(certificate_margin, gamma),
+        "t_d_analytic": family.ppt_onset_time(alpha, gamma),
+        "t_d_numeric": t_d_numeric,
+        "realignment_zero": realignment_zero,
+        "certificate_onset": criteria.crossing_time(certificate_margin, gamma),
     }
     report = {key: "inf" if value == math.inf else value for key, value in report.items()}
     print(json.dumps(report, sort_keys=True, indent=2))

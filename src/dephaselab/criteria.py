@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -302,11 +303,11 @@ def classify(
 def find_sign_change(f: Callable[[float], float], t_lo: float, t_hi: float, tol: float = TOL.bisection) -> float:
     """Bisection root of a scalar function bracketed by [t_lo, t_hi].
 
-    Requires finite ends (ValueError otherwise) and a sign change across
-    the bracket (NoBracketError otherwise); an endpoint evaluating to
-    exactly zero is returned as the root. Stops once the bracket is tol
-    wide, or once its midpoint rounds to an end (float spacing wider
-    than tol, far from zero).
+    Requires finite ends with t_lo <= t_hi (ValueError otherwise) and a
+    sign change across the bracket (NoBracketError otherwise); an
+    endpoint evaluating to exactly zero is returned as the root. Stops
+    once the bracket is tol wide, or once its midpoint rounds to an end
+    (float spacing wider than tol, far from zero).
 
     Ends by construction: the midpoint t_lo/2 + t_hi/2 cannot overflow
     and lies in the bracket, so a pass that goes on moves an end strictly
@@ -314,10 +315,12 @@ def find_sign_change(f: Callable[[float], float], t_lo: float, t_hi: float, tol:
     about 2,100 passes (1,024 binades plus 1,074 subnormal steps). It is
     (t_lo + t_hi)/2 to the bit wherever halving an end is exact. A
     non-finite end is rejected: an infinite one would come back as the
-    root, and with a NaN one no midpoint would ever equal an end.
+    root, and with a NaN one no midpoint would ever equal an end. A
+    reversed bracket is rejected too: its negative width would pass the
+    first width test and return the midpoint as the root.
     """
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise ValueError(f"bracket ends must be finite, got [{t_lo}, {t_hi}]")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo <= t_hi):
+        raise ValueError(f"bracket ends must be finite with t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     f_lo = f(t_lo)
     f_hi = f(t_hi)
     if f_lo == 0.0:
@@ -337,3 +340,40 @@ def find_sign_change(f: Callable[[float], float], t_lo: float, t_hi: float, tol:
             t_hi, f_hi = mid, f_mid
         else:
             t_lo = mid
+
+
+def crossing_time(curve: Callable[[float], float], rate: float) -> float:
+    """Root of curve on t >= 0 by doubling then bisection; inf past the horizon.
+
+    Every curve here is a function of rate * t, so the search scales with
+    1/rate: the horizon TOL.crossing_horizon grows by 1/min(rate, 1) up to
+    the largest double, and the tolerance TOL.bisection shrinks by 1/max(rate, 1).
+    The doubling probes the horizon itself last, so inf means no crossing
+    up to the horizon, not up to the last power of two below it.
+    The sign test treats values in [0, TOL.sign_floor] as not yet
+    positive, so a curve that only decays to zero (never genuinely
+    crossing) reports inf instead of chasing eigensolver noise.
+    Raises ValueError unless rate is finite and positive.
+    """
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and positive, got {rate}")
+    cap = min(TOL.crossing_horizon / min(rate, 1.0), sys.float_info.max)
+    sign0 = curve(0.0) > TOL.sign_floor
+    hi = 0.5
+    while True:
+        t = min(hi, cap)
+        if (curve(t) > TOL.sign_floor) != sign0:
+            return find_sign_change(curve, 0.0, t, tol=TOL.bisection / max(rate, 1.0))
+        if t == cap:
+            return math.inf
+        hi *= 2
+
+
+def transition_times(evolved: Callable[[float], DensityMatrix], rate: float) -> tuple[Optional[float], float]:
+    """(PPT onset, realignment zero) of t -> evolved(t), each by crossing_time;
+    the onset is None when evolved(0) is PPT (PT minimum >= -TOL.verdict)."""
+    def pt_curve(t: float) -> float:
+        return min_pt_eigenvalue(evolved(t))
+
+    onset = None if pt_curve(0.0) >= -TOL.verdict else crossing_time(pt_curve, rate)
+    return onset, crossing_time(lambda t: realignment_excess(evolved(t)), rate)

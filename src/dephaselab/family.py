@@ -26,6 +26,7 @@ McSpec) valid by construction, without make_state.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -41,10 +42,6 @@ QUTRIT_PAIR = Dims(3, 3)
 
 class AlphaDomainError(DomainError):
     """Population parameter outside the family domain (3, 5]."""
-
-
-class AlreadyPptError(ValueError):
-    """No PPT onset exists: the state is PPT from t = 0 on."""
 
 
 def _check_alpha(alpha: float) -> float:
@@ -71,6 +68,10 @@ class McSpec(CheckedRecord, NamedTuple("McSpec", [("d", int), ("a", np.ndarray)]
     __slots__ = ()
 
     def __new__(cls, d: int, a) -> McSpec:
+        try:
+            d = operator.index(d)
+        except TypeError:
+            raise ValueError(f"local dimension must be an integer, got {d!r}") from None
         if d < 2:
             raise ValueError(f"local dimension must be >= 2, got {d}")
         a = np.array(a, dtype=complex)
@@ -167,18 +168,18 @@ def pt_branch_eigenvalue(alpha: float, rate_sum: float, t: float) -> float:
     return 2.0 * (alpha * (5.0 - alpha) - 4.0 * x) / (21.0 * (5.0 + math.sqrt((2.0 * alpha - 5.0) ** 2 + 16.0 * x)))
 
 
-def ppt_onset_time(alpha: float, gamma_rate: float) -> float:
+def ppt_onset_time(alpha: float, gamma_rate: float) -> Optional[float]:
     """Time at which the evolved family turns PPT (distillability loss).
 
     ln(4 / (alpha * (5 - alpha))) / gamma_rate for alpha in (4, 5);
-    infinite at alpha = 5 (the slowest branch never turns). Raises
-    AlreadyPptError for alpha <= 4, where the state is PPT from the
-    start and no onset exists.
+    infinite at alpha = 5 (the slowest branch never turns). None for
+    alpha <= 4, where the state is PPT from the start and no onset
+    exists, as criteria.transition_times reports it.
     """
     alpha = _check_alpha(alpha)
     gamma_rate = _check_rate(gamma_rate)
     if alpha <= 4.0:
-        raise AlreadyPptError(f"alpha = {alpha} is PPT at t = 0; no onset to compute")
+        return None
     if alpha == 5.0:
         return math.inf
     return math.log(4.0 / (alpha * (5.0 - alpha))) / gamma_rate

@@ -23,6 +23,7 @@ and state_to_json handle one state.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,11 +44,16 @@ class NonFiniteError(DomainError):
 
 
 class Dims(CheckedRecord, NamedTuple("Dims", [("da", int), ("db", int)])):
-    """Local dimensions (d_a, d_b) of a bipartite system."""
+    """Local dimensions (d_a, d_b) of a bipartite system: integers of at
+    least 2, coerced with operator.index (ValueError otherwise)."""
 
     __slots__ = ()
 
     def __new__(cls, da: int, db: int) -> Dims:
+        try:
+            da, db = operator.index(da), operator.index(db)
+        except TypeError:
+            raise ValueError(f"local dimensions must be integers, got ({da!r}, {db!r})") from None
         if da < 2 or db < 2:
             raise ValueError(f"local dimensions must be >= 2, got ({da}, {db})")
         return super().__new__(cls, da, db)
@@ -193,10 +199,14 @@ def state_to_json(state: DensityMatrix) -> str:
     """Serialize to the interchange schema.
 
     {"da": 3, "db": 3, "mat": [[re, im], ...]} with "mat" the row-major
-    flattening of the matrix, one [real, imag] pair per entry.
+    flattening of the matrix, one [real, imag] pair per entry. Raises
+    BadShapeError for a stack, as make_state does: a document holds one
+    state.
     """
     import json
 
+    if state.mat.ndim != 2:
+        raise BadShapeError(f"expected shape {(state.dims.n, state.dims.n)}, got {state.mat.shape}")
     pairs = [[float(z.real), float(z.imag)] for z in state.mat.ravel()]
     return json.dumps({"da": state.dims.da, "db": state.dims.db, "mat": pairs})
 
@@ -204,9 +214,10 @@ def state_to_json(state: DensityMatrix) -> str:
 def state_from_json(text: str) -> DensityMatrix:
     """Parse the interchange schema and validate through make_state.
 
-    Malformed documents, dimensions other than JSON integers among them,
-    raise ValueError (or its subclass json.JSONDecodeError); physically
-    invalid matrices raise the make_state errors.
+    Malformed documents, dimensions other than JSON integers and entries
+    other than JSON numbers among them, raise ValueError (or its subclass
+    json.JSONDecodeError); physically invalid matrices raise the
+    make_state errors.
     """
     import json
 
@@ -220,6 +231,8 @@ def state_from_json(text: str) -> DensityMatrix:
     if not isinstance(pairs, list) or len(pairs) != dims.n ** 2:
         raise ValueError(f"'mat' must list {dims.n ** 2} [re, im] pairs")
     try:
+        if any(type(x) is bool for pair in pairs for x in pair):  # complex() reads true as 1
+            raise TypeError("an entry is a JSON boolean")
         flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"'mat' entries must be [re, im] pairs: {exc}") from exc

@@ -8,6 +8,7 @@ import json
 import math
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,8 @@ import pytest
 import dephaselab
 from conftest import GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
 from dephaselab import cli
-from dephaselab.channels import NoiseParams, apply_channel, kraus_ground_excited
+from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
+from dephaselab.criteria import transition_times
 from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
 from dephaselab.linalg import TOL, DomainError
 from dephaselab.qstate import Dims, random_state, state_from_json, state_to_json
@@ -323,6 +325,17 @@ class TestThresholds:
         assert doc["certificate_onset"] == "inf"
         assert isinstance(doc["realignment_zero"], float)
 
+    def test_report_times_are_transition_times(self, capsys):
+        # thresholds' PT onset and realignment zero are criteria.transition_times, bit for bit.
+        for alpha, gamma in ((3.5, 1.0), (4.5, 0.7), (4.9, 1.3), (5.0, 0.7)):
+            assert cli.main(["thresholds", "--alpha", str(alpha), "--gamma", str(gamma)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            base = initial_state(alpha)
+            times = transition_times(lambda t: ground_excited(base, NoiseParams(gamma, gamma, t)), gamma)
+            assert [doc["t_d_numeric"], doc["realignment_zero"]] == [
+                "inf" if value == math.inf else value for value in times
+            ], (alpha, gamma)
+
     def test_ppt_from_start_reports_null_onset(self):
         result = run_cli("thresholds", "--alpha", "3.9", "--gamma", "1")
         assert result.returncode == 0
@@ -593,35 +606,66 @@ def test_domain_errors_are_the_exit_3_classes():
     }
 
 
+def window_scan(*args: str) -> subprocess.CompletedProcess:
+    """Run scripts/ppt_window_scan.py with args, capturing bytes."""
+    script = Path(__file__).parent.parent / "scripts" / "ppt_window_scan.py"
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, check=False, env=child_env())
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `dephaselab ...` line in README's Command
+    line block, each without its `> file` redirect."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line.split(">")[0])[1:] for line in block.splitlines() if line.startswith("dephaselab ")]
+
+
 class TestScripts:
     def test_window_scan_and_figure_data(self):
-        scripts = Path(__file__).parent.parent / "scripts"
-        scan = subprocess.run(
-            [sys.executable, str(scripts / "ppt_window_scan.py"), "--alphas", "4.1", "4.5", "4.9", "4.000001"],
-            capture_output=True,
-            check=False,
-            env=child_env(),
-        )
-        assert scan.returncode == 0
-        lines = scan.stdout.decode().splitlines()
-        assert len(lines) == 6 and lines[0] == "gamma = 1.0"
-        # Closed form at symmetric rate g = 1: every family coherence keeps exp(-2t).
-        # At 4.000001 the onset is 1.9e-7, so a bracket must start at t = 0.
-        for line, alpha in zip(lines[2:], (4.1, 4.5, 4.9, 4.000001)):
-            shown, t_ppt, t_real, window = line.split()
-            onset = math.log(4.0 / (alpha * (5.0 - alpha))) / 4.0
-            zero = -math.log((7.0 - math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0)) / 6.0) / 2.0
-            assert float(shown) == alpha
-            assert abs(float(t_ppt) - onset) <= 5e-7 and abs(float(t_real) - zero) <= 5e-7
-            assert (window == "empty") == (zero <= onset)
-        assert [line.split()[3] for line in lines[2:]] == ["0.1601", "0.1257", "empty", "0.1603"]
-        # The data behind the standard figures, as README lists it.
-        t_range = ["--t-range", "0", "3.0", "5"]
-        for args, rows in (
-            (["--quantity", "pt-min-eig", "--alpha", "4.5", *t_range, "--gamma-range", "0.4", "1.0", "3"], 15),
-            (["--quantity", "realignment", "--alpha", "4.5", *t_range], 5),
-            (["--quantity", "fidelity", *t_range], 5),
-        ):
-            sweep = run_cli("sweep", *args)
-            assert sweep.returncode == 0
-            assert len(sweep.stdout.decode().splitlines()) == rows + 1
+        # Closed forms at symmetric rate g: every family coherence keeps exp(-2 g t).
+        def onset(alpha, g):
+            return math.log(4.0 / (alpha * (5.0 - alpha))) / (4.0 * g)
+
+        def zero(alpha, g):
+            return -math.log((7.0 - math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0)) / 6.0) / (2.0 * g)
+
+        alphas = (4.1, 4.5, 4.9, 4.000001, 3.5, 4.0, 5.0)
+        runs = [("1.0", alphas), ("0.02", (4.5,)), ("0.1", (4.999,))]
+        rows = {}
+        for gamma, run_alphas in runs:
+            scan = window_scan("--gamma", gamma, "--alphas", *map(str, run_alphas))
+            assert scan.returncode == 0, scan.stderr
+            lines = scan.stdout.decode().splitlines()
+            assert len(lines) == 2 + len(run_alphas) and lines[0] == f"gamma = {gamma}"
+            for line, alpha in zip(lines[2:], run_alphas):
+                shown, t_ppt, t_real, window = line.split(maxsplit=3)
+                assert float(shown) == alpha
+                assert abs(float(t_real) - zero(alpha, float(gamma))) <= 5e-7
+                if alpha < 5.0 and t_ppt != "-":
+                    assert abs(float(t_ppt) - onset(alpha, float(gamma))) <= 5e-7
+                rows[gamma, alpha] = (line, t_ppt, window)
+        # Each row to the byte; at 4.000001 the onset is 1.9e-7, so the search must start at t = 0.
+        assert [rows["1.0", alpha][0] for alpha in alphas[:4]] == [
+            "4.100000   0.020167      0.180249     0.1601",
+            "4.500000   0.143841      0.269498     0.1257",
+            "4.900000   0.524911      0.378733      empty",
+            "4.000001   0.000000      0.160304     0.1603",
+        ]
+        # Times past t = 12: a realignment zero at 13.47 and an onset at 16.71.
+        assert rows["0.02", 4.5][2] == "6.2829" and rows["0.1", 4.999][2] == "empty"
+        assert abs(zero(4.5, 0.02) - onset(4.5, 0.02) - 6.2829) <= 5e-5
+        # PPT at t = 0 has no onset; at alpha = 5 the slowest branch never turns.
+        assert rows["1.0", 3.5][1:] == rows["1.0", 4.0][1:] == ("-", "no PPT onset")
+        assert rows["1.0", 5.0][1:] == ("inf", "empty")
+        for gamma in ("0", "-1"):
+            bad = window_scan("--gamma", gamma, "--alphas", "4.5")
+            assert bad.returncode == 2 and bad.stdout == b""
+            assert b"finite and positive" in bad.stderr and b"Traceback" not in bad.stderr
+
+    def test_readme_commands_run(self, capsys):
+        # README is the one place these commands are written, the figure data among them.
+        commands = readme_commands()
+        assert any(args[:3] == ["sweep", "--quantity", "fidelity"] for args in commands)
+        for args in commands:
+            assert cli.main(args) == 0, args
+            assert capsys.readouterr().out.strip(), args

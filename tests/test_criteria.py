@@ -17,6 +17,7 @@ from dephaselab.criteria import (
     NoBracketError,
     Verdict,
     classify,
+    crossing_time,
     find_sign_change,
     min_pt_eigenvalue,
     qubit_block_witness,
@@ -333,9 +334,19 @@ class TestFindSignChange:
         assert 0.0 <= found <= 2.0
 
     @pytest.mark.parametrize(
-        "t_lo, t_hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)],
-        ids=["inf-hi", "inf-lo", "nan-lo", "nan-hi"],
+        "t_lo, t_hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 0.0)],
+        ids=["inf-hi", "inf-lo", "nan-lo", "nan-hi", "reversed"],
     )
     def test_non_finite_end_raises(self, t_lo, t_hi):
+        # A reversed bracket's negative width would pass the width test and end the search at once.
         with pytest.raises(ValueError, match="finite"):
             find_sign_change(lambda t: t - 0.5, t_lo, t_hi)
+
+
+class TestCrossingTime:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_rates_that_are_not_finite_and_positive(self, rate):
+        calls = []
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            crossing_time(lambda t: calls.append(t) or 1.0 - t, rate)
+        assert calls == []

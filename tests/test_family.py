@@ -20,7 +20,6 @@ from dephaselab.criteria import (
 )
 from dephaselab.family import (
     AlphaDomainError,
-    AlreadyPptError,
     LimitVerdict,
     McSpec,
     certificate_blocks,
@@ -180,9 +179,10 @@ class TestThresholds:
         assert min_pt_eigenvalue(after) > -1e-12
 
     def test_already_ppt_rejected(self):
+        # PPT at t = 0 has no onset: None, as thresholds' null and transition_times say.
         for alpha in (3.5, 4.0):
-            with pytest.raises(AlreadyPptError):
-                ppt_onset_time(alpha, 1.0)
+            for rate in (0.3, 1.0, 7.0):
+                assert ppt_onset_time(alpha, rate) is None
 
     def test_bisection_consistency_across_rates(self):
         for alpha, rate in ((4.3, 1.0), (4.7, 0.5), (4.5, 1.7)):
@@ -364,6 +364,11 @@ class TestMaximallyCorrelated:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match=re.escape("local dimension must be >= 2, got 1")):
             McSpec(1, np.array([[1.0]]))
+        for d in (3.0, 2.5, "3", None):
+            with pytest.raises(ValueError, match=re.escape(f"local dimension must be an integer, got {d!r}")):
+                McSpec(d, np.eye(3) / 3)
+        spec = McSpec(np.int64(3), np.eye(3) / 3)
+        assert type(spec.d) is int and mc_state(spec).dims == Dims(3, 3)
         with pytest.raises(ValueError, match=re.escape("coefficient matrix shape (3, 3), expected (2, 2)")):
             McSpec(2, np.eye(3) / 3)
         with pytest.raises(TraceNotOneError):

@@ -48,6 +48,14 @@ class TestDims:
         with pytest.raises(ValueError, match=re.escape("got (3, 0)")):
             Dims(3, 0)
 
+    def test_rejects_non_integer_locals(self):
+        # A float dimension would otherwise pass here and fail later, inside a reshape.
+        for da, db in ((3.0, 3), (2.5, 3), (3, "3"), (None, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"local dimensions must be integers, got ({da!r}, {db!r})")):
+                Dims(da, db)
+        dims = Dims(np.int64(3), np.int64(2))
+        assert dims == Dims(3, 2) and all(type(d) is int for d in dims)
+
 
 class TestMakeState:
     def test_accepts_valid(self, rng):
@@ -218,6 +226,11 @@ class TestJsonRoundTrip:
         assert len(doc["mat"]) == 36
         assert all(len(pair) == 2 for pair in doc["mat"])
 
+    def test_stack_is_rejected(self, rng):
+        # A document holds one state; its reader rejects N * n^2 pairs.
+        with pytest.raises(BadShapeError, match=re.escape("expected shape (9, 9), got (2, 9, 9)")):
+            state_to_json(random_state(rng, QUTRIT_PAIR, 2))
+
     def test_malformed_documents_raise_value_error(self):
         mixed = state_to_json(make_state(QUTRIT_PAIR, np.eye(9) / 9))
         for text in (
@@ -228,6 +241,8 @@ class TestJsonRoundTrip:
             json.dumps({"da": 3, "db": 3, "mat": [["x", 0.0]] * 81}),
             # Dimensions are JSON integers: not null, a list, a float, a string or a boolean.
             *(mixed.replace('"da": 3', f'"da": {da}') for da in ("null", "[3]", "3.9", "3.0", '"3"', "true")),
+            # Entries are JSON numbers: complex() would read this off-diagonal false as 0.
+            mixed.replace("[0.0, 0.0]", "[false, false]", 1),
         ):
             with pytest.raises(ValueError):
                 state_from_json(text)
