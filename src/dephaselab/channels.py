@@ -11,9 +11,8 @@ Each mask is real, symmetric and positive semidefinite with unit
 diagonal, so by the Schur product theorem a masked state keeps the
 input's Hermiticity, trace and eigenvalue floor: sector_dephase returns
 it without validating it again. No runtime path uses the Kraus
-construction (KrausSet, local_pair, kraus_ground_excited,
-apply_channel): it is the independent reference route the tests compare
-the masks against.
+construction (local_pair, kraus_ground_excited, apply_channel): it is
+the independent reference route the tests compare the masks against.
 
 Leading-axis convention: sector_dephase takes retentions that are
 scalars or 1-D arrays of length N (and a state that is one matrix or a
@@ -26,19 +25,15 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import TOL, CheckedRecord, hermitize
-from .qstate import BadShapeError, DensityMatrix, Dims, make_state, tensor
+from .linalg import CheckedRecord, hermitize
+from .qstate import BadShapeError, DensityMatrix, make_state, tensor
 
 
 GROUND_EXCITED = (0, 1, 1)
-
-
-class IncompleteKrausError(ValueError):
-    """Kraus family does not sum to the identity within tolerance."""
 
 
 def ground_excited_retention(rate: float, t: float) -> float:
@@ -84,26 +79,6 @@ class NoiseParams(CheckedRecord, NamedTuple("NoiseParams", [
         return math.sqrt(1.0 - self.gamma_b ** 2)
 
 
-class KrausSet(CheckedRecord, NamedTuple("KrausSet", [("ops", tuple), ("dims", Dims)])):
-    """A trace-preserving Kraus family on a fixed bipartite dimension."""
-
-    __slots__ = ()
-
-    def __new__(cls, ops, dims: Dims) -> KrausSet:
-        ops = tuple(np.array(k, dtype=complex) for k in ops)
-        n = dims.n
-        for k in ops:
-            if k.shape != (n, n):
-                raise BadShapeError(f"Kraus operator shape {k.shape}, expected {(n, n)}")
-            k.setflags(write=False)
-        total = sum(k.conj().T @ k for k in ops)
-        if float(np.max(np.abs(total - np.eye(n)))) > TOL.kraus_completeness:
-            raise IncompleteKrausError(
-                f"sum of K†K deviates from the identity beyond {TOL.kraus_completeness:.0e}"
-            )
-        return super().__new__(cls, ops, dims)
-
-
 def local_pair(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """The two single-qutrit factors of the ground/excited dephasing.
 
@@ -116,8 +91,8 @@ def local_pair(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return np.diag([1.0, gamma, gamma]).astype(complex), np.diag([0.0, omega, omega]).astype(complex)
 
 
-def kraus_ground_excited(p: NoiseParams) -> KrausSet:
-    """Qutrit-qutrit ground/excited dephasing as four Kraus operators.
+def kraus_ground_excited(p: NoiseParams) -> tuple[np.ndarray, ...]:
+    """Qutrit-qutrit ground/excited dephasing as four 9x9 Kraus operators.
 
     The operators are the products (B-side factor) @ (A-side factor) of
     the local_pair factors on each side; all are real diagonal, so the
@@ -126,16 +101,19 @@ def kraus_ground_excited(p: NoiseParams) -> KrausSet:
     ident = np.eye(3, dtype=complex)
     e_ops = [tensor(k, ident) for k in local_pair(p.gamma_a)]
     d_ops = [tensor(ident, k) for k in local_pair(p.gamma_b)]
-    ops = tuple(d @ e for d in d_ops for e in e_ops)
-    return KrausSet(ops, Dims(3, 3))
+    return tuple(d @ e for d in d_ops for e in e_ops)
 
 
-def apply_channel(state: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    """Apply sum_mu K_mu rho K_mu† and revalidate the result."""
-    if state.dims != ks.dims:
-        raise BadShapeError(f"state dims {state.dims} do not match Kraus dims {ks.dims}")
+def apply_channel(state: DensityMatrix, ops: Sequence[np.ndarray]) -> DensityMatrix:
+    """Apply sum_mu K_mu rho K_mu† and revalidate the result.
+
+    Raises BadShapeError when an operator's shape is not the state's.
+    """
+    n = state.dims.n
     out = np.zeros_like(state.mat)
-    for k in ks.ops:
+    for k in ops:
+        if np.shape(k) != (n, n):
+            raise BadShapeError(f"Kraus operator shape {np.shape(k)}, expected {(n, n)}")
         out = out + k @ state.mat @ k.conj().T
     return make_state(state.dims, out)
 

@@ -131,7 +131,10 @@ def _grid(spec: list[float], what: str) -> list[float]:
         raise UsageError(f"{what} range needs an integer step count >= 2, got {steps}")
     if not start < end:
         raise UsageError(f"{what} range needs start < end, got {start} >= {end}")
-    return np.linspace(start, end, int(steps)).tolist()
+    try:
+        return np.linspace(start, end, int(steps)).tolist()
+    except (ValueError, IndexError) as exc:  # numpy refuses a count past what an array can index
+        raise UsageError(f"{what} range step count {int(steps)} is more than numpy can hold") from exc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -352,18 +352,25 @@ def crossing_time(curve: Callable[[float], float], rate: float) -> float:
     up to the horizon, not up to the last power of two below it.
     The sign test treats values in [0, TOL.sign_floor] as not yet
     positive, so a curve that only decays to zero (never genuinely
-    crossing) reports inf instead of chasing eigensolver noise.
+    crossing) reports inf instead of chasing eigensolver noise. The
+    bisection keeps raw signs, which bracket the doubling's crossing
+    unless both ends are positive (one in (0, TOL.sign_floor]); then it
+    bisects curve - TOL.sign_floor, whose sign is the doubling's test.
+    A witness can sit in (0, TOL.sign_floor] a few bracket widths from a
+    real root, so the raw zero is kept wherever it exists.
     Raises ValueError unless rate is finite and positive.
     """
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and positive, got {rate}")
     cap = min(TOL.crossing_horizon / min(rate, 1.0), sys.float_info.max)
-    sign0 = curve(0.0) > TOL.sign_floor
+    start = curve(0.0)
     hi = 0.5
     while True:
         t = min(hi, cap)
-        if (curve(t) > TOL.sign_floor) != sign0:
-            return find_sign_change(curve, 0.0, t, tol=TOL.bisection / max(rate, 1.0))
+        end = curve(t)
+        if (end > TOL.sign_floor) != (start > TOL.sign_floor):
+            floor = TOL.sign_floor if start > 0 and end > 0 else 0.0
+            return find_sign_change(lambda x: curve(x) - floor, 0.0, t, tol=TOL.bisection / max(rate, 1.0))
         if t == cap:
             return math.inf
         hi *= 2

@@ -94,7 +94,6 @@ class Tolerances(NamedTuple):
     bisection: float = 1e-9              # bisection stops once its bracket is this narrow (/ rate above 1)
     crossing_horizon: float = 1e6        # crossing search reports no crossing (inf) past this time (/ rate below 1)
     mc_pattern: float = 1e-12            # |entry| up to this is zero in a maximally correlated pattern
-    kraus_completeness: float = 1e-12    # sum of K†K may deviate from the identity by this, entrywise
 
 
 TOL = Tolerances()

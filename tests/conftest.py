@@ -188,6 +188,50 @@ def bures_by_eigh(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
+def family_by_definition(alpha, gamma_a, gamma_b, zeros, one, swapped: bool = False):
+    """The family state under ground/excited dephasing, written out from
+    its definition in any number type; swapped gives the mixture of
+    swapped_family_by_mixture instead.
+
+    (2/21) |psi><psi| with psi = |01> + |10> + |22> (|00> + |11> + |22>
+    when swapped), plus alpha/21 on |00>, |12>, |21> and (5 - alpha)/21
+    on |11>, |20>, |02> (|01>, |12>, |20> and |02>, |10>, |21> when
+    swapped). A coherence keeps gamma_a when its side-A labels straddle
+    {0} | {1, 2}, and gamma_b likewise on side B.
+
+    zeros(9, 9) builds the matrix and one is the number type's unit:
+    sympy.zeros and sympy.Integer(1) give exact entries, in which alpha
+    and the retentions may be symbols; mpmath.zeros and mpmath.mpf(1)
+    give entries at mpmath's working precision. The exponential enters
+    only through the retentions, exp(-rate*t/2) in the caller's type.
+    """
+    d = QUTRIT_PAIR
+    m = zeros(9, 9)
+    triple = [(0, 0), (1, 1), (2, 2)] if swapped else [(0, 1), (1, 0), (2, 2)]
+    for i in triple:
+        for j in triple:
+            m[d.flat(*i), d.flat(*j)] += 2 * one / 21
+    for a in range(3):
+        up, down = ((a, (a + 1) % 3), (a, (a - 1) % 3)) if swapped else ((a, 2 * a % 3), (a, (2 - a) % 3))
+        m[d.flat(*up), d.flat(*up)] += alpha / 21
+        m[d.flat(*down), d.flat(*down)] += (5 - alpha) / 21
+    for i in range(9):
+        for j in range(9):
+            if (i // 3 == 0) != (j // 3 == 0):
+                m[i, j] *= gamma_a
+            if (i % 3 == 0) != (j % 3 == 0):
+                m[i, j] *= gamma_b
+    return m
+
+
+def family_by_mpmath(alpha: float, swapped: bool, rate_a: float, rate_b: float, t):
+    """family_by_definition as an mpmath matrix at the working precision,
+    with the retentions exp(-rate*t/2) taken by mpmath.exp (t may be
+    mpmath.inf: the infinite-time limit)."""
+    gamma_a, gamma_b = (mpmath.exp(-mpmath.mpf(rate) * t / 2) for rate in (rate_a, rate_b))
+    return family_by_definition(mpmath.mpf(alpha), gamma_a, gamma_b, mpmath.zeros, mpmath.mpf(1), swapped)
+
+
 def family_fidelity_by_mpmath(alpha: float, swapped: bool, rate_a: float, rate_b: float, t):
     """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 at 50 digits
     between the family state (the swapped one as the mixture of
@@ -195,30 +239,13 @@ def family_fidelity_by_mpmath(alpha: float, swapped: bool, rate_a: float, rate_b
     t (mpmath.inf for the infinite-time limit), as an mpmath number.
 
     Both states are real symmetric and built entry by entry from their
-    definitions in mpmath; each root comes from a Jacobi
+    definitions by family_by_mpmath; each root comes from a Jacobi
     eigendecomposition (mpmath.eigsy), with rounding-level negative
     eigenvalues set to zero.
     """
     with mpmath.workdps(50):
-        d = QUTRIT_PAIR
-        alpha = mpmath.mpf(alpha)
-        rho = mpmath.zeros(9, 9)
-        triple = [(0, 0), (1, 1), (2, 2)] if swapped else [(0, 1), (1, 0), (2, 2)]
-        for i in triple:
-            for j in triple:
-                rho[d.flat(*i), d.flat(*j)] += mpmath.mpf(2) / 21
-        for a in range(3):
-            up, down = ((a, (a + 1) % 3), (a, (a - 1) % 3)) if swapped else ((a, 2 * a % 3), (a, (2 - a) % 3))
-            rho[d.flat(*up), d.flat(*up)] += alpha / 21
-            rho[d.flat(*down), d.flat(*down)] += (5 - alpha) / 21
-        gamma_a, gamma_b = (mpmath.exp(-mpmath.mpf(rate) * t / 2) for rate in (rate_a, rate_b))
-        sigma = rho.copy()
-        for i in range(9):
-            for j in range(9):
-                if (i // 3 == 0) != (j // 3 == 0):
-                    sigma[i, j] *= gamma_a
-                if (i % 3 == 0) != (j % 3 == 0):
-                    sigma[i, j] *= gamma_b
+        rho = family_by_mpmath(alpha, swapped, rate_a, rate_b, 0)
+        sigma = family_by_mpmath(alpha, swapped, rate_a, rate_b, t)
         w, q = mpmath.eigsy(rho)
         root = q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.T
         return mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in mpmath.eigsy(root * sigma * root)[0]) ** 2

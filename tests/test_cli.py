@@ -265,6 +265,18 @@ class TestSweep:
         result = run_cli("sweep", "--quantity", "verdict", "--t-range", *t_range)
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("ranges, message", [
+        (("--t-range", "0", "1", "1e20"), "t range step count 100000000000000000000"),
+        (("--t-range", "0", "1", "3", "--gamma-range", "0", "1", "1e19"), "gamma range step count 10000000000000000000"),
+        (("--t-range", "0", "1", "9223372036854775807"), "t range step count 9223372036854775808"),
+    ])
+    def test_step_counts_numpy_refuses_are_usage_errors(self, ranges, message):
+        # numpy refuses each count before allocating anything: with a
+        # ValueError (too large for an array) or, at 2**63, an IndexError.
+        result = run_cli("sweep", "--quantity", "pt-min-eig", *ranges)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.decode() == f"error: {message} is more than numpy can hold\n"
+
 
 class TestThresholds:
     def test_golden_report_default_family(self):

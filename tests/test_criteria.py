@@ -350,3 +350,14 @@ class TestCrossingTime:
         with pytest.raises(ValueError, match="rate must be finite and positive"):
             crossing_time(lambda t: calls.append(t) or 1.0 - t, rate)
         assert calls == []
+
+    def test_start_within_the_sign_floor_is_bracketed(self):
+        # 1e-13 counts as not yet positive, as in the doubling, so the
+        # curve crosses at once; 5e-13 - t never rises above the floor.
+        assert 0.0 < crossing_time(lambda t: 1e-13 + t, 1.0) <= TOL.bisection
+        assert crossing_time(lambda t: 5e-13 - t, 1.0) == math.inf
+
+    def test_decay_onto_a_plateau_within_the_sign_floor_is_bracketed(self):
+        # The raw signs never change; the floor crossing is 1e-13 + exp(-t) = TOL.sign_floor.
+        found = crossing_time(lambda t: 1e-13 + math.exp(-t), 1.0)
+        assert abs(found + math.log(TOL.sign_floor - 1e-13)) <= TOL.bisection

@@ -299,7 +299,7 @@ class TestTolerances:
 
     def test_moved_literals_keep_their_values(self):
         assert (TOL.bisection, TOL.crossing_horizon) == (1e-9, 1e6)
-        assert (TOL.mc_pattern, TOL.kraus_completeness, TOL.coherence_floor) == (1e-12, 1e-12, 1e-14)
+        assert (TOL.mc_pattern, TOL.coherence_floor) == (1e-12, 1e-14)
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -15,7 +15,7 @@ import pytest
 
 import dephaselab
 from conftest import QUTRIT_PAIR, child_env
-from dephaselab.channels import KrausSet, NoiseParams, kraus_ground_excited
+from dephaselab.channels import NoiseParams
 from dephaselab.criteria import (
     BlockDiagnostic,
     BlockSpec,
@@ -37,7 +37,6 @@ RECORDS = [
     (QUTRIT_PAIR, Dims, ("da", "db")),
     (initial_state(4.5), DensityMatrix, ("mat", "dims")),
     (NOISE, NoiseParams, ("gamma_rate_a", "gamma_rate_b", "t")),
-    (kraus_ground_excited(NOISE), KrausSet, ("ops", "dims")),
     (classify(initial_state(4.5)), Classification,
      ("verdict", "min_pt_eigenvalue", "realignment_excess", "certificate_passed")),
     (certificate_blocks()[0], BlockSpec, ("a_labels", "b_labels", "diag_weights")),
@@ -69,7 +68,6 @@ CHECKED = [
     (QUTRIT_PAIR, "da", 1),
     (initial_state(4.5), "mat", np.eye(4) / 4),
     (NOISE, "t", -5.0),
-    (kraus_ground_excited(NOISE), "ops", (2 * np.eye(9),)),
     (certificate_blocks()[0], "a_labels", (0, 0)),
     (UNIFORM, "d", 1),
 ]
@@ -89,12 +87,9 @@ def test_record_arrays_are_read_only_copies():
     mat = np.eye(9) / 9
     state = DensityMatrix(mat, QUTRIT_PAIR)
     assert state.mat.dtype == complex and not np.shares_memory(state.mat, mat)
-    for array in (state.mat, UNIFORM.a, kraus_ground_excited(NOISE).ops[0]):
+    for array in (state.mat, UNIFORM.a):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    k = np.eye(9, dtype=complex)
-    kraus = KrausSet((k,), QUTRIT_PAIR)
-    assert k.flags.writeable and not np.shares_memory(kraus.ops[0], k)
     assert repr(QUTRIT_PAIR) == "Dims(da=3, db=3)"
 
 

@@ -1,54 +1,74 @@
-"""The family's partial-transpose spectrum, derived symbolically.
+"""The family's closed forms against its definition, at 50 digits.
 
 The evolved family is built from its definition with sympy symbols for
 alpha and the two retentions gamma_a, gamma_b. Its partial transpose's
 characteristic polynomial then factors exactly, and the shipped closed
 forms pt_branch_eigenvalue and ppt_onset_time are checked against the
-sympy roots evaluated at 50 digits.
+sympy roots evaluated at 50 digits; realignment_closed_form against
+the exact trace norm of the realigned family. certificate_onset_time
+is checked against the certificate's blocks at 50 digits in mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
+from conftest import family_by_definition, family_by_mpmath
 from dephaselab.channels import NoiseParams
-from dephaselab.family import QUTRIT_PAIR, evolved_closed_form, ppt_onset_time, pt_branch_eigenvalue
+from dephaselab.family import (
+    QUTRIT_PAIR,
+    certificate_blocks,
+    certificate_onset_time,
+    evolved_closed_form,
+    ppt_onset_time,
+    pt_branch_eigenvalue,
+    realignment_closed_form,
+)
 
 ALPHA, GA, GB, LAM = sp.symbols("alpha gamma_a gamma_b lambda", positive=True)
 RATE, T = sp.symbols("rate t", positive=True)
 DIGITS = 50
 
 
-def symbolic_evolved_family() -> sp.Matrix:
-    """The family state under ground/excited dephasing, from its definition.
-
-    (2/21) |psi><psi| with psi = |01> + |10> + |22>, plus alpha/21 on
-    |00>, |12>, |21> and (5 - alpha)/21 on |11>, |20>, |02>. A coherence
-    keeps gamma_a when its side-A labels straddle {0} | {1, 2}, and
-    gamma_b likewise on side B.
-    """
-    d = QUTRIT_PAIR
-    m = sp.zeros(9, 9)
-    psi = [d.flat(0, 1), d.flat(1, 0), d.flat(2, 2)]
-    for i in psi:
-        for j in psi:
-            m[i, j] += sp.Rational(2, 21)
-    for a, b in ((0, 0), (1, 2), (2, 1)):
-        m[d.flat(a, b), d.flat(a, b)] += ALPHA / 21
-    for a, b in ((1, 1), (2, 0), (0, 2)):
-        m[d.flat(a, b), d.flat(a, b)] += (5 - ALPHA) / 21
-    for a, b, a2, b2 in np.ndindex(3, 3, 3, 3):
-        factor = (GA if (a == 0) != (a2 == 0) else 1) * (GB if (b == 0) != (b2 == 0) else 1)
-        m[d.flat(a, b), d.flat(a2, b2)] *= factor
-    return m
-
-
 def symbolic_partial_transpose(m: sp.Matrix) -> sp.Matrix:
     """Side-B partial transpose: entry ((i,k),(j,l)) is m((i,l),(j,k))."""
     d = QUTRIT_PAIR
     return sp.Matrix(9, 9, lambda r, c: m[d.flat(r // 3, c % 3), d.flat(c // 3, r % 3)])
+
+
+def symbolic_realign(m: sp.Matrix) -> sp.Matrix:
+    """Realignment: entry ((a,a'),(b,b')) is m((a,b),(a',b'))."""
+    d = QUTRIT_PAIR
+    return sp.Matrix(9, 9, lambda r, c: m[d.flat(r // 3, c // 3), d.flat(r % 3, c % 3)])
+
+
+def certificate_margin_by_mpmath(alpha: float, s) -> mpmath.mpf:
+    """Smallest eigenvalue over the three-block certificate's blocks and
+    their side-B partial transposes, for the family at the retention
+    exp(-s/2) on both sides, at mpmath's working precision.
+
+    A block keeps the coherences among its four composite states and
+    takes diag_weights[k] of the k-th diagonal entry; as a 2x2-by-2x2
+    state its partial transpose swaps the B labels of each entry.
+    """
+    m = family_by_mpmath(alpha, False, 1, 1, s)
+    d = QUTRIT_PAIR
+    values = []
+    for block in certificate_blocks():
+        idx = [d.flat(a, b) for a in block.a_labels for b in block.b_labels]
+        b4 = mpmath.matrix(4, 4)
+        for i in range(4):
+            for j in range(4):
+                b4[i, j] = m[idx[i], idx[j]] * (block.diag_weights[i] if i == j else 1)
+        pt = mpmath.matrix(4, 4)
+        for i in range(4):
+            for j in range(4):
+                pt[i, j] = b4[2 * (i // 2) + j % 2, 2 * (j // 2) + i % 2]
+        values += [min(mpmath.eigsy(b4, eigvals_only=True)), min(mpmath.eigsy(pt, eigvals_only=True))]
+    return min(values)
 
 
 def branch_quadratic(r):
@@ -58,7 +78,8 @@ def branch_quadratic(r):
 
 @pytest.fixture(scope="module")
 def evolved():
-    return symbolic_evolved_family()
+    """The evolved family with exact entries in alpha and the retentions."""
+    return family_by_definition(ALPHA, GA, GB, sp.zeros, sp.Integer(1))
 
 
 def test_symbolic_state_is_the_shipped_evolution(evolved):
@@ -95,3 +116,42 @@ def test_ppt_onset_is_the_zero_of_the_slowest_branch(alpha):
     for rate in (0.2, 1.0, 3.5):
         want = float(sp.N(onset.subs({ALPHA: sp.Rational(alpha), RATE: sp.Rational(rate)}), DIGITS))
         assert math.isclose(ppt_onset_time(alpha, rate), want, rel_tol=1e-13, abs_tol=0.0), (alpha, rate)
+
+
+def test_realignment_closed_form_is_the_realigned_trace_norm(evolved):
+    # sympy route: at equal retentions r, R^T R of the realigned family has
+    # four distinct eigenvalues in alpha and r, so sympy gives the trace
+    # norm (the sum of their square roots) exactly, in well under a second.
+    realigned = symbolic_realign(evolved.subs(GB, GA))
+    norm = sum(count * sp.sqrt(value) for value, count in (realigned.T * realigned).eigenvals().items())
+    for alpha in (3.2, 4.0, 4.5, 4.999, 5.0):
+        for rate in (0.3, 1.0, 2.6):
+            for t in (0.0, 0.1, 0.7, 2.0, 9.0, 30.0):
+                retention = sp.exp(-sp.Rational(rate) * sp.Rational(t) / 2)
+                want = float(sp.N(norm.subs({ALPHA: sp.Rational(alpha), GA: retention}) - 1, DIGITS))
+                got = realignment_closed_form(alpha, rate, t)
+                # The excess crosses zero on this grid, so the tolerance has an absolute floor.
+                assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-15), (alpha, rate, t)
+
+
+@pytest.mark.parametrize("alpha", [3.2, 4.5, 4.9, 4.99])
+def test_certificate_onset_is_the_first_time_every_block_is_ppt(alpha):
+    # mpmath route: the onset is the first zero of a minimum over six 4x4
+    # spectra, which sympy would need a case analysis to pick out. The
+    # margin depends on rate * t alone: scan it in steps of 1/4 from 0 to
+    # its first nonnegative value, then refine that step's root.
+    with mpmath.workdps(DIGITS):
+        step = mpmath.mpf(1) / 4
+        k = 0
+        while certificate_margin_by_mpmath(alpha, k * step) < 0:
+            k += 1
+        assert k > 0
+        onset = mpmath.findroot(
+            lambda s: certificate_margin_by_mpmath(alpha, s), ((k - 1) * step, k * step), solver="anderson"
+        )
+        nudge = onset * mpmath.mpf(10) ** -20
+        before, after = (certificate_margin_by_mpmath(alpha, onset + sign * nudge) for sign in (-1, 1))
+        assert before < 0 <= after
+        for rate in (0.3, 1.0, 2.6):
+            want = float(onset / rate)
+            assert math.isclose(certificate_onset_time(alpha, rate), want, rel_tol=1e-13, abs_tol=0.0), (alpha, rate)
