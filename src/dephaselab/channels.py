@@ -7,10 +7,11 @@ qutrit into {0} | {1, 2} with retention exp(-rate*t/2); general
 dephasing makes every label its own sector with retention exp(-rate*t).
 Both are completely positive, trace preserving, and form semigroups in
 t; the infinite-time limit is the ground/excited split with retention 0.
-Each mask is real, symmetric and positive semidefinite with unit
-diagonal, so by the Schur product theorem a masked state keeps the
-input's Hermiticity, trace and eigenvalue floor: sector_dephase returns
-it without validating it again. No runtime path uses the Kraus
+For retentions in [0, 1], which sector_dephase checks, each mask is
+real, symmetric and positive semidefinite with unit diagonal, so by the
+Schur product theorem a masked state keeps the input's Hermiticity,
+trace and eigenvalue floor: sector_dephase returns it without
+validating it again. No runtime path uses the Kraus
 construction (local_pair, kraus_ground_excited, apply_channel): it is
 the independent reference route the tests compare the masks against.
 
@@ -29,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import CheckedRecord, hermitize
+from .linalg import CheckedRecord, DomainError, hermitize
 from .qstate import BadShapeError, DensityMatrix, make_state, tensor
 
 
@@ -137,14 +138,20 @@ def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a, keep_b) -
     and by keep_b if sectors_b[k] != sectors_b[l]. keep_a / keep_b are
     scalars or 1-D arrays of length N; with an array (or a stacked state)
     the result is the stack of N dephased states. Raises BadShapeError
-    when a labelling does not have one entry per local level.
+    when a labelling does not have one entry per local level, and
+    DomainError when a retention lies outside [0, 1] or is NaN.
     """
     d = state.dims
     sectors_a, sectors_b = tuple(sectors_a), tuple(sectors_b)
     if (len(sectors_a), len(sectors_b)) != (d.da, d.db):
         raise BadShapeError(f"sector labellings {sectors_a}, {sectors_b} do not cover dims ({d.da}, {d.db})")
     cross_a, cross_b = _cross_sector(sectors_a, sectors_b)
-    keep_a, keep_b = np.asarray(keep_a)[..., None, None], np.asarray(keep_b)[..., None, None]
+    keep_a, keep_b = np.asarray(keep_a), np.asarray(keep_b)
+    for name, keep in (("keep_a", keep_a), ("keep_b", keep_b)):
+        inside = (keep >= 0) & (keep <= 1)  # False for NaN
+        if not inside.all():
+            raise DomainError(f"{name} must lie in [0, 1], got {keep[~inside][0]}")
+    keep_a, keep_b = keep_a[..., None, None], keep_b[..., None, None]
     m = state.mat * (np.where(cross_a, keep_a, 1.0) * np.where(cross_b, keep_b, 1.0))
     # make_state's hermitization: it only settles the signs of zeros that
     # an underflowing retention leaves, so the result is a fixed point of

@@ -188,7 +188,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
     def certificate_margin(t: float) -> float:
         result = criteria.separability_certificate(evolved(t), blocks)
-        return min(min(b.min_eigenvalue, b.min_pt_eigenvalue) for b in result.blocks)
+        return min(map(min, result.block_minima))
 
     t_d_numeric, realignment_zero = criteria.transition_times(evolved, gamma)
     report = {

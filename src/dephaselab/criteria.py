@@ -102,20 +102,15 @@ class BlockSpec(CheckedRecord, NamedTuple("BlockSpec", [
         return [dims.flat(a, b) for a in self.a_labels for b in self.b_labels]
 
 
-class BlockDiagnostic(NamedTuple):
-    """Per-block outcome of a certificate evaluation."""
-
-    a_labels: tuple[int, int]
-    b_labels: tuple[int, int]
-    min_eigenvalue: float
-    min_pt_eigenvalue: float
-
-
 class CertificateResult(NamedTuple):
-    """Certificate outcome with the evidence that produced it."""
+    """Certificate outcome with the evidence that produced it.
+
+    block_minima[b] is the (minimum eigenvalue, minimum PT eigenvalue)
+    pair of the b-th block given, in the order given.
+    """
 
     passed: bool
-    blocks: tuple[BlockDiagnostic, ...]
+    block_minima: tuple[tuple[float, float], ...]
     residual_diagonal_min: float
     residual_offdiagonal_max: float
 
@@ -189,19 +184,10 @@ def separability_certificate(
     them for a stack; a CertificateResult is itself a tuple, so test
     isinstance(result, CertificateResult) to tell the two apart.
     """
-    passed, minima, res_diag, res_off = (x.tolist() for x in _certify(state.stack, state.dims, blocks))
-    members = tuple(
-        CertificateResult(
-            passed[k],
-            tuple(
-                BlockDiagnostic(b.a_labels, b.b_labels, w_min[k], pt_min[k])
-                for b, (w_min, pt_min) in zip(blocks, minima)
-            ),
-            res_diag[k],
-            res_off[k],
-        )
-        for k in range(len(passed))
-    )
+    passed, minima, res_diag, res_off = _certify(state.stack, state.dims, blocks)
+    # One transpose turns the (B, 2, N) minima into each member's B pairs.
+    columns = passed.tolist(), minima.transpose(2, 0, 1).tolist(), res_diag.tolist(), res_off.tolist()
+    members = tuple(CertificateResult(ok, tuple(map(tuple, pairs)), d, o) for ok, pairs, d, o in zip(*columns))
     return members if state.mat.ndim == 3 else members[0]
 
 
@@ -215,8 +201,8 @@ def _certify(
     for all blocks; a block's values are those of its own eigensolve.
 
     Returns (passed, minima, residual_diagonal_min, residual_offdiagonal_max)
-    as arrays over the members; minima[b] holds block b's minimum
-    eigenvalue and minimum PT eigenvalue, each of shape (N,).
+    as arrays over the members; minima, of shape (B, 2, N), holds each
+    block's minimum eigenvalue and minimum PT eigenvalue.
     """
     n, count, size = dims.n, len(blocks), len(mats)
     idx = np.array([block.flat_indices(dims) for block in blocks], dtype=int).reshape(count, 4)

@@ -19,7 +19,8 @@ from dephaselab.channels import (
     local_pair,
     sector_dephase,
 )
-from dephaselab.linalg import eigvals_hermitian
+from dephaselab.family import initial_state
+from dephaselab.linalg import DomainError, eigvals_hermitian
 from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state
 
 
@@ -177,6 +178,18 @@ class TestApplyChannel:
         state = random_state(rng, Dims(2, 3))
         with pytest.raises(BadShapeError):
             apply_channel(state, kraus_ground_excited(NoiseParams(1.0, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("keep, shown", [
+        (1.5, "1.5"), (-0.1, "-0.1"), (math.nan, "nan"), (np.array([0.5, 1.0, 1.2, 0.0]), "1.2"),
+    ], ids=["above-one", "negative", "nan", "array-entry"])
+    def test_rejects_retentions_outside_the_unit_interval(self, keep, shown):
+        # Outside [0, 1] a mask can be indefinite: at 1.5 on both sides the
+        # masked family state has a negative eigenvalue (about -0.119),
+        # which make_state rejects and sector_dephase must not return.
+        state = initial_state(4.5)
+        for side, keeps in (("keep_a", (keep, keep)), ("keep_b", (0.5, keep))):
+            with pytest.raises(DomainError, match=re.escape(f"{side} must lie in [0, 1], got {shown}")):
+                sector_dephase(state, (0, 1, 1), (0, 1, 1), *keeps)
 
     @settings(max_examples=50, deadline=None)
     @given(

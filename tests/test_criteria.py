@@ -123,7 +123,21 @@ class TestSeparabilityCertificate:
         assert result.passed
         assert result.residual_offdiagonal_max <= 1e-12
         assert result.residual_diagonal_min >= -1e-15
-        assert len(result.blocks) == 3
+        assert len(result.block_minima) == 3
+
+    def test_block_minima_follow_the_order_of_the_blocks(self):
+        state, blocks = family_at(0.3), certificate_blocks()
+        forward = separability_certificate(state, blocks).block_minima
+        backward = separability_certificate(state, blocks[::-1]).block_minima
+        assert [type(x) for pair in forward for x in pair] == [float] * 6
+        assert np.array(backward).tobytes() == np.array(forward[::-1]).tobytes()
+        # Each pair against its own block, built entry by entry.
+        for block, pair in zip(blocks, forward):
+            idx = block.flat_indices(QUTRIT_PAIR)
+            m = state.mat[np.ix_(idx, idx)].copy()
+            m[np.diag_indices(4)] *= block.diag_weights
+            pt = m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+            assert np.allclose(pair, [np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(pt)[0]], rtol=0, atol=1e-12)
 
     def test_boundary_straddles_closed_form_onset(self):
         assert not separability_certificate(family_at(1.38), certificate_blocks()).passed
@@ -132,7 +146,7 @@ class TestSeparabilityCertificate:
     def test_failing_block_is_reported(self):
         result = separability_certificate(family_at(0.3), certificate_blocks())
         assert not result.passed
-        assert any(min(b.min_eigenvalue, b.min_pt_eigenvalue) < 0.0 for b in result.blocks)
+        assert any(min(pair) < 0.0 for pair in result.block_minima)
 
     @pytest.mark.parametrize("alpha, t", [(4.9, 2.09964423), (4.5, 1.386294359)])
     def test_negative_block_minimum_fails(self, alpha, t):
@@ -143,8 +157,8 @@ class TestSeparabilityCertificate:
         # separable.
         result = separability_certificate(family_at(t, alpha), certificate_blocks())
         assert not result.passed
-        failing = [b for b in result.blocks if min(b.min_eigenvalue, b.min_pt_eigenvalue) < 0.0]
-        assert failing and all(-1e-10 < min(b.min_eigenvalue, b.min_pt_eigenvalue) < 0 for b in failing)
+        failing = [min(pair) for pair in result.block_minima if min(pair) < 0.0]
+        assert failing and all(-1e-10 < margin < 0 for margin in failing)
         assert classify(family_at(t, alpha), certificate_blocks()).verdict == Verdict.PPT_UNDETERMINED
 
     def test_diagonal_state_passes(self, rng):
@@ -154,7 +168,7 @@ class TestSeparabilityCertificate:
     def test_no_blocks_certify_only_diagonal_states(self, rng):
         diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))
         result = separability_certificate(diag, ())
-        assert result.passed and result.blocks == ()
+        assert result.passed and result.block_minima == ()
         with pytest.raises(CoverageError, match=re.escape("coherence between |0,1> and |1,0> lies in no block")):
             separability_certificate(family_at(1.0), ())
 

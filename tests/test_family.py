@@ -221,7 +221,7 @@ class TestCertificateOnset:
                 result = separability_certificate(
                     evolved_closed_form(alpha, NoiseParams(1.0, 1.0, t)), blocks
                 )
-                return min(min(b.min_eigenvalue, b.min_pt_eigenvalue) for b in result.blocks)
+                return min(map(min, result.block_minima))
             onset = find_sign_change(margin, 0.05, 5.0, tol=1e-9)
             assert abs(onset - certificate_onset_time(alpha, 1.0)) < 1e-6
 

@@ -17,7 +17,6 @@ import dephaselab
 from conftest import QUTRIT_PAIR, child_env
 from dephaselab.channels import NoiseParams
 from dephaselab.criteria import (
-    BlockDiagnostic,
     BlockSpec,
     CertificateResult,
     Classification,
@@ -40,10 +39,8 @@ RECORDS = [
     (classify(initial_state(4.5)), Classification,
      ("verdict", "min_pt_eigenvalue", "realignment_excess", "certificate_passed")),
     (certificate_blocks()[0], BlockSpec, ("a_labels", "b_labels", "diag_weights")),
-    (separability_certificate(initial_state(4.5), certificate_blocks()).blocks[0], BlockDiagnostic,
-     ("a_labels", "b_labels", "min_eigenvalue", "min_pt_eigenvalue")),
     (separability_certificate(initial_state(4.5), certificate_blocks()), CertificateResult,
-     ("passed", "blocks", "residual_diagonal_min", "residual_offdiagonal_max")),
+     ("passed", "block_minima", "residual_diagonal_min", "residual_offdiagonal_max")),
     (UNIFORM, McSpec, ("d", "a")),
     (mc_report(UNIFORM, NOISE), McReport,
      ("still_mc", "mc_deviation", "entangled", "distillable", "witness_value", "witness_labels")),
