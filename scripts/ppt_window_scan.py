@@ -33,6 +33,9 @@ def main() -> None:
     gamma = args.gamma
     if not (math.isfinite(gamma) and gamma > 0):
         parser.error(f"--gamma must be finite and positive, got {gamma}")
+    for alpha in args.alphas:
+        if not 3.0 < alpha <= 5.0:  # NaN fails too
+            parser.error(f"--alphas must lie in (3, 5], got {alpha}")
 
     print(f"gamma = {gamma}")
     print(f"{'alpha':>8} {'t_ppt':>10} {'realign_zero':>13} {'window':>10}")

@@ -51,8 +51,7 @@ class NoiseParams(CheckedRecord, NamedTuple("NoiseParams", [
 ])):
     """Dephasing rates (inverse time) for each side and an evolution time.
 
-    gamma_a / gamma_b are the surviving coherence factors exp(-rate*t/2);
-    omega_a / omega_b are the complementary branch amplitudes.
+    gamma_a / gamma_b are the surviving coherence factors exp(-rate*t/2).
     """
 
     __slots__ = ()
@@ -70,14 +69,6 @@ class NoiseParams(CheckedRecord, NamedTuple("NoiseParams", [
     @property
     def gamma_b(self) -> float:
         return ground_excited_retention(self.gamma_rate_b, self.t)
-
-    @property
-    def omega_a(self) -> float:
-        return math.sqrt(1.0 - self.gamma_a ** 2)
-
-    @property
-    def omega_b(self) -> float:
-        return math.sqrt(1.0 - self.gamma_b ** 2)
 
 
 def local_pair(gamma: float) -> tuple[np.ndarray, np.ndarray]:

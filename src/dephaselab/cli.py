@@ -132,21 +132,20 @@ def _grid(spec: list[float], what: str) -> list[float]:
     if not start < end:
         raise UsageError(f"{what} range needs start < end, got {start} >= {end}")
     try:
-        return np.linspace(start, end, int(steps)).tolist()
+        grid = np.linspace(start, end, int(steps)).tolist()
     except (ValueError, IndexError) as exc:  # numpy refuses a count past what an array can index
         raise UsageError(f"{what} range step count {int(steps)} is more than numpy can hold") from exc
+    if min(grid) < 0:
+        raise UsageError(f"{what} range must be nonnegative")
+    return grid
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ts = _grid(args.t_range, "t")
-    if min(ts) < 0:
-        raise UsageError("t range must be nonnegative")
     if args.gamma is not None and args.gamma_range is not None:
         raise UsageError("pass either --gamma or --gamma-range, not both")
     if args.gamma_range is not None:
         gammas = _grid(args.gamma_range, "gamma")
-        if min(gammas) < 0:
-            raise UsageError("gamma range must be nonnegative")
     else:
         gammas = [1.0 if args.gamma is None else args.gamma]
     if args.quantity == "fidelity":
@@ -219,13 +218,13 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
     # (claim, probe witness, whether the probe must certify entanglement)
     for name, witness, entangled in (
         ("one-sided probe certifies the swapped family (side B, t=1)",
-         family.one_sided_probe(rho_prime0, "B", at(1.0)), True),
+         family.one_sided_probe(ground_excited(rho_prime0, at(1.0)), "B"), True),
         ("one-sided probe certifies the swapped family (side A, t=1)",
-         family.one_sided_probe(rho_prime0, "A", at(1.0)), True),
+         family.one_sided_probe(ground_excited(rho_prime0, at(1.0)), "A"), True),
         (f"one-sided probe flags the unswapped family before its PPT onset (t=0.3 < {onset:.4f})",
-         family.one_sided_probe(rho0, "B", at(0.3)), True),
+         family.one_sided_probe(ground_excited(rho0, at(0.3)), "B"), True),
         (f"one-sided probe declines the unswapped family after its PPT onset (t=1.0 > {onset:.4f})",
-         family.one_sided_probe(rho0, "B", at(1.0)), False),
+         family.one_sided_probe(ground_excited(rho0, at(1.0)), "B"), False),
         ("two-sided probe certifies the swapped family for all finite time",
          family.two_sided_probe(rho_prime0), True),
         ("two-sided probe declines the unswapped family", family.two_sided_probe(rho0), False),
@@ -305,7 +304,7 @@ def _sample_witnesses(seed: int, samples: int):
         two_sided = family.two_sided_probe(states)
         parent_pt_min = _pt_min_where(two_sided < -TOL.verdict, states)
         evolved = ground_excited(states, noise)
-        one_sided = family.erased_ground_witness(evolved, "B", noise)
+        one_sided = family.one_sided_probe(evolved, "B")
         evolved_pt_min = _pt_min_where(one_sided < -TOL.verdict, evolved)
         del evolved
         yield {

@@ -135,24 +135,24 @@ def realignment_excess(state: DensityMatrix) -> float | np.ndarray:
 
 
 def qubit_block_witness(
-    state: DensityMatrix, a_labels: Sequence[int], b_labels: Sequence[int], branch: float = 1.0
+    state: DensityMatrix, a_labels: Sequence[int], b_labels: Sequence[int]
 ) -> float | np.ndarray:
     """Minimum PT eigenvalue of a normalized local projection.
 
-    The package's one witness of a projected block: a 2x2 corner, a 3x2
-    doublet, or a channel branch whose weight carries the factor branch.
-    With two labels on one side a negative value is conclusive on the
-    projection (NPT there means distillable) and lifts to the parent: a
-    local projection of a PPT state is PPT, so a negative witness
-    certifies the parent state distillable (Horodecki, PRL 80, 5239).
+    The package's one witness of a projected block: a 2x2 corner or a
+    3x2 doublet. With two labels on one side a negative value is
+    conclusive on the projection (NPT there means distillable) and lifts
+    to the parent: a local projection of a PPT state is PPT, so a
+    negative witness certifies the parent state distillable (Horodecki,
+    PRL 80, 5239).
 
-    The weight is branch * trace of the raw block. A state, or a stack
-    member, whose weight is below TOL.zero_trace gets a NaN witness,
-    which fails every test against -TOL.verdict.
+    A state, or a stack member, whose block has trace below
+    TOL.zero_trace gets a NaN witness, which fails every test against
+    -TOL.verdict.
     """
     block = project_local(state, tuple(a_labels), tuple(b_labels))
     tr = trace(block.mat).real
-    live = branch * tr >= TOL.zero_trace
+    live = tr >= TOL.zero_trace
     with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which the Hermiticity check rejects
         normalized = block.mat / np.where(live, tr, 1.0)[..., None, None]
     return _per_member(np.where(live, min_pt_eigenvalue(DensityMatrix(normalized, block.dims)), np.nan))

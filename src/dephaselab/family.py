@@ -7,20 +7,19 @@ spectrum, realignment excess and classification thresholds all have
 closed forms, so the family doubles as an analytic oracle for the
 numerical pipeline. A locally basis-swapped variant keeps one coherence
 inside the never-damped excited doublet and therefore stays distillable
-forever; probes built from single channel branches certify that. Each
-probe is criteria.qubit_block_witness on one local projection.
+forever; probes on its ground-erased doublets certify that. Each probe
+is criteria.qubit_block_witness on one local projection.
 
 All closed forms here are verified against the numerical path by the
 test suite; none are trusted on their own.
 
-Leading-axis convention: the probes (one_sided_probe, its
-erased_ground_witness step, two_sided_probe) take one state or a stack
-(N, 9, 9) and return a float or an (N,) array of witnesses, each
-member's bit-identical to probing that member alone, and NaN where the
-branch carries no weight; mc_projection gives None for an empty
-projection. The family constructors, mc_* and limit_verdict handle one
-state. The constructors build it from checked inputs (an alpha, a
-McSpec) valid by construction, without make_state.
+Leading-axis convention: the probes (one_sided_probe, two_sided_probe)
+take one state or a stack (N, 9, 9) and return a float or an (N,) array
+of witnesses, each member's bit-identical to probing that member alone,
+and NaN where the projection carries no weight; mc_projection gives
+None for an empty projection. The family constructors, mc_* and
+limit_verdict handle one state. The constructors build it from checked
+inputs (an alpha, a McSpec) valid by construction, without make_state.
 """
 
 from __future__ import annotations
@@ -221,35 +220,25 @@ def fidelity_swapped(gamma_rate: float, t: float) -> float:
     return ((15.0 + 2.0 * math.sqrt(5.0 + 4.0 * x)) / 21.0) ** 2
 
 
-def one_sided_probe(state: DensityMatrix, side: str, noise: NoiseParams) -> float | np.ndarray:
-    """Distillability probe from one erased-ground channel branch: the
-    erased_ground_witness of the state evolved to noise.t. Takes one
-    state or a stack."""
-    return erased_ground_witness(ground_excited(state, noise), side, noise)
+def one_sided_probe(state: DensityMatrix, side: str) -> float | np.ndarray:
+    """Distillability probe from one side's ground-erased doublet.
 
-
-def erased_ground_witness(evolved: DensityMatrix, side: str, noise: NoiseParams) -> float | np.ndarray:
-    """Witness of the erased-ground branch of a state already evolved by
-    ground_excited to noise.
-
-    Keeps the branch of the evolved state in which the chosen side's
-    ground level was erased. That branch is omega^2 times the evolved
-    state restricted to the chosen side's doublet {1, 2}: a 3x2 (side
+    Restricts the state to the chosen side's doublet {1, 2}: a 3x2 (side
     "B") or 2x3 (side "A") support, where NPT is conclusive, so a
-    negative witness certifies the evolved state distillable at this
-    time. Returns the witness of the normalized branch, whose weight is
-    omega^2 times the block's trace, and NaN when the branch carries no
-    weight (t = 0). Takes one state or a stack.
+    negative witness certifies the state distillable. Probe an evolved
+    state (ground_excited) to certify it at that time; the erased-ground
+    channel branch is this restriction up to a positive scalar. NaN when
+    the doublet is empty. Takes one state or a stack.
     """
-    if evolved.dims != QUTRIT_PAIR:
-        raise ValueError(f"probe is defined on dims (3, 3), got {evolved.dims}")
+    if state.dims != QUTRIT_PAIR:
+        raise ValueError(f"probe is defined on dims (3, 3), got {state.dims}")
     if side == "B":
-        keep_a, keep_b, omega = (0, 1, 2), (1, 2), noise.omega_b
+        keep_a, keep_b = (0, 1, 2), (1, 2)
     elif side == "A":
-        keep_a, keep_b, omega = (1, 2), (0, 1, 2), noise.omega_a
+        keep_a, keep_b = (1, 2), (0, 1, 2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return qubit_block_witness(evolved, keep_a, keep_b, omega ** 2)
+    return qubit_block_witness(state, keep_a, keep_b)
 
 
 def two_sided_probe(state: DensityMatrix) -> float | np.ndarray:

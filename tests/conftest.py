@@ -302,13 +302,14 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
     rows = []
     for s in [random_state_by_draws(rng, QUTRIT_PAIR) for _ in range(samples)]:
         lim = channels.infinite_limit(s)
+        evolved = ground_excited(s, noise)
         rows.append({
             "limit_pt_min": criteria.min_pt_eigenvalue(lim),
             "limit_excess": criteria.realignment_excess(lim),
             "parent_pt_min": criteria.min_pt_eigenvalue(s),
-            "evolved_pt_min": criteria.min_pt_eigenvalue(ground_excited(s, noise)),
+            "evolved_pt_min": criteria.min_pt_eigenvalue(evolved),
             "two_sided": family.two_sided_probe(s),
-            "one_sided": family.one_sided_probe(s, "B", noise),
+            "one_sided": family.one_sided_probe(evolved, "B"),
         })
     keys = ("limit_pt_min", "limit_excess", "two_sided", "parent_pt_min", "one_sided", "evolved_pt_min")
     return {key: np.array([row[key] for row in rows], dtype=float) for key in keys}

@@ -65,12 +65,10 @@ class TestNoiseParams:
         p = NoiseParams(0.8, 1.4, 2.0)
         assert abs(p.gamma_a - math.exp(-0.8)) < 1e-15
         assert abs(p.gamma_b - math.exp(-1.4)) < 1e-15
-        assert abs(p.gamma_a**2 + p.omega_a**2 - 1.0) < 1e-15
-        assert abs(p.gamma_b**2 + p.omega_b**2 - 1.0) < 1e-15
 
     def test_time_zero_is_noiseless(self):
         p = NoiseParams(1.0, 1.0, 0.0)
-        assert p.gamma_a == 1.0 and p.omega_a == 0.0
+        assert p.gamma_a == 1.0 and p.gamma_b == 1.0
 
     def test_rejects_bad_values(self):
         for args, message in (

@@ -277,6 +277,18 @@ class TestSweep:
         assert (result.returncode, result.stdout) == (2, b"")
         assert result.stderr.decode() == f"error: {message} is more than numpy can hold\n"
 
+    @pytest.mark.parametrize("ranges, code, stderr", [
+        (("--t-range", "-1", "1", "3"), 2, b"error: t range must be nonnegative\n"),
+        (("--gamma-range", "-1", "1", "3"), 2, b"error: gamma range must be nonnegative\n"),
+        (("--t-range", "-1", "1", "1e20"), 2,
+         b"error: t range step count 100000000000000000000 is more than numpy can hold\n"),
+        (("--t-range", "-0.0", "1", "2"), 0, b""),
+    ])
+    def test_negative_ranges_are_refused_after_the_step_count(self, ranges, code, stderr):
+        result = run_cli("sweep", "--quantity", "pt-min-eig", *ranges)
+        assert (result.returncode, result.stderr) == (code, stderr)
+        assert (result.stdout == b"") == (code != 0)
+
 
 class TestThresholds:
     def test_golden_report_default_family(self):
@@ -441,7 +453,7 @@ class TestVerifyLemmas:
         # two_sided, parent_pt_min, one_sided, evolved_pt_min.
         nan, edge = np.nan, TOL.verdict
         rows = [
-            (1e-3, 0.0, -1e-3, -1e-3, nan, nan),  # breaks the limit claim; NPT parent, empty probe branch
+            (1e-3, 0.0, -1e-3, -1e-3, nan, nan),  # breaks the limit claim; NPT parent, empty probe doublet
             (0.0, nan, -1e-3, 0.0, -1e-3, -1e-3),  # breaks the two-sided claim; NPT evolved state
             (2 * edge, -1e-3, nan, nan, -1e-3, -edge),  # breaks the one-sided claim; NPT limit, empty corner
             (-0.5, 0.0, 0.0, 0.0, 0.0, 0.0),  # only the second conjuncts hold
@@ -673,6 +685,11 @@ class TestScripts:
             bad = window_scan("--gamma", gamma, "--alphas", "4.5")
             assert bad.returncode == 2 and bad.stdout == b""
             assert b"finite and positive" in bad.stderr and b"Traceback" not in bad.stderr
+        # Every alpha is checked before the first line is printed.
+        for run_alphas in (("4.5", "3"), ("nan",)):
+            bad = window_scan("--alphas", *run_alphas)
+            assert bad.returncode == 2 and bad.stdout == b""
+            assert b"must lie in (3, 5]" in bad.stderr and b"Traceback" not in bad.stderr
 
     def test_readme_commands_run(self, capsys):
         # README is the one place these commands are written, the figure data among them.

@@ -24,7 +24,6 @@ from dephaselab.family import (
     McSpec,
     certificate_blocks,
     certificate_onset_time,
-    erased_ground_witness,
     evolved_closed_form,
     fidelity_initial,
     fidelity_swapped,
@@ -281,13 +280,13 @@ class TestFidelityCurves:
 
 class TestProbes:
     def test_one_sided_frozen_values(self):
-        witness = one_sided_probe(swapped_state(4.5), "B", NoiseParams(1.0, 1.0, 1.0))
+        witness = one_sided_probe(ground_excited(swapped_state(4.5), NoiseParams(1.0, 1.0, 1.0)), "B")
         assert witness < -TOL.verdict
         assert abs(witness - (-0.023459080339013578)) < 1e-12
-        witness = one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 0.3))
+        witness = one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, 0.3)), "B")
         assert witness < -TOL.verdict
         assert abs(witness - (-0.009914386446286241)) < 1e-12
-        witness = one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 1.0))
+        witness = one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, 1.0)), "B")
         assert not witness < -TOL.verdict
         assert abs(witness - 0.01149088822431783) < 1e-12
 
@@ -295,46 +294,40 @@ class TestProbes:
         onset = ppt_onset_time(4.5, 1.0)
         for t in (0.1, 0.3, 0.5):
             assert t < onset
-            assert one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, t)) < -TOL.verdict
+            assert one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, t)), "B") < -TOL.verdict
         for t in (0.65, 1.0, 2.0):
             assert t > onset
-            assert not one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, t)) < -TOL.verdict
+            assert not one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, t)), "B") < -TOL.verdict
 
     def test_one_sided_swapped_both_sides_all_times(self):
         for side in ("A", "B"):
             for t in (0.2, 1.0, 5.0):
-                assert one_sided_probe(swapped_state(4.5), side, NoiseParams(1.0, 1.0, t)) < -TOL.verdict
+                assert one_sided_probe(ground_excited(swapped_state(4.5), NoiseParams(1.0, 1.0, t)), side) < -TOL.verdict
 
     def test_one_sided_weight_and_support(self):
-        # Side B's branch is the 3x2 block (0,1,2)x(1,2) of the evolved state, weighted by omega_b^2.
-        noise = NoiseParams(1.0, 1.0, 1.0)
-        evolved = ground_excited(initial_state(4.5), noise)
-        witness = qubit_block_witness(evolved, (0, 1, 2), (1, 2))
-        assert one_sided_probe(initial_state(4.5), "B", noise) == witness
-        assert erased_ground_witness(evolved, "B", noise) == witness
-        # The block's trace is 2/3 at every t, so the branch weight omega_b^2 * 2/3
-        # crosses TOL.zero_trace at t of about 1.5e-12.
-        early, late = NoiseParams(1.0, 1.0, 0.5e-12), NoiseParams(1.0, 1.0, 3e-12)
-        assert early.omega_b ** 2 * (2.0 / 3.0) < TOL.zero_trace < late.omega_b ** 2 * (2.0 / 3.0)
-        assert math.isnan(one_sided_probe(initial_state(4.5), "B", early))
-        assert math.isfinite(one_sided_probe(initial_state(4.5), "B", late))
+        # Side B's probe is the 3x2 block (0,1,2)x(1,2) of the state it is given.
+        evolved = ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, 1.0))
+        assert one_sided_probe(evolved, "B") == qubit_block_witness(evolved, (0, 1, 2), (1, 2))
+        assert one_sided_probe(evolved, "A") == qubit_block_witness(evolved, (1, 2), (0, 1, 2))
 
-    def test_one_sided_needs_time(self):
-        assert math.isnan(one_sided_probe(initial_state(4.5), "B", NoiseParams(1.0, 1.0, 0.0)))
+    def test_one_sided_certifies_the_npt_family_at_time_zero(self):
+        # The doublet holds the family's NPT branch and 2/3 of its trace, so
+        # the witness is 3/2 of the branch eigenvalue at t = 0.
+        for alpha, certified in ((4.1, True), (4.5, True), (4.9, True), (3.5, False)):
+            state = initial_state(alpha)
+            witness = one_sided_probe(state, "B")
+            assert witness == qubit_block_witness(state, (0, 1, 2), (1, 2))
+            assert (witness < -TOL.verdict) == certified
+            assert abs(witness - 1.5 * pt_branch_eigenvalue(alpha, 1.0, 0.0)) < 1e-15
 
     def test_one_sided_rejects_bad_side(self):
         with pytest.raises(ValueError):
-            one_sided_probe(initial_state(4.5), "C", NoiseParams(1.0, 1.0, 1.0))
+            one_sided_probe(initial_state(4.5), "C")
 
     def test_one_sided_rejects_other_dims(self):
-        # The probe dephases first, so ground_excited's BadShapeError (a
-        # ValueError) comes before the witness step's own dims check.
         pair = make_state(Dims(3, 2), np.eye(6) / 6)
-        noise = NoiseParams(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            one_sided_probe(pair, "B", noise)
         with pytest.raises(ValueError, match=re.escape("probe is defined on dims (3, 3)")):
-            erased_ground_witness(pair, "B", noise)
+            one_sided_probe(pair, "B")
 
     def test_two_sided_exact_witnesses(self):
         witness = two_sided_probe(swapped_state(4.5))

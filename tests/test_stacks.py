@@ -155,12 +155,16 @@ class TestStacks:
         empty = rng.choice(size, size=min(size, 5), replace=False)
         mats[empty] = np.kron(np.diag([0.5, 0.5, 0.0]), np.diag([1.0, 0.0, 0.0]))
         stack = DensityMatrix(mats, Dims(3, 3))
+        # Every member a ground-state one: no member carries weight.
+        dead = DensityMatrix(np.repeat(mats[empty[:1]], size, axis=0), Dims(3, 3))
         noise = NoiseParams(1.0, 0.6, 0.7)
         for probe in (
             two_sided_probe,
-            lambda s: one_sided_probe(s, "B", noise),
-            lambda s: one_sided_probe(s, "A", noise),
-            lambda s: qubit_block_witness(s, (0, 2), (1, 2), 0.5),
-            lambda s: qubit_block_witness(s, (1, 2), (1, 2), 1e-13),  # no member carries weight
+            lambda s: one_sided_probe(s, "B"),
+            lambda s: one_sided_probe(ground_excited(s, noise), "B"),
+            lambda s: one_sided_probe(ground_excited(s, noise), "A"),
+            lambda s: qubit_block_witness(s, (0, 2), (1, 2)),
         ):
-            assert_same_bits(probe(stack), [probe(s) for s in members(stack)])
+            for probed in (stack, dead):
+                assert_same_bits(probe(probed), [probe(s) for s in members(probed)])
+        assert np.isnan(two_sided_probe(dead)).all() and np.isnan(one_sided_probe(dead, "B")).all()
