@@ -243,12 +243,12 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
          np.full((4, 4), 1.0 / 4), True),
         ("maximally correlated state with diagonal coefficients stays separable", np.diag([0.2, 0.3, 0.5]), False),
     ):
-        report = family.mc_report(family.McSpec(len(a), a), at(0.7))
+        report = family.mc_report(family.McSpec(a), at(0.7))
         detail = f"deviation {report.mc_deviation:.3g}" + (f", witness {report.witness_value}" if entangled else "")
         yield name, report.still_mc and report.entangled == entangled and report.distillable == entangled, detail
 
     # (claim, state, labels on each side, whether a maximally correlated block must be found)
-    plus = family.mc_state(family.McSpec(3, np.full((3, 3), 1.0 / 3)))
+    plus = family.mc_state(family.McSpec(np.full((3, 3), 1.0 / 3)))
     for name, state, labels, found in (
         ("projection reads a maximally correlated block off the uniform state", plus, (0, 1), True),
         ("projection strictness declines the unswapped family corner", rho0, (1, 2), False),

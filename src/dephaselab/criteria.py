@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .linalg import (
-    TOL, CheckedRecord, DomainError, eigvals_hermitian, eigvals_hermitized, singular_values, trace,
+    TOL, CheckedRecord, DomainError, eigvals_hermitian, eigvals_hermitized, hermitize, singular_values, trace,
 )
 from .qstate import DensityMatrix, Dims, partial_transpose, project_local, realign
 
@@ -222,7 +222,7 @@ def _certify(
     # Hermitian by construction, needs no check of its own.
     padded = padded.reshape(-1, 4, 4)
     pt_min = min_pt_eigenvalue(DensityMatrix(padded, Dims(2, 2)))
-    w_min = eigvals_hermitized((padded + padded.conj().swapaxes(-1, -2)) / 2)[:, 0]
+    w_min = eigvals_hermitized(hermitize(padded))[:, 0]
     minima = np.stack((w_min.reshape(count, size), pt_min.reshape(count, size)), axis=1)
     off = ~np.eye(n, dtype=bool)
     live = (np.abs(mats) > TOL.coherence_floor) & off

@@ -25,7 +25,6 @@ inputs (an alpha, a McSpec) valid by construction, without make_state.
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -57,28 +56,24 @@ def _check_rate(gamma_rate: float) -> float:
     return gamma_rate
 
 
-class McSpec(CheckedRecord, NamedTuple("McSpec", [("d", int), ("a", np.ndarray)])):
-    """Coefficient matrix of a maximally correlated state sum a_ij |ii><jj|.
+class McSpec(CheckedRecord, NamedTuple("McSpec", [("a", np.ndarray)])):
+    """Coefficient matrix of a maximally correlated state sum a_ij |ii><jj|
+    on a d x d pair, d = len(a).
 
-    The matrix must itself be a valid density matrix (check_state_matrix);
-    that makes the lifted state valid. It is stored as given.
+    The matrix must be square, at least 2x2, and itself a valid density
+    matrix (check_state_matrix); that makes the lifted state valid. It is
+    stored as given.
     """
 
     __slots__ = ()
 
-    def __new__(cls, d: int, a) -> McSpec:
-        try:
-            d = operator.index(d)
-        except TypeError:
-            raise ValueError(f"local dimension must be an integer, got {d!r}") from None
-        if d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {d}")
+    def __new__(cls, a) -> McSpec:
         a = np.array(a, dtype=complex)
-        if a.shape != (d, d):
-            raise ValueError(f"coefficient matrix shape {a.shape}, expected {(d, d)}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or len(a) < 2:
+            raise ValueError(f"coefficient matrix must be square and at least 2x2, got shape {a.shape}")
         check_state_matrix(a)
         a.setflags(write=False)
-        return super().__new__(cls, d, a)
+        return super().__new__(cls, a)
 
 
 class McReport(NamedTuple):
@@ -272,9 +267,9 @@ def _mc_deviation(mat: np.ndarray, d: int) -> float:
 def mc_state(spec: McSpec) -> DensityMatrix:
     """Lift a coefficient matrix to the maximally correlated state, which
     is valid by construction when the McSpec is."""
-    d = Dims(spec.d, spec.d)
+    d = Dims(len(spec.a), len(spec.a))
     m = np.zeros((d.n, d.n), dtype=complex)
-    m[_mc_support(spec.d)] = spec.a
+    m[_mc_support(d.da)] = spec.a
     return DensityMatrix(hermitize(m), d)
 
 
@@ -289,7 +284,7 @@ def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:
     """
     rho = mc_state(spec)
     evolved = general_dephase(rho, noise)
-    deviation = _mc_deviation(evolved.mat, spec.d)
+    deviation = _mc_deviation(evolved.mat, len(spec.a))
     off = np.abs(spec.a - np.diag(np.diag(spec.a)))
     entangled = bool(np.max(off) > TOL.coherence_floor)
     if not entangled:
@@ -332,7 +327,7 @@ def mc_projection(
     a = sub[_mc_support(2)]
     if abs(a[0, 1]) <= TOL.mc_pattern:
         return None
-    return McSpec(2, a / np.trace(a).real)
+    return McSpec(a / trace(a).real)
 
 
 def limit_verdict(state: DensityMatrix) -> LimitVerdict:
@@ -367,14 +362,11 @@ def certificate_blocks() -> tuple[BlockSpec, BlockSpec, BlockSpec]:
 def certificate_onset_time(alpha: float, gamma_rate: float) -> float:
     """First time the three-block certificate passes, in closed form.
 
-    max(2*ln2, ln(4 / (alpha*(5 - alpha)))) / gamma_rate: the doublet
+    max(2*ln2 / gamma_rate, ppt_onset_time), None read as 0: the doublet
     blocks become PSD once the single-side retention drops to 1/2, and
     become PPT at the family's PPT onset. Infinite at alpha = 5. This is
     a property of the equal-split weights above, verified against a
     direct scan by the test suite, not an independent fact.
     """
-    alpha = _check_alpha(alpha)
-    gamma_rate = _check_rate(gamma_rate)
-    if alpha == 5.0:
-        return math.inf
-    return max(2.0 * math.log(2.0), math.log(4.0 / (alpha * (5.0 - alpha)))) / gamma_rate
+    onset = ppt_onset_time(alpha, gamma_rate)
+    return max(2.0 * math.log(2.0) / float(gamma_rate), onset or 0.0)

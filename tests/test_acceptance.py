@@ -283,12 +283,12 @@ def test_c10_property_suites():
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         coeff = g @ g.conj().T
         coeff /= np.trace(coeff).real
-        report = mc_report(McSpec(d, coeff), noise)
+        report = mc_report(McSpec(coeff), noise)
         if not report.still_mc or report.mc_deviation > 1e-12:
             failures.append(f"dephasing broke the maximally correlated pattern at d={d}")
         if not report.entangled:
             failures.append(f"coherent maximally correlated state at d={d} not flagged entangled")
-        diag = McSpec(d, np.diag(rng.dirichlet(np.ones(d))))
+        diag = McSpec(np.diag(rng.dirichlet(np.ones(d))))
         diag_report = mc_report(diag, noise)
         if not diag_report.still_mc or diag_report.entangled:
             failures.append(f"diagonal maximally correlated state at d={d} misreported")

@@ -213,6 +213,17 @@ class TestCertificateOnset:
         assert abs(certificate_onset_time(4.9, 1.0) - ppt_onset_time(4.9, 1.0)) < 1e-15
         assert certificate_onset_time(5.0, 1.0) == math.inf
 
+    def test_built_on_the_ppt_onset(self):
+        # x -> x / gamma is monotone under rounding, so dividing the larger
+        # log is bit for bit the larger of the two divided logs.
+        for alpha in (3.001, 3.5, 4.0, 4.001, 4.1, 4.5, 4.9, 4.999, 5.0):
+            for gamma in (1e-9, 0.3, 1.0, 7.5, 1e9):
+                onset = certificate_onset_time(alpha, gamma)
+                assert onset == max(2.0 * math.log(2.0) / gamma, ppt_onset_time(alpha, gamma) or 0.0)
+                if alpha < 5.0:
+                    log_onset = math.log(4.0 / (alpha * (5.0 - alpha)))
+                    assert onset == max(2.0 * math.log(2.0), log_onset) / gamma, (alpha, gamma)
+
     def test_scan_matches_closed_form(self):
         blocks = certificate_blocks()
         for alpha in (4.2, 4.5, 4.8):
@@ -345,7 +356,7 @@ class TestProbes:
 
 class TestMaximallyCorrelated:
     def test_mc_state_support(self):
-        spec = McSpec(3, np.full((3, 3), 1.0 / 3.0))
+        spec = McSpec(np.full((3, 3), 1.0 / 3.0))
         state = mc_state(spec)
         d = state.dims
         for i in range(3):
@@ -355,23 +366,18 @@ class TestMaximallyCorrelated:
         assert make_state(d, state.mat).mat.tobytes() == state.mat.tobytes()
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match=re.escape("local dimension must be >= 2, got 1")):
-            McSpec(1, np.array([[1.0]]))
-        for d in (3.0, 2.5, "3", None):
-            with pytest.raises(ValueError, match=re.escape(f"local dimension must be an integer, got {d!r}")):
-                McSpec(d, np.eye(3) / 3)
-        spec = McSpec(np.int64(3), np.eye(3) / 3)
-        assert type(spec.d) is int and mc_state(spec).dims == Dims(3, 3)
-        with pytest.raises(ValueError, match=re.escape("coefficient matrix shape (3, 3), expected (2, 2)")):
-            McSpec(2, np.eye(3) / 3)
+        for shape in ((1, 1), (2, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"must be square and at least 2x2, got shape {shape}")):
+                McSpec(np.full(shape, 1.0 / shape[1]))
+        assert mc_state(McSpec(np.eye(3) / 3)).dims == Dims(3, 3)
         with pytest.raises(TraceNotOneError):
-            McSpec(2, np.eye(2))
+            McSpec(np.eye(2))
         with pytest.raises(NotPSDError):
-            McSpec(2, np.array([[1.5, 0.9], [0.9, -0.5]]))
+            McSpec(np.array([[1.5, 0.9], [0.9, -0.5]]))
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_uniform_spec_report(self, d):
-        spec = McSpec(d, np.full((d, d), 1.0 / d))
+        spec = McSpec(np.full((d, d), 1.0 / d))
         report = mc_report(spec, NoiseParams(1.0, 1.0, 0.7))
         assert report.still_mc
         assert report.mc_deviation <= 1e-12
@@ -383,7 +389,7 @@ class TestMaximallyCorrelated:
     @pytest.mark.parametrize("d", [3, 4])
     def test_diagonal_spec_report(self, d):
         weights = np.arange(1.0, d + 1.0)
-        spec = McSpec(d, np.diag(weights / weights.sum()))
+        spec = McSpec(np.diag(weights / weights.sum()))
         report = mc_report(spec, NoiseParams(1.0, 1.0, 0.7))
         assert report.still_mc
         assert not report.entangled
@@ -393,23 +399,24 @@ class TestMaximallyCorrelated:
     def test_single_small_coherence_still_detected(self):
         a = np.diag([0.5, 0.3, 0.2]).astype(complex)
         a[0, 1] = a[1, 0] = 1e-3
-        report = mc_report(McSpec(3, a), NoiseParams(1.0, 1.0, 0.5))
+        report = mc_report(McSpec(a), NoiseParams(1.0, 1.0, 0.5))
         assert report.entangled
         assert report.distillable
         assert report.witness_labels == (0, 1)
 
     def test_projection_reads_uniform_block(self):
-        plus = mc_state(McSpec(3, np.full((3, 3), 1.0 / 3.0)))
+        plus = mc_state(McSpec(np.full((3, 3), 1.0 / 3.0)))
         spec = mc_projection(plus, (0, 1), (0, 1))
         assert spec is not None
-        assert np.max(np.abs(spec.a - np.full((2, 2), 0.5))) < 1e-12
+        # Normalized by linalg.trace, the block reads exactly 0.5 everywhere, as it did by np.trace.
+        assert spec.a.tobytes() == np.full((2, 2), 0.5, dtype=complex).tobytes()
 
     def test_projection_strictness_declines_family_corners(self):
         assert mc_projection(initial_state(4.5), (1, 2), (1, 2)) is None
         assert mc_projection(swapped_state(4.5), (1, 2), (1, 2)) is None
 
     def test_projection_requires_offdiagonal(self):
-        diag = mc_state(McSpec(3, np.diag([0.2, 0.3, 0.5])))
+        diag = mc_state(McSpec(np.diag([0.2, 0.3, 0.5])))
         assert mc_projection(diag, (0, 1), (0, 1)) is None
 
     def test_projection_empty_block_is_none(self):

@@ -28,7 +28,7 @@ from dephaselab.linalg import TOL, Tolerances
 from dephaselab.qstate import DensityMatrix, Dims
 
 NOISE = NoiseParams(1.0, 1.0, 2.0)
-UNIFORM = McSpec(3, np.full((3, 3), 1.0 / 3))
+UNIFORM = McSpec(np.full((3, 3), 1.0 / 3))
 
 # (record, its type, its fields in order)
 RECORDS = [
@@ -41,7 +41,7 @@ RECORDS = [
     (certificate_blocks()[0], BlockSpec, ("a_labels", "b_labels", "diag_weights")),
     (separability_certificate(initial_state(4.5), certificate_blocks()), CertificateResult,
      ("passed", "block_minima", "residual_diagonal_min", "residual_offdiagonal_max")),
-    (UNIFORM, McSpec, ("d", "a")),
+    (UNIFORM, McSpec, ("a",)),
     (mc_report(UNIFORM, NOISE), McReport,
      ("still_mc", "mc_deviation", "entangled", "distillable", "witness_value", "witness_labels")),
 ]
@@ -66,7 +66,7 @@ CHECKED = [
     (initial_state(4.5), "mat", np.eye(4) / 4),
     (NOISE, "t", -5.0),
     (certificate_blocks()[0], "a_labels", (0, 0)),
-    (UNIFORM, "d", 1),
+    (UNIFORM, "a", np.full((2, 3), 0.5)),
 ]
 
 
