@@ -169,7 +169,10 @@ def separability_certificate(
     2x2-by-2x2 state and the residual (state minus all embedded blocks)
     is diagonal with nonnegative entries. Each float minimum is tested
     against 0 with no negative slack, since a block with a negative
-    eigenvalue is not separable. Each passing block is then separable
+    eigenvalue is not separable. A block, or its partial transpose, with
+    an exactly zero diagonal entry in a row that holds a nonzero entry
+    fails whatever its float minima read: it is exactly not PSD, though
+    its minimum can underflow to 0.0. Each passing block is then separable
     (PPT is sufficient at these dimensions) and the residual is a mixture
     of product basis states, so passing proves the state separable.
     Failing proves nothing.
@@ -221,9 +224,12 @@ def _certify(
     # The PT check rejects a non-finite block, so the Hermitian part,
     # Hermitian by construction, needs no check of its own.
     padded = padded.reshape(-1, 4, 4)
-    pt_min = min_pt_eigenvalue(DensityMatrix(padded, Dims(2, 2)))
-    w_min = eigvals_hermitized(hermitize(padded))[:, 0]
+    pt = partial_transpose(DensityMatrix(padded, Dims(2, 2)))
+    pt_min = eigvals_hermitian(pt)[:, 0]
+    hermitian = hermitize(padded)
+    w_min = eigvals_hermitized(hermitian)[:, 0]
     minima = np.stack((w_min.reshape(count, size), pt_min.reshape(count, size)), axis=1)
+    zero_pivot = (_zero_pivot(hermitian) | _zero_pivot(pt)).reshape(count, size).any(axis=0)
     off = ~np.eye(n, dtype=bool)
     live = (np.abs(mats) > TOL.coherence_floor) & off
     overallocated = (diag_alloc > 1 + TOL.allocation_slack).any()
@@ -242,10 +248,19 @@ def _certify(
     res_diag = residual.diagonal(axis1=-2, axis2=-1).real.min(axis=-1)
     passed = (
         (minima >= 0.0).all(axis=(0, 1))
+        & ~zero_pivot
         & (res_off <= TOL.residual_offdiagonal)
         & (res_diag >= 0.0)
     )
     return passed, minima, res_diag, res_off
+
+
+def _zero_pivot(mats: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of a stack has a zero diagonal entry
+    in a row that holds a nonzero entry. Such a matrix is exactly not PSD,
+    since the 2x2 principal minor [[0, x], [x*, d]] is -|x|^2 < 0, even
+    where its float minimum eigenvalue underflows to 0.0."""
+    return ((mats.diagonal(axis1=-2, axis2=-1) == 0) & (mats != 0).any(axis=-1)).any(axis=-1)
 
 
 def classify(

@@ -99,6 +99,15 @@ class TestClassify:
         assert lines[0] == "PptUndetermined"
         assert json.loads(lines[1])["certificate_passed"] is False
 
+    def test_no_certificate_from_underflowed_minima(self, capsys):
+        # At alpha = 5 two block PTs are exactly NPT at every t, but at
+        # t = 745 their float minima, and the state's, underflow to 0.0.
+        assert cli.main(["classify", "--alpha", "5", "--t", "745", "--certificate", "three-block"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "PptUndetermined"
+        metrics = json.loads(lines[1])
+        assert metrics["min_pt_eigenvalue"] == 0.0 and metrics["certificate_passed"] is False
+
     def test_metrics_json_shape(self):
         result = run_cli("classify", "--t", "0.3")
         lines = result.stdout.decode().splitlines()
@@ -189,6 +198,15 @@ class TestSweep:
             assert verdict in seen
         boundary = [seen[i] != seen[i + 1] for i in range(len(seen) - 1)]
         assert sum(boundary) == 3
+
+    def test_verdict_sweep_certifies_no_exactly_npt_state(self, capsys):
+        # At t = 1000 the alpha = 5 state's block PTs are exactly NPT with
+        # minima that underflow to 0.0; at t = 2000 every coherence
+        # exp(-1000) is exactly 0, so the stored state is diagonal.
+        assert cli.main(["sweep", "--quantity", "verdict", "--alpha", "5", "--t-range", "0", "2000", "3"]) == 0
+        _, rows = read_csv(capsys.readouterr().out.encode())
+        assert rows == [["0", "1", "NptFreeEntangled"], ["1000", "1", "PptUndetermined"],
+                        ["2000", "1", "SeparableCertified"]]
 
     def test_default_time_window(self):
         result = run_cli("sweep", "--quantity", "pt-min-eig")

@@ -161,6 +161,15 @@ class TestSeparabilityCertificate:
         assert failing and all(-1e-10 < margin < 0 for margin in failing)
         assert classify(family_at(t, alpha), certificate_blocks()).verdict == Verdict.PPT_UNDETERMINED
 
+    def test_underflowed_minima_do_not_pass(self):
+        # At alpha = 5 the PTs of blocks 2 and 3 hold [[0, c], [c, 5/21]]
+        # with c = (2/21) exp(-t/2), exactly NPT at every t; at t = 745
+        # c is 1.6e-163 and every float minimum reads 0.0.
+        result = separability_certificate(family_at(745.0, 5.0), certificate_blocks())
+        assert not result.passed
+        assert result.block_minima == ((0.0, 0.0),) * 3
+        assert classify(family_at(745.0, 5.0), certificate_blocks()).verdict == Verdict.PPT_UNDETERMINED
+
     def test_diagonal_state_passes(self, rng):
         diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))
         assert separability_certificate(diag, certificate_blocks()).passed

@@ -207,6 +207,22 @@ class TestThresholds:
         assert abs(root - 0.8361513912283498) < 1e-15
 
 
+class TestClosedFormDomain:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("form, good", [
+        (fidelity_initial, (1.0, 1.0)),
+        (fidelity_swapped, (1.0, 1.0)),
+        (realignment_closed_form, (4.5, 1.0, 1.0)),
+        (pt_branch_eigenvalue, (4.5, 1.0, 1.0)),
+    ], ids=lambda x: getattr(x, "__name__", ""))
+    def test_every_argument_outside_its_domain_is_refused(self, form, good, bad):
+        # NoiseParams' rule for a rate and a time; alpha keeps its own.
+        for k in range(len(good)):
+            with pytest.raises(ValueError, match="must"):
+                form(*good[:k], bad, *good[k + 1:])
+        # Rate 0 and t = 0 stay valid.
+        assert math.isfinite(form(*good[:-2], 0.0, 0.0))
+
 class TestCertificateOnset:
     def test_closed_form_values(self):
         assert abs(certificate_onset_time(4.5, 1.0) - 2.0 * math.log(2.0)) < 1e-15

@@ -121,6 +121,19 @@ class TestStacks:
         assert stacked == tuple(alone)
         assert classify(stack, blocks) == tuple(classify(s, blocks) for s in singles)
 
+    def test_exactly_npt_member_beside_a_passing_one(self):
+        # At alpha = 5, t = 745 every block minimum reads 0.0, yet two
+        # block PTs are exactly NPT; at alpha = 4.5, t = 2 all blocks pass.
+        singles = [ground_excited(initial_state(alpha), NoiseParams(1.0, 1.0, t))
+                   for alpha, t in ((5.0, 745.0), (4.5, 2.0), (5.0, 745.0))]
+        stack = DensityMatrix(np.stack([s.mat for s in singles]), singles[0].dims)
+        blocks = certificate_blocks()
+        stacked = separability_certificate(stack, blocks)
+        alone = [separability_certificate(s, blocks) for s in singles]
+        assert [r.passed for r in stacked] == [False, True, False]
+        assert_same_bits([r.block_minima for r in stacked], [r.block_minima for r in alone])
+        assert stacked == tuple(alone)
+
     @pytest.mark.parametrize("size", SIZES)
     def test_one_non_hermitian_member_fails_the_stack(self, size):
         rng = np.random.default_rng(size)
