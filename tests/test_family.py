@@ -223,6 +223,7 @@ class TestClosedFormDomain:
         # Rate 0 and t = 0 stay valid.
         assert math.isfinite(form(*good[:-2], 0.0, 0.0))
 
+
 class TestCertificateOnset:
     def test_closed_form_values(self):
         assert abs(certificate_onset_time(4.5, 1.0) - 2.0 * math.log(2.0)) < 1e-15
@@ -424,7 +425,7 @@ class TestMaximallyCorrelated:
         plus = mc_state(McSpec(np.full((3, 3), 1.0 / 3.0)))
         spec = mc_projection(plus, (0, 1), (0, 1))
         assert spec is not None
-        # Normalized by linalg.trace, the block reads exactly 0.5 everywhere, as it did by np.trace.
+        # The normalized block is exactly 0.5 in every entry, bit for bit.
         assert spec.a.tobytes() == np.full((2, 2), 0.5, dtype=complex).tobytes()
 
     def test_projection_strictness_declines_family_corners(self):
