@@ -60,7 +60,7 @@ def _nonneg_int(text: str) -> int:
 def _load_state_file(path: str) -> DensityMatrix:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read state file {path}: {exc}") from exc
     try:
         return state_from_json(text)

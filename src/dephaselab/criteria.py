@@ -112,7 +112,6 @@ class CertificateResult(NamedTuple):
     passed: bool
     block_minima: tuple[tuple[float, float], ...]
     residual_diagonal_min: float
-    residual_offdiagonal_max: float
 
 
 def _per_member(values: np.ndarray) -> float | np.ndarray:
@@ -165,47 +164,50 @@ def separability_certificate(
 
     Builds one padded matrix per block: coherences among its four
     composite states at full magnitude, diagonals scaled by the block's
-    weights. The certificate passes when every block is PSD and PPT as a
-    2x2-by-2x2 state and the residual (state minus all embedded blocks)
-    is diagonal with nonnegative entries. Each float minimum is tested
-    against 0 with no negative slack, since a block with a negative
-    eigenvalue is not separable. A block, or its partial transpose, with
-    an exactly zero diagonal entry in a row that holds a nonzero entry
-    fails whatever its float minima read: it is exactly not PSD, though
-    its minimum can underflow to 0.0. Each passing block is then separable
-    (PPT is sufficient at these dimensions) and the residual is a mixture
-    of product basis states, so passing proves the state separable.
-    Failing proves nothing.
+    weights. Coverage is exact: each off-diagonal entry that is not
+    exactly zero, NaN included, lies in exactly one block, so the
+    residual (state minus all embedded blocks) is exactly diagonal. The
+    certificate passes when every block is PSD and PPT as a 2x2-by-2x2
+    state and the residual's diagonal is nonnegative. Each float minimum
+    is tested against 0 with no negative slack, since a block with a
+    negative eigenvalue is not separable. A block, or its partial
+    transpose, with an exactly zero diagonal entry in a row that holds a
+    nonzero entry fails whatever its float minima read: it is exactly
+    not PSD, though its minimum can underflow to 0.0. Each passing block
+    is then separable (PPT is sufficient at these dimensions) and the
+    residual is a mixture of product basis states, so passing proves
+    the state separable. Failing proves nothing.
 
-    Raises CoverageError when an off-diagonal entry of the state lies in
-    no block or in more than one, or when the diagonal weights allocated
-    to one entry exceed 1; for a stack, the error is the one the first
-    failing member raises alone. Raises ValueError when a block's label
-    lies outside the state's local dimensions.
+    Raises CoverageError when a nonzero or non-finite off-diagonal entry
+    of the state lies in no block or in more than one, or when the
+    diagonal weights allocated to one entry exceed 1; for a stack, the
+    error is the one the first failing member raises alone. Raises
+    ValueError when a block's label lies outside the state's local
+    dimensions.
 
     Returns one CertificateResult for one state, and a plain tuple of
     them for a stack; a CertificateResult is itself a tuple, so test
     isinstance(result, CertificateResult) to tell the two apart.
     """
-    passed, minima, res_diag, res_off = _certify(state.stack, state.dims, blocks)
+    passed, minima, res_diag = _certify(state.stack, state.dims, blocks)
     # One transpose turns the (B, 2, N) minima into each member's B pairs.
-    columns = passed.tolist(), minima.transpose(2, 0, 1).tolist(), res_diag.tolist(), res_off.tolist()
-    members = tuple(CertificateResult(ok, tuple(map(tuple, pairs)), d, o) for ok, pairs, d, o in zip(*columns))
+    columns = passed.tolist(), minima.transpose(2, 0, 1).tolist(), res_diag.tolist()
+    members = tuple(CertificateResult(ok, tuple(map(tuple, pairs)), d) for ok, pairs, d in zip(*columns))
     return members if state.mat.ndim == 3 else members[0]
 
 
-def _certify(
-    mats: np.ndarray, dims: Dims, blocks: Sequence[BlockSpec]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _certify(mats: np.ndarray, dims: Dims, blocks: Sequence[BlockSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The certificate over an (N, n, n) stack.
 
     One index gathers the B blocks of every member into a (B * N, 4, 4)
     stack, so the PT eigensolve and the block eigensolve run once each
     for all blocks; a block's values are those of its own eigensolve.
+    Coverage is exact, so only the residual's diagonal is built: the
+    state's diagonal minus each block's weighted one, in block order.
 
-    Returns (passed, minima, residual_diagonal_min, residual_offdiagonal_max)
-    as arrays over the members; minima, of shape (B, 2, N), holds each
-    block's minimum eigenvalue and minimum PT eigenvalue.
+    Returns (passed, minima, residual_diagonal_min) as arrays over the
+    members; minima, of shape (B, 2, N), holds each block's minimum
+    eigenvalue and minimum PT eigenvalue.
     """
     n, count, size = dims.n, len(blocks), len(mats)
     idx = np.array([block.flat_indices(dims) for block in blocks], dtype=int).reshape(count, 4)
@@ -217,10 +219,8 @@ def _certify(
     diag_alloc = np.bincount(idx.ravel(), weights.ravel(), minlength=n)
     # Block major, so the Hermiticity check reports block 0's members first.
     padded = np.ascontiguousarray(mats[:, rows, cols].swapaxes(0, 1))
-    padded.reshape(count, size, 16)[..., ::5] *= weights[:, None, :]  # each block's diagonal, as a view
-    embedded = np.zeros_like(mats)
-    for b in range(count):
-        embedded[:, rows[b], cols[b]] += padded[b]
+    block_diag = padded.reshape(count, size, 16)[..., ::5]  # each block's diagonal, as a view
+    block_diag *= weights[:, None, :]
     # The PT check rejects a non-finite block, so the Hermitian part,
     # Hermitian by construction, needs no check of its own.
     padded = padded.reshape(-1, 4, 4)
@@ -230,8 +230,7 @@ def _certify(
     w_min = eigvals_hermitized(hermitian)[:, 0]
     minima = np.stack((w_min.reshape(count, size), pt_min.reshape(count, size)), axis=1)
     zero_pivot = (_zero_pivot(hermitian) | _zero_pivot(pt)).reshape(count, size).any(axis=0)
-    off = ~np.eye(n, dtype=bool)
-    live = (np.abs(mats) > TOL.coherence_floor) & off
+    live = (mats != 0) & ~np.eye(n, dtype=bool)
     overallocated = (diag_alloc > 1 + TOL.allocation_slack).any()
     failing = np.flatnonzero((live & (cover != 1)).any(axis=(1, 2)) | overallocated)
     if failing.size:
@@ -243,16 +242,12 @@ def _certify(
                 raise CoverageError(f"coherence between {ket[i]} and {ket[j]} lies in {where}")
         i = int(np.argmax(diag_alloc))
         raise CoverageError(f"diagonal entry {ket[i]} allocated weight {diag_alloc[i]:.6f} > 1")
-    residual = mats - embedded
-    res_off = np.abs(residual[:, off]).max(axis=-1)
-    res_diag = residual.diagonal(axis1=-2, axis2=-1).real.min(axis=-1)
-    passed = (
-        (minima >= 0.0).all(axis=(0, 1))
-        & ~zero_pivot
-        & (res_off <= TOL.residual_offdiagonal)
-        & (res_diag >= 0.0)
-    )
-    return passed, minima, res_diag, res_off
+    allocated = np.zeros((size, n))
+    for b in range(count):
+        allocated[:, idx[b]] += block_diag[b].real
+    res_diag = (mats.diagonal(axis1=-2, axis2=-1).real - allocated).min(axis=-1)
+    passed = (minima >= 0.0).all(axis=(0, 1)) & ~zero_pivot & (res_diag >= 0.0)
+    return passed, minima, res_diag
 
 
 def _zero_pivot(mats: np.ndarray) -> np.ndarray:

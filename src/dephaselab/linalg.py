@@ -87,9 +87,8 @@ class Tolerances(NamedTuple):
     residual: float = 1e-10              # eigendecomposition residual / unitarity
     zero_trace: float = 1e-12            # projected weight below this is "zero"
     verdict: float = 1e-10               # entanglement witness threshold
-    coherence_floor: float = 1e-14       # |entry| above this is a coherence a certificate must cover
+    coherence_floor: float = 1e-14       # mc_report: a state with an off-diagonal |a_ij| above this is entangled
     allocation_slack: float = 1e-12      # certificate blocks may allocate 1 + this of a diagonal entry
-    residual_offdiagonal: float = 1e-12  # certificate residual must be diagonal to this
     sign_floor: float = 1e-12            # crossing search: values in [0, sign_floor] are not positive
     bisection: float = 1e-9              # bisection stops once its bracket is this narrow (/ rate above 1)
     crossing_horizon: float = 1e6        # crossing search reports no crossing (inf) past this time (/ rate below 1)

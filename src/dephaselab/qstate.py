@@ -214,14 +214,18 @@ def state_to_json(state: DensityMatrix) -> str:
 def state_from_json(text: str) -> DensityMatrix:
     """Parse the interchange schema and validate through make_state.
 
-    Malformed documents, dimensions other than JSON integers and entries
-    other than JSON numbers among them, raise ValueError (or its subclass
-    json.JSONDecodeError); physically invalid matrices raise the
-    make_state errors.
+    Malformed documents raise ValueError (or its subclass
+    json.JSONDecodeError): among them dimensions other than JSON
+    integers, entries other than JSON numbers, an integer too large for
+    a double and arrays nested past the recursion limit. Physically
+    invalid matrices raise the make_state errors.
     """
     import json
 
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict) or not {"da", "db", "mat"} <= set(doc):
         raise ValueError("state document must carry keys 'da', 'db', 'mat'")
     if any(type(doc[key]) is not int for key in ("da", "db")):  # a bool is an int, but not a dimension
@@ -234,6 +238,6 @@ def state_from_json(text: str) -> DensityMatrix:
         if any(type(x) is bool for pair in pairs for x in pair):  # complex() reads true as 1
             raise TypeError("an entry is a JSON boolean")
         flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"'mat' entries must be [re, im] pairs: {exc}") from exc
     return make_state(dims, flat.reshape(dims.n, dims.n))

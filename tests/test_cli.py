@@ -523,6 +523,25 @@ class TestExitCodes:
         assert result.stderr.decode().startswith("error: malformed state file")
         assert b"Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("content, error", [
+        (b'{"da": 3, "db": 3, "mat": "\xff"}', "cannot read state file"),
+        (json.dumps({"da": 3, "db": 3, "mat": [[0.0, 0.0]] * 81}).replace("0.0", "9" * 401, 1).encode(),
+         "malformed state file"),
+        (b"[" * 100000 + b"]" * 100000, "malformed state file"),
+    ], ids=["not-utf8", "huge-integer", "deep-nesting"])
+    @pytest.mark.parametrize("command", ["classify", "evolve", "sweep"])
+    def test_unparsable_state_files_exit_two(self, command, content, error, tmp_path):
+        # Bytes that are not UTF-8, an integer too large for a double and
+        # arrays nested past the recursion limit: each is a usage error.
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        args = ("--quantity", "pt-min-eig") if command == "sweep" else ("--t", "1")
+        result = run_cli(command, *args, "--initial", str(path))
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.decode().startswith(f"error: {error} {path}")
+        assert b"Traceback" not in result.stderr
+
     def test_content_errors_exit_three(self, tmp_path):
         assert run_cli("evolve", "--alpha", "5.5", "--t", "1").returncode == 3
         assert run_cli("classify", "--alpha", "3.0", "--t", "1").returncode == 3

@@ -121,7 +121,6 @@ class TestSeparabilityCertificate:
     def test_passes_after_onset(self):
         result = separability_certificate(family_at(2.0), certificate_blocks())
         assert result.passed
-        assert result.residual_offdiagonal_max <= 1e-12
         assert result.residual_diagonal_min >= -1e-15
         assert len(result.block_minima) == 3
 
@@ -184,6 +183,42 @@ class TestSeparabilityCertificate:
     def test_uncovered_coherence_raises(self):
         with pytest.raises(CoverageError, match=re.escape("coherence between |1,0> and |2,2> lies in no block")):
             separability_certificate(family_at(1.0), certificate_blocks()[:2])
+
+    @pytest.mark.parametrize("value", [1e-15, math.nan], ids=["tiny", "nan"])
+    def test_any_coherence_outside_the_blocks_raises(self, value):
+        # |0,2> and |1,1> share no block; coverage counts every entry that
+        # is not exactly zero, so neither a tiny nor a NaN coherence is
+        # passed over.
+        m = family_at(2.0).mat.copy()
+        m[2, 4] = m[4, 2] = value
+        with pytest.raises(CoverageError, match=re.escape("coherence between |0,2> and |1,1> lies in no block")):
+            separability_certificate(DensityMatrix(m, QUTRIT_PAIR), certificate_blocks())
+
+    def test_residual_is_the_diagonal_minus_the_blocks_in_block_order(self, rng):
+        def by_hand(state, blocks):
+            diag = np.diag(state.mat).real
+            allocated = [0.0] * len(diag)
+            for block in blocks:
+                for k, w in zip(block.flat_indices(QUTRIT_PAIR), block.diag_weights):
+                    allocated[k] += w * diag[k]
+            return min(d - a for d, a in zip(diag, allocated))
+
+        def reweighted():
+            # Shared entries (|01>, |10>, |22>) split u : 1 - u between their two blocks.
+            u = rng.uniform(0.05, 0.95, size=3)
+            w = rng.uniform(0.05, 1.0, size=6)
+            return (
+                BlockSpec((0, 1), (0, 1), (w[0], u[0], u[1], w[1])),
+                BlockSpec((0, 2), (1, 2), (1 - u[0], w[2], w[3], u[2])),
+                BlockSpec((1, 2), (0, 2), (1 - u[1], w[4], w[5], 1 - u[2])),
+            )
+
+        for alpha in np.linspace(3.01, 5.0, 5):
+            for t in np.linspace(0.0, 8.0, 9):
+                state = family_at(t, alpha)
+                for blocks in (certificate_blocks(), reweighted()):
+                    got = separability_certificate(state, blocks).residual_diagonal_min
+                    assert got.hex() == by_hand(state, blocks).hex()
 
     def test_double_cover_raises(self):
         blocks = certificate_blocks()

@@ -40,7 +40,7 @@ RECORDS = [
      ("verdict", "min_pt_eigenvalue", "realignment_excess", "certificate_passed")),
     (certificate_blocks()[0], BlockSpec, ("a_labels", "b_labels", "diag_weights")),
     (separability_certificate(initial_state(4.5), certificate_blocks()), CertificateResult,
-     ("passed", "block_minima", "residual_diagonal_min", "residual_offdiagonal_max")),
+     ("passed", "block_minima", "residual_diagonal_min")),
     (UNIFORM, McSpec, ("a",)),
     (mc_report(UNIFORM, NOISE), McReport,
      ("still_mc", "mc_deviation", "entangled", "distillable", "witness_value", "witness_labels")),
