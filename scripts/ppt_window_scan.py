@@ -16,13 +16,13 @@ output against the closed form.
 """
 
 import argparse
-import math
 
 import numpy as np
 
 from dephaselab.channels import NoiseParams, general_dephase
 from dephaselab.criteria import transition_times
 from dephaselab.family import initial_state
+from dephaselab.linalg import DomainError, check_nonneg
 
 
 def main() -> None:
@@ -31,16 +31,15 @@ def main() -> None:
     parser.add_argument("--alphas", type=float, nargs="+", default=list(np.arange(4.05, 5.001, 0.05)))
     args = parser.parse_args()
     gamma = args.gamma
-    if not (math.isfinite(gamma) and gamma > 0):
-        parser.error(f"--gamma must be finite and positive, got {gamma}")
-    for alpha in args.alphas:
-        if not 3.0 < alpha <= 5.0:  # NaN fails too
-            parser.error(f"--alphas must lie in (3, 5], got {alpha}")
+    try:  # every input is checked before the first line is printed
+        check_nonneg("--gamma", gamma, positive=True)
+        bases = [initial_state(alpha) for alpha in args.alphas]
+    except DomainError as exc:
+        parser.error(str(exc))
 
     print(f"gamma = {gamma}")
     print(f"{'alpha':>8} {'t_ppt':>10} {'realign_zero':>13} {'window':>10}")
-    for alpha in args.alphas:
-        base = initial_state(alpha)
+    for alpha, base in zip(args.alphas, bases):
         t_ppt, t_real = transition_times(lambda t: general_dephase(base, NoiseParams(gamma, gamma, t)), gamma)
         if t_ppt is None:
             window = "no PPT onset"

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import CheckedRecord, DomainError, hermitize
+from .linalg import CheckedRecord, DomainError, check_nonneg, hermitize
 from .qstate import BadShapeError, DensityMatrix, make_state, tensor
 
 
@@ -49,7 +49,7 @@ def ground_excited_retention(rate: float, t: float) -> float:
 class NoiseParams(CheckedRecord, NamedTuple("NoiseParams", [
     ("gamma_rate_a", float), ("gamma_rate_b", float), ("t", float),
 ])):
-    """Dephasing rates (inverse time) for each side and an evolution time.
+    """Dephasing rates (inverse time) per side and an evolution time, as floats.
 
     gamma_a / gamma_b are the surviving coherence factors exp(-rate*t/2).
     """
@@ -57,10 +57,7 @@ class NoiseParams(CheckedRecord, NamedTuple("NoiseParams", [
     __slots__ = ()
 
     def __new__(cls, gamma_rate_a: float, gamma_rate_b: float, t: float) -> NoiseParams:
-        for name, value in zip(cls._fields, (gamma_rate_a, gamma_rate_b, t)):
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        return super().__new__(cls, gamma_rate_a, gamma_rate_b, t)
+        return super().__new__(cls, *map(check_nonneg, cls._fields, (gamma_rate_a, gamma_rate_b, t)))
 
     @property
     def gamma_a(self) -> float:

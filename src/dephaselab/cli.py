@@ -430,17 +430,26 @@ def run() -> None:
     os._exit: the interpreter's finalization (a full garbage collection
     and module teardown) and atexit callbacks are skipped, since the CLI
     leaves nothing but these two streams to finish. A stream that is
-    None (closed at start-up) has nothing to flush. A failed flush, an
-    exception or a SystemExit from main (usage errors, --help) takes the
-    interpreter's normal exit, which reports it as it always has.
+    None (closed at start-up) has nothing to flush. A stream whose reader
+    has gone (`dephaselab sweep ... | head -1`) raises BrokenPipeError,
+    from main or from the flush: the process then ends at once with
+    status 141 (128 + SIGPIPE, what a shell reports for such a writer)
+    and nothing on stderr. Any other failed flush, exception or
+    SystemExit from main (usage errors, --help) takes the interpreter's
+    normal exit, which reports it as it always has.
     """
-    code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except (OSError, ValueError):
-        raise SystemExit(code)
+        code = main()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except BrokenPipeError:
+            raise
+        except (OSError, ValueError):
+            raise SystemExit(code)
+    except BrokenPipeError:
+        os._exit(141)
     os._exit(code)
 
 

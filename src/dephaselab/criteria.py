@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .linalg import (
-    TOL, CheckedRecord, DomainError, eigvals_hermitian, eigvals_hermitized, hermitize, singular_values, trace,
+    TOL, CheckedRecord, DomainError, check_nonneg, eigvals_hermitian, eigvals_hermitized, hermitize, singular_values,
+    trace,
 )
 from .qstate import DensityMatrix, Dims, partial_transpose, project_local, realign
 
@@ -354,10 +355,9 @@ def crossing_time(curve: Callable[[float], float], rate: float) -> float:
     bisects curve - TOL.sign_floor, whose sign is the doubling's test.
     A witness can sit in (0, TOL.sign_floor] a few bracket widths from a
     real root, so the raw zero is kept wherever it exists.
-    Raises ValueError unless rate is finite and positive.
+    Raises DomainError unless rate is finite and positive.
     """
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and positive, got {rate}")
+    rate = check_nonneg("rate", rate, positive=True)
     cap = min(TOL.crossing_horizon / min(rate, 1.0), sys.float_info.max)
     start = curve(0.0)
     hi = 0.5

@@ -12,7 +12,7 @@ is criteria.qubit_block_witness on one local projection.
 
 All closed forms here are verified against the numerical path by the
 test suite; none are trusted on their own. They refuse an alpha outside
-(3, 5] and a rate or time that is negative or not finite.
+(3, 5], and a negative or non-finite rate or time by linalg.check_nonneg.
 
 Leading-axis convention: the probes (one_sided_probe, two_sided_probe)
 take one state or a stack (N, 9, 9) and return a float or an (N,) array
@@ -33,7 +33,7 @@ import numpy as np
 
 from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
 from .criteria import BlockSpec, qubit_block_witness
-from .linalg import TOL, CheckedRecord, DomainError, hermitize, trace
+from .linalg import TOL, CheckedRecord, DomainError, check_nonneg, hermitize, trace
 from .qstate import DensityMatrix, Dims, check_state_matrix, project_local
 
 QUTRIT_PAIR = Dims(3, 3)
@@ -48,15 +48,6 @@ def _check_alpha(alpha: float) -> float:
     if not (3.0 < alpha <= 5.0) or not math.isfinite(alpha):
         raise AlphaDomainError(f"alpha must lie in (3, 5], got {alpha}")
     return alpha
-
-
-def _check_nonneg(name: str, value: float, positive: bool = False) -> float:
-    """value as a float, refused unless finite and nonnegative (NoiseParams'
-    rule for a rate and a time), or finite and positive when asked."""
-    value = float(value)
-    if math.isfinite(value) and (value > 0 if positive else value >= 0):
-        return value
-    raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value}")
 
 
 class McSpec(CheckedRecord, NamedTuple("McSpec", [("a", np.ndarray)])):
@@ -161,7 +152,7 @@ def pt_branch_eigenvalue(alpha: float, rate_sum: float, t: float) -> float:
     exactly while exp(-rate_sum*t) > alpha*(5 - alpha)/4.
     """
     alpha = _check_alpha(alpha)
-    x = math.exp(-_check_nonneg("rate_sum", rate_sum) * _check_nonneg("t", t))
+    x = math.exp(-check_nonneg("rate_sum", rate_sum) * check_nonneg("t", t))
     return 2.0 * (alpha * (5.0 - alpha) - 4.0 * x) / (21.0 * (5.0 + math.sqrt((2.0 * alpha - 5.0) ** 2 + 16.0 * x)))
 
 
@@ -174,7 +165,7 @@ def ppt_onset_time(alpha: float, gamma_rate: float) -> Optional[float]:
     exists, as criteria.transition_times reports it.
     """
     alpha = _check_alpha(alpha)
-    gamma_rate = _check_nonneg("gamma_rate", gamma_rate, positive=True)
+    gamma_rate = check_nonneg("gamma_rate", gamma_rate, positive=True)
     if alpha <= 4.0:
         return None
     if alpha == 5.0:
@@ -190,7 +181,7 @@ def realignment_closed_form(alpha: float, gamma_rate: float, t: float) -> float:
     background mixture; the two damped terms carry the coherences.
     """
     alpha = _check_alpha(alpha)
-    g, t = _check_nonneg("gamma_rate", gamma_rate), _check_nonneg("t", t)
+    g, t = check_nonneg("gamma_rate", gamma_rate), check_nonneg("t", t)
     background = math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0) - 7.0
     return (2.0 / 21.0) * (2.0 * math.exp(-g * t) + 4.0 * math.exp(-g * t / 2.0) + background)
 
@@ -203,7 +194,7 @@ def fidelity_initial(gamma_rate: float, t: float) -> float:
     independent of alpha; at rates (a, b), x + 2*sqrt(x) becomes
     ga*gb + ga + gb with the single-side retentions.
     """
-    x = math.exp(-_check_nonneg("gamma_rate", gamma_rate) * _check_nonneg("t", t))
+    x = math.exp(-check_nonneg("gamma_rate", gamma_rate) * check_nonneg("t", t))
     return ((15.0 + 2.0 * math.sqrt(3.0 + 2.0 * (x + 2.0 * math.sqrt(x)))) / 21.0) ** 2
 
 
@@ -214,7 +205,7 @@ def fidelity_swapped(gamma_rate: float, t: float) -> float:
     alpha; at rates (a, b), x is ga*gb. Never below fidelity_initial:
     the gap reduces to (1 - ga)(1 - gb) >= 0.
     """
-    x = math.exp(-_check_nonneg("gamma_rate", gamma_rate) * _check_nonneg("t", t))
+    x = math.exp(-check_nonneg("gamma_rate", gamma_rate) * check_nonneg("t", t))
     return ((15.0 + 2.0 * math.sqrt(5.0 + 4.0 * x)) / 21.0) ** 2
 
 

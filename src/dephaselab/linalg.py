@@ -6,7 +6,8 @@ descending) and translate failures into typed errors. Every numeric
 tolerance used across the package lives in the Tolerances record so
 callers and tests share a single source of truth.
 DomainError is the base of every error that says an input lies outside
-the physical domain; the command line maps it, and only it, to exit 3.
+the physical domain, check_nonneg's among them (the package's one rule
+for a rate and a time); the command line maps it, and only it, to exit 3.
 
 Leading-axis convention: check_hermitian, hermitize, trace,
 eig_hermitian, eigvals_hermitian, eigvals_hermitized and singular_values
@@ -37,6 +38,7 @@ more than it saves.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,6 +46,15 @@ import numpy as np
 
 class DomainError(ValueError):
     """A parameter or matrix lies outside the physical domain."""
+
+
+def check_nonneg(name: str, value: float, positive: bool = False) -> float:
+    """value as a float, refused with DomainError unless finite and
+    nonnegative (a rate or a time), or finite and positive when asked;
+    a value that is not a real number, such as a string, is a TypeError."""
+    if math.isfinite(value) and (value > 0 if positive else value >= 0):
+        return float(value)
+    raise DomainError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {float(value)}")
 
 
 class CheckedRecord:

@@ -71,6 +71,7 @@ class TestNoiseParams:
         assert p.gamma_a == 1.0 and p.gamma_b == 1.0
 
     def test_rejects_bad_values(self):
+        # linalg.check_nonneg's rule, so a DomainError: the CLI's exit 3.
         for args, message in (
             ((-1.0, 1.0, 1.0), "gamma_rate_a must be finite and nonnegative, got -1.0"),
             ((1.0, math.nan, 1.0), "gamma_rate_b must be finite and nonnegative, got nan"),
@@ -78,8 +79,12 @@ class TestNoiseParams:
             ((math.inf, 1.0, 1.0), "gamma_rate_a must be finite and nonnegative, got inf"),
             ((1.0, -1.0, math.inf), "gamma_rate_b must be finite and nonnegative, got -1.0"),
         ):
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(DomainError, match=f"^{message}$"):
                 NoiseParams(*args)
+
+    def test_stores_the_checked_floats(self):
+        p = NoiseParams(1, 2, 3)
+        assert p == (1.0, 2.0, 3.0) and all(type(value) is float for value in p)
 
 
 class TestLocalPair:

@@ -620,6 +620,16 @@ class TestProcessExit:
         assert lines[0] == "t,gamma,value" and lines[-1] == ""
         assert [line.split(",")[0] for line in lines[1:-1]] == [f"{t:.12g}" for t in np.linspace(0.0, 3.0, 20001)]
 
+    def test_closed_pipe_exits_141_quietly(self):
+        # The reader leaves after one line, long before the sweep's 1.3 MB
+        # are written: 128 + SIGPIPE, with no BrokenPipeError traceback.
+        args = ("sweep", "--quantity", "realignment", "--t-range", "0", "3", "40000")
+        command = [sys.executable, "-m", "dephaselab", *args]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=buffered_env()) as child:
+            assert child.stdout.readline() == b"t,gamma,value\n"
+            child.stdout.close()
+            assert (child.wait(timeout=60), child.stderr.read()) == (141, b"")
+
     @pytest.mark.parametrize("args,code,message", [
         (("evolve", "--t", "-1"), 2, "argument --t: must be finite and nonnegative, got -1"),
         (("sweep", "--quantity", "verdict", "--t-range", "1", "0", "5"), 2,
@@ -721,12 +731,14 @@ class TestScripts:
         for gamma in ("0", "-1"):
             bad = window_scan("--gamma", gamma, "--alphas", "4.5")
             assert bad.returncode == 2 and bad.stdout == b""
-            assert b"finite and positive" in bad.stderr and b"Traceback" not in bad.stderr
+            assert f"finite and positive, got {float(gamma)}\n".encode() in bad.stderr
+            assert b"Traceback" not in bad.stderr
         # Every alpha is checked before the first line is printed.
         for run_alphas in (("4.5", "3"), ("nan",)):
             bad = window_scan("--alphas", *run_alphas)
             assert bad.returncode == 2 and bad.stdout == b""
-            assert b"must lie in (3, 5]" in bad.stderr and b"Traceback" not in bad.stderr
+            assert f"must lie in (3, 5], got {float(run_alphas[-1])}\n".encode() in bad.stderr
+            assert b"Traceback" not in bad.stderr
 
     def test_readme_commands_run(self, capsys):
         # README is the one place these commands are written, the figure data among them.

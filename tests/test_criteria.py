@@ -30,7 +30,7 @@ from dephaselab.family import (
     initial_state,
     swapped_state,
 )
-from dephaselab.linalg import TOL, NotHermitianError
+from dephaselab.linalg import TOL, DomainError, NotHermitianError
 from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state
 
 
@@ -405,7 +405,7 @@ class TestCrossingTime:
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_rates_that_are_not_finite_and_positive(self, rate):
         calls = []
-        with pytest.raises(ValueError, match="rate must be finite and positive"):
+        with pytest.raises(DomainError, match="rate must be finite and positive"):
             crossing_time(lambda t: calls.append(t) or 1.0 - t, rate)
         assert calls == []
 

@@ -39,7 +39,7 @@ from dephaselab.family import (
     swapped_state,
     two_sided_probe,
 )
-from dephaselab.linalg import TOL, NotPSDError, eigvals_hermitian
+from dephaselab.linalg import TOL, DomainError, NotPSDError, eigvals_hermitian
 from dephaselab.qstate import Dims, TraceNotOneError, make_state, partial_transpose
 
 
@@ -216,9 +216,9 @@ class TestClosedFormDomain:
         (pt_branch_eigenvalue, (4.5, 1.0, 1.0)),
     ], ids=lambda x: getattr(x, "__name__", ""))
     def test_every_argument_outside_its_domain_is_refused(self, form, good, bad):
-        # NoiseParams' rule for a rate and a time; alpha keeps its own.
+        # linalg.check_nonneg, NoiseParams' rule for a rate and a time; alpha keeps its own.
         for k in range(len(good)):
-            with pytest.raises(ValueError, match="must"):
+            with pytest.raises(DomainError, match="must"):
                 form(*good[:k], bad, *good[k + 1:])
         # Rate 0 and t = 0 stay valid.
         assert math.isfinite(form(*good[:-2], 0.0, 0.0))

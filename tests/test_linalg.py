@@ -10,11 +10,13 @@ from dephaselab.channels import infinite_limit, sector_dephase
 from dephaselab.family import initial_state
 from dephaselab.linalg import (
     TOL,
+    DomainError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
     Tolerances,
     check_hermitian,
+    check_nonneg,
     eig_hermitian,
     eigvals_hermitian,
     hermitize,
@@ -289,6 +291,27 @@ class TestTrace:
         a = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
         assert trace(a).tobytes() == np.array([np.trace(x) for x in a]).tobytes()
         assert trace(a[0]).tobytes() == np.trace(a[0]).tobytes()
+
+
+class TestCheckNonneg:
+    def test_returns_the_value_as_a_float(self):
+        assert [(v, type(v)) for v in (check_nonneg("t", 0), check_nonneg("rate", np.float64(2.5), True))] == [
+            (0.0, float), (2.5, float),
+        ]
+
+    @pytest.mark.parametrize("value, positive, message", [
+        (-1, False, "t must be finite and nonnegative, got -1.0"),
+        (np.nan, False, "t must be finite and nonnegative, got nan"),
+        (np.inf, True, "t must be finite and positive, got inf"),
+        (0.0, True, "t must be finite and positive, got 0.0"),
+    ])
+    def test_refuses_with_a_domain_error(self, value, positive, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            check_nonneg("t", value, positive)
+
+    def test_a_string_is_not_a_number(self):
+        with pytest.raises(TypeError):
+            check_nonneg("t", "1.0")
 
 
 class TestTolerances:

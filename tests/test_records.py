@@ -94,10 +94,10 @@ def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
     # numpy.random (with secrets, hashlib and OpenSSL) is imported by the
     # first np.random call, which only verify-lemmas makes. json is
     # imported by the commands that read or print JSON, not by sweeps or
-    # verify-lemmas. mpmath, sympy, scipy and hypothesis serve only the
-    # tests and their oracles.
+    # verify-lemmas. cli.run meets a closed pipe without signal. mpmath,
+    # sympy, scipy and hypothesis serve only the tests and their oracles.
     code = (
-        "import sys, dephaselab.cli; print(sorted({'dataclasses', 'csv', 'json', 'numpy.random', "
+        "import sys, dephaselab.cli; print(sorted({'dataclasses', 'csv', 'json', 'numpy.random', 'signal', "
         "'mpmath', 'sympy', 'scipy', 'hypothesis'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
