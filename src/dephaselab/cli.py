@@ -133,7 +133,7 @@ def _grid(spec: list[float], what: str) -> list[float]:
         raise UsageError(f"{what} range needs start < end, got {start} >= {end}")
     try:
         grid = np.linspace(start, end, int(steps)).tolist()
-    except (ValueError, IndexError) as exc:  # numpy refuses a count past what an array can index
+    except (ValueError, IndexError, MemoryError) as exc:  # numpy refuses a count it cannot index or allocate
         raise UsageError(f"{what} range step count {int(steps)} is more than numpy can hold") from exc
     if min(grid) < 0:
         raise UsageError(f"{what} range must be nonnegative")

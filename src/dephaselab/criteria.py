@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .linalg import (
-    TOL, CheckedRecord, DomainError, check_nonneg, eigvals_hermitian, eigvals_hermitized, hermitize, singular_values,
-    trace,
+    TOL, CheckedRecord, DomainError, check_hermitian, check_nonneg, eigvals_hermitian, eigvals_hermitized, hermitize,
+    singular_values, trace,
 )
 from .qstate import DensityMatrix, Dims, partial_transpose, project_local, realign
 
@@ -201,8 +201,10 @@ def _certify(mats: np.ndarray, dims: Dims, blocks: Sequence[BlockSpec]) -> tuple
     """The certificate over an (N, n, n) stack.
 
     One index gathers the B blocks of every member into a (B * N, 4, 4)
-    stack, so the PT eigensolve and the block eigensolve run once each
-    for all blocks; a block's values are those of its own eigensolve.
+    stack. Their Hermitian parts, then their partial transposes, form one
+    (2 * B * N, 4, 4) stack for one eigensolve and one zero-pivot pass;
+    a block's values are those of its own eigensolve. The PT half's
+    Hermiticity check rejects a non-finite block.
     Coverage is exact, so only the residual's diagonal is built: the
     state's diagonal minus each block's weighted one, in block order.
 
@@ -222,15 +224,12 @@ def _certify(mats: np.ndarray, dims: Dims, blocks: Sequence[BlockSpec]) -> tuple
     padded = np.ascontiguousarray(mats[:, rows, cols].swapaxes(0, 1))
     block_diag = padded.reshape(count, size, 16)[..., ::5]  # each block's diagonal, as a view
     block_diag *= weights[:, None, :]
-    # The PT check rejects a non-finite block, so the Hermitian part,
-    # Hermitian by construction, needs no check of its own.
     padded = padded.reshape(-1, 4, 4)
     pt = partial_transpose(DensityMatrix(padded, Dims(2, 2)))
-    pt_min = eigvals_hermitian(pt)[:, 0]
-    hermitian = hermitize(padded)
-    w_min = eigvals_hermitized(hermitian)[:, 0]
-    minima = np.stack((w_min.reshape(count, size), pt_min.reshape(count, size)), axis=1)
-    zero_pivot = (_zero_pivot(hermitian) | _zero_pivot(pt)).reshape(count, size).any(axis=0)
+    check_hermitian(pt)
+    stack = np.concatenate((hermitize(padded), pt))
+    minima = eigvals_hermitized(stack)[:, 0].reshape(2, count, size).swapaxes(0, 1)
+    zero_pivot = _zero_pivot(stack).reshape(2 * count, size).any(axis=0)
     live = (mats != 0) & ~np.eye(n, dtype=bool)
     overallocated = (diag_alloc > 1 + TOL.allocation_slack).any()
     failing = np.flatnonzero((live & (cover != 1)).any(axis=(1, 2)) | overallocated)

@@ -195,8 +195,8 @@ def eigvals_hermitian(a) -> np.ndarray:
 
 def eigvals_hermitized(a: np.ndarray) -> np.ndarray:
     """eigvals_hermitian without the Hermiticity check, for a matrix that
-    is Hermitian by construction, such as the output of hermitize.
-    Solved block by block (see the module docstring)."""
+    is Hermitian by construction, such as the output of hermitize, or
+    already checked. Solved block by block (see the module docstring)."""
     return _blockwise(a, True, np.linalg.eigvalsh)
 
 

@@ -287,10 +287,14 @@ class TestSweep:
         (("--t-range", "0", "1", "1e20"), "t range step count 100000000000000000000"),
         (("--t-range", "0", "1", "3", "--gamma-range", "0", "1", "1e19"), "gamma range step count 10000000000000000000"),
         (("--t-range", "0", "1", "9223372036854775807"), "t range step count 9223372036854775808"),
+        (("--t-range", "0", "1", "1e15"), "t range step count 1000000000000000"),
+        (("--t-range", "0", "1", "3", "--gamma-range", "0", "1", "1e15"), "gamma range step count 1000000000000000"),
     ])
     def test_step_counts_numpy_refuses_are_usage_errors(self, ranges, message):
-        # numpy refuses each count before allocating anything: with a
-        # ValueError (too large for an array) or, at 2**63, an IndexError.
+        # numpy refuses each count before touching any memory: with a
+        # ValueError (too large for an array), at 2**63 an IndexError, and
+        # at 1e15 a MemoryError, since 7.1 PiB of doubles lies past the
+        # 47-bit user address space.
         result = run_cli("sweep", "--quantity", "pt-min-eig", *ranges)
         assert (result.returncode, result.stdout) == (2, b"")
         assert result.stderr.decode() == f"error: {message} is more than numpy can hold\n"

@@ -30,7 +30,7 @@ from dephaselab.family import (
     initial_state,
     swapped_state,
 )
-from dephaselab.linalg import TOL, DomainError, NotHermitianError
+from dephaselab.linalg import TOL, DomainError, NotHermitianError, eigvals_hermitian, hermitize
 from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state
 
 
@@ -137,6 +137,26 @@ class TestSeparabilityCertificate:
             m[np.diag_indices(4)] *= block.diag_weights
             pt = m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
             assert np.allclose(pair, [np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(pt)[0]], rtol=0, atol=1e-12)
+
+    def test_each_pair_is_the_block_minimum_then_the_pt_minimum(self):
+        # Bit for bit against each weighted block alone, one state at a
+        # time and as one stack; a pair in the other order fails.
+        blocks = certificate_blocks()
+        states = [family_at(t, alpha) for alpha in (3.5, 4.1, 4.5) for t in (0.3, 1.0, 2.0)]
+        expected = []
+        for state in states:
+            pairs = []
+            for block in blocks:
+                idx = block.flat_indices(QUTRIT_PAIR)
+                m = state.mat[np.ix_(idx, idx)].copy()
+                m[np.diag_indices(4)] *= block.diag_weights
+                pairs.append((eigvals_hermitian(hermitize(m))[0], min_pt_eigenvalue(DensityMatrix(m, Dims(2, 2)))))
+            expected.append(np.array(pairs))
+        stacked = separability_certificate(DensityMatrix(np.stack([s.mat for s in states]), QUTRIT_PAIR), blocks)
+        for state, want, member in zip(states, expected, stacked):
+            alone = separability_certificate(state, blocks).block_minima
+            assert np.array(alone).tobytes() == np.array(member.block_minima).tobytes() == want.tobytes()
+        assert np.allclose(expected[7][1], (-0.010146, 0.007661), rtol=0, atol=5e-7)  # alpha = 4.5, t = 1, block 2
 
     def test_boundary_straddles_closed_form_onset(self):
         assert not separability_certificate(family_at(1.38), certificate_blocks()).passed
