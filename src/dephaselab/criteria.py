@@ -22,6 +22,7 @@ bit-identical to classifying member k alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -155,6 +156,7 @@ def qubit_block_witness(
     live = tr >= TOL.zero_trace
     with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which the Hermiticity check rejects
         normalized = block.mat / np.where(live, tr, 1.0)[..., None, None]
+    normalized.setflags(write=False)  # fresh, so DensityMatrix holds it without a copy
     return _per_member(np.where(live, min_pt_eigenvalue(DensityMatrix(normalized, block.dims)), np.nan))
 
 
@@ -212,16 +214,11 @@ def _certify(mats: np.ndarray, dims: Dims, blocks: Sequence[BlockSpec]) -> tuple
     members; minima, of shape (B, 2, N), holds each block's minimum
     eigenvalue and minimum PT eigenvalue.
     """
-    n, count, size = dims.n, len(blocks), len(mats)
-    idx = np.array([block.flat_indices(dims) for block in blocks], dtype=int).reshape(count, 4)
-    weights = np.array([b.diag_weights for b in blocks]).reshape(count, 4)
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    # How many blocks hold each off-diagonal entry, and how much of each
-    # diagonal entry they take in all.
-    cover = np.bincount((rows * n + cols)[:, ~np.eye(4, dtype=bool)].ravel(), minlength=n * n).reshape(n, n)
-    diag_alloc = np.bincount(idx.ravel(), weights.ravel(), minlength=n)
+    n, size = dims.n, len(mats)
+    idx, weights, cover, diag_alloc = _layout(tuple(blocks), dims)
+    count = len(idx)
     # Block major, so the Hermiticity check reports block 0's members first.
-    padded = np.ascontiguousarray(mats[:, rows, cols].swapaxes(0, 1))
+    padded = np.ascontiguousarray(mats[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1))
     block_diag = padded.reshape(count, size, 16)[..., ::5]  # each block's diagonal, as a view
     block_diag *= weights[:, None, :]
     padded = padded.reshape(-1, 4, 4)
@@ -248,6 +245,23 @@ def _certify(mats: np.ndarray, dims: Dims, blocks: Sequence[BlockSpec]) -> tuple
     res_diag = (mats.diagonal(axis1=-2, axis2=-1).real - allocated).min(axis=-1)
     passed = (minima >= 0.0).all(axis=(0, 1)) & ~zero_pivot & (res_diag >= 0.0)
     return passed, minima, res_diag
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(blocks: tuple[BlockSpec, ...], dims: Dims) -> tuple[np.ndarray, ...]:
+    """_certify's read-only block layout, built once per (blocks, dims):
+    the (B, 4) flat indices and diagonal weights of the blocks, how many
+    blocks hold each entry of the (n, n) state, and how much of each
+    diagonal entry they take in all."""
+    n, count = dims.n, len(blocks)
+    idx = np.array([block.flat_indices(dims) for block in blocks], dtype=int).reshape(count, 4)
+    weights = np.array([b.diag_weights for b in blocks]).reshape(count, 4)
+    pairs = (idx[:, :, None] * n + idx[:, None, :])[:, ~np.eye(4, dtype=bool)]
+    cover = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
+    diag_alloc = np.bincount(idx.ravel(), weights.ravel(), minlength=n)
+    for array in (idx, weights, cover, diag_alloc):
+        array.setflags(write=False)
+    return idx, weights, cover, diag_alloc
 
 
 def _zero_pivot(mats: np.ndarray) -> np.ndarray:

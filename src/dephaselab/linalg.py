@@ -116,6 +116,16 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """a† as a new C-ordered complex array: a transposed copy, conjugated
+    in place. A ufunc reading the transposed view directly stages it
+    through an 8192-element buffer, 128 KiB, more than a (64, 9, 9)
+    stack."""
+    out = np.array(a.swapaxes(-1, -2), dtype=complex, order="C")
+    np.conjugate(out, out=out)
+    return out
+
+
 def check_hermitian(a: np.ndarray) -> None:
     """Raise NotHermitianError unless a == a† within TOL.hermitian * max(1, ||a||_F).
 
@@ -125,7 +135,9 @@ def check_hermitian(a: np.ndarray) -> None:
     bound would let either through.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and an overflowing norm fail below
-        dev = np.abs(a - a.conj().swapaxes(-1, -2))
+        diff = _adjoint(a)
+        np.subtract(a, diff, out=diff)
+        dev = np.abs(diff)
         if dev.max(initial=0.0) <= TOL.hermitian:
             return  # the scale is at least 1, so no norm is needed; NaN lands below
         dev = dev.max(axis=(-2, -1), initial=0.0)
@@ -153,11 +165,21 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     fixed point the bits are the same, and it is one on every matrix
     without -0.0 entries whose entries and entry sums stay clear of the
     subnormal range.
+
+    The result is a new read-only array that owns its data, so
+    DensityMatrix holds it without a copy. It is built in place: a†,
+    then a added to it (the same sums as a + a†), so its only temporary
+    is the half-size sign pass.
     """
-    out = np.add(a, a.conj().swapaxes(-1, -2), out=np.empty(a.shape, dtype=complex))
-    parts = out.view(np.float64).reshape(out.shape + (2,))
+    out = _adjoint(a)
+    out += a
+    parts = out.view(np.float64)
     parts *= 0.5
-    parts -= parts[..., :1] * 0.0  # a zero with the sign of x
+    x, y = out.real, out.imag  # views, each updated on its own: a broadcast z would be buffered
+    z = x * 0.0  # a zero with the sign of x
+    x -= z
+    y -= z
+    out.setflags(write=False)
     return out
 
 

@@ -76,15 +76,23 @@ class DensityMatrix(CheckedRecord, NamedTuple("DensityMatrix", [("mat", np.ndarr
     states, dephasing masks, level permutations) and deliberately
     unnormalized intermediates, such as raw channel-branch terms. mat is
     (n, n) for one state or (N, n, n) for a stack of N.
+
+    mat is read-only. A complex array that owns its data and is already
+    read-only, such as hermitize's result, is held as it is: whoever
+    made it gave up writing to it. Anything else (a writable array, a
+    view, a read-only view of a writable base, a list) is copied first.
     """
 
     __slots__ = ()
 
     def __new__(cls, mat, dims: Dims) -> DensityMatrix:
-        m = np.array(mat, dtype=complex)
+        if isinstance(mat, np.ndarray) and mat.dtype == complex and mat.flags.owndata and not mat.flags.writeable:
+            m = mat
+        else:
+            m = np.array(mat, dtype=complex)
+            m.setflags(write=False)
         if m.ndim not in (2, 3) or m.shape[-2:] != (dims.n, dims.n):
             raise BadShapeError(f"matrix shape {m.shape} does not match dims ({dims.da}, {dims.db})")
-        m.setflags(write=False)
         return super().__new__(cls, m, dims)
 
     @property
@@ -169,7 +177,10 @@ def project_local(state: DensityMatrix, keep_a: Sequence[int], keep_b: Sequence[
         if len(set(label)) != len(label) or any(x < 0 or x >= dim for x in label):
             raise ValueError(f"invalid labels {label} for side {side} of dimension {dim}")
     idx = np.array([state.dims.flat(a, b) for a in keep_a for b in keep_b])
-    return DensityMatrix(state.mat[..., idx[:, None], idx], Dims(len(keep_a), len(keep_b)))
+    n = state.dims.n
+    block = np.take(state.mat.reshape(state.mat.shape[:-2] + (n * n,)), idx[:, None] * n + idx, axis=-1)
+    block.setflags(write=False)  # fresh, so DensityMatrix holds it without a copy
+    return DensityMatrix(block, Dims(len(keep_a), len(keep_b)))
 
 
 def tensor(sigma_a, sigma_b) -> np.ndarray:
@@ -189,8 +200,11 @@ def random_state(rng: np.random.Generator, dims: Dims, size: Optional[int] = Non
     """
     n = dims.n
     draws = rng.standard_normal(((2,) if size is None else (size, 2)) + (n, n))
-    g = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    g = np.empty(draws.shape[:-3] + (n, n), dtype=complex)
+    g.real, g.imag = draws[..., 0, :, :], draws[..., 1, :, :]
+    del draws  # each buffer is dropped once used: at most three stacks are alive at once
     m = g @ g.conj().swapaxes(-1, -2)
+    del g
     m /= trace(m).real[..., None, None]
     return DensityMatrix(hermitize(m), dims)
 

@@ -14,13 +14,14 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from dephaselab import channels, criteria, family
+from dephaselab import channels, cli, criteria, family
 from dephaselab.channels import NoiseParams, ground_excited
 from dephaselab.family import initial_state
 from dephaselab.linalg import TOL, NotPSDError, eig_hermitian, eigvals_hermitian, singular_values
@@ -30,6 +31,11 @@ QUTRIT_PAIR = Dims(3, 3)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SQRT_FLOOR = 1e-12  # sqrt_psd zeroes eigenvalues below this times the largest
+# Stack sizes around one and two chunks of cli.STACK_CHUNK states, one
+# past two and one past four: where a chunked loop or a stacked call
+# would lose or reorder a member.
+_C = cli.STACK_CHUNK
+CHUNK_SIZES = (1, _C - 1, _C, _C + 1, 2 * _C - 1, 2 * _C, 2 * _C + 1, 2 * _C + 3, 4 * _C + 3)
 
 
 def child_env() -> dict:
@@ -313,3 +319,23 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
         })
     keys = ("limit_pt_min", "limit_excess", "two_sided", "parent_pt_min", "one_sided", "evolved_pt_min")
     return {key: np.array([row[key] for row in rows], dtype=float) for key in keys}
+
+
+def allocation_peak(fn, *args) -> int:
+    """The most memory, in bytes, that fn(*args) holds at once beyond
+    what was allocated before the call, its result included, as
+    tracemalloc traces it; numpy reports every array buffer to
+    tracemalloc. fn runs once untraced first, so the caches it fills are
+    not counted."""
+    fn(*args)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

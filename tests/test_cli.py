@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dephaselab
-from conftest import GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
+from conftest import CHUNK_SIZES, GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
 from dephaselab import cli
 from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
 from dephaselab.criteria import transition_times
@@ -442,9 +442,7 @@ class TestVerifyLemmas:
         checks = [[name, bool(passed), detail] for name, passed, detail in cli._verify_checks(42, samples, fault)]
         assert checks == golden
 
-    @pytest.mark.parametrize(
-        "samples", [0, 1, cli.STACK_CHUNK - 1, cli.STACK_CHUNK, cli.STACK_CHUNK + 1, 2 * cli.STACK_CHUNK + 3]
-    )
+    @pytest.mark.parametrize("samples", (0,) + CHUNK_SIZES)
     def test_chunked_samples_match_per_sample_oracle(self, samples):
         # Every violation count is 0, so stdout alone cannot tell a wrong
         # stack from a right one: compare the witnesses themselves.

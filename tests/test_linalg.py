@@ -278,6 +278,23 @@ class TestHermitize:
         # Where it is, hermitize returns its bits.
         assert same_bits(once, one_pass)[settled].all()
 
+    def test_keeps_the_bits_of_the_added_form(self, rng):
+        # hermitize adds a to a† built in place: the sums of
+        # np.add(a, a.conj().swapaxes(-1, -2)), so the same bits.
+        def by_add(a):
+            out = np.add(a, a.conj().swapaxes(-1, -2), out=np.empty(a.shape, dtype=complex))
+            parts = out.view(np.float64).reshape(out.shape + (2,))
+            parts *= 0.5
+            parts -= parts[..., :1] * 0.0
+            return out
+
+        wild = np.empty((64, 9, 9), dtype=complex)
+        wild.real, wild.imag = rng.choice(self.PARTS, size=(2,) + wild.shape)
+        for a in (self.exhaustive_pairs(), wild, wild[0]):
+            h = hermitize(a)
+            assert h.tobytes() == by_add(a).tobytes()
+            assert h.flags.owndata and not h.flags.writeable
+
     def test_hermitian_part_of_a_stack(self, rng):
         a = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
         h = hermitize(a)

@@ -87,6 +87,18 @@ def test_record_arrays_are_read_only_copies():
     for array in (state.mat, UNIFORM.a):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
+    # Whatever someone else can still write through is copied: a
+    # writable array, a view, a read-only view of a writable base.
+    writable = np.eye(9, dtype=complex) / 9
+    read_only_view = writable[:]
+    read_only_view.setflags(write=False)
+    for given in (writable, writable[:], read_only_view, state.mat[:]):
+        held = DensityMatrix(given, QUTRIT_PAIR).mat
+        assert not np.shares_memory(held, given) and not held.flags.writeable
+    # A fresh read-only array that owns its data is held as it is.
+    fresh = np.eye(9, dtype=complex) / 9
+    fresh.setflags(write=False)
+    assert DensityMatrix(fresh, QUTRIT_PAIR).mat is fresh
     assert repr(QUTRIT_PAIR) == "Dims(da=3, db=3)"
 
 

@@ -2,7 +2,9 @@
 
 Every stacked result is compared bit for bit (np.array_equal, plus the
 sign of zeros) with the result for each member alone, at stack sizes
-around the stack chunk size (cli.STACK_CHUNK).
+around one and two stack chunks (conftest.CHUNK_SIZES). The stacked
+steps of verify-lemmas' sampled loop allocate each result once, and
+TestAllocations pins their peaks.
 """
 
 import numpy as np
@@ -10,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state_by_draws
+from conftest import CHUNK_SIZES, allocation_peak, random_state_by_draws
+from dephaselab import cli
 from dephaselab.channels import GROUND_EXCITED, NoiseParams, ground_excited, sector_dephase
-from dephaselab.cli import STACK_CHUNK
 from dephaselab.criteria import (
     CertificateResult,
     Classification,
@@ -23,13 +25,11 @@ from dephaselab.criteria import (
     separability_certificate,
 )
 from dephaselab.family import certificate_blocks, initial_state, one_sided_probe, two_sided_probe
-from dephaselab.linalg import NotHermitianError, check_hermitian, eigvals_hermitian
+from dephaselab.linalg import NotHermitianError, check_hermitian, eigvals_hermitian, hermitize
 from dephaselab.qstate import DensityMatrix, Dims, random_state
 
-SIZES = (1, STACK_CHUNK - 1, STACK_CHUNK, STACK_CHUNK + 1, 2 * STACK_CHUNK + 3)
-
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-sizes = st.sampled_from(SIZES)
+sizes = st.sampled_from(CHUNK_SIZES)
 
 
 def members(stack: DensityMatrix) -> list[DensityMatrix]:
@@ -134,7 +134,7 @@ class TestStacks:
         assert_same_bits([r.block_minima for r in stacked], [r.block_minima for r in alone])
         assert stacked == tuple(alone)
 
-    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
     def test_one_non_hermitian_member_fails_the_stack(self, size):
         rng = np.random.default_rng(size)
         stack = random_stack(rng, Dims(3, 3), size)
@@ -148,7 +148,7 @@ class TestStacks:
             min_pt_eigenvalue(DensityMatrix(mats, stack.dims))
         eigvals_hermitian(np.delete(mats, bad, axis=0))
 
-    @pytest.mark.parametrize("size", (0,) + SIZES)
+    @pytest.mark.parametrize("size", (0,) + CHUNK_SIZES)
     @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
     def test_random_state_draws_a_stack_as_single_draws(self, size, dims):
         dims = Dims(*dims)
@@ -160,7 +160,7 @@ class TestStacks:
         one = random_state(np.random.default_rng(size), dims)
         assert_same_bits(one.mat, random_state_by_draws(np.random.default_rng(size), dims).mat)
 
-    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
     def test_probes_skip_exactly_the_members_a_single_probe_rejects(self, size):
         rng = np.random.default_rng(size)
         mats = np.array(random_stack(rng, Dims(3, 3), size).mat)
@@ -181,3 +181,34 @@ class TestStacks:
             for probed in (stack, dead):
                 assert_same_bits(probe(probed), [probe(s) for s in members(probed)])
         assert np.isnan(two_sided_probe(dead)).all() and np.isnan(one_sided_probe(dead, "B")).all()
+
+
+class TestAllocations:
+    """Peaks in multiples of the result's size: every step builds its
+    result in place and drops each buffer once it is used, so a later
+    change cannot quietly bring a copy back."""
+
+    STACK = cli.STACK_CHUNK * 81 * 16  # bytes of one (STACK_CHUNK, 9, 9) complex stack
+    SLACK = 4096  # bytes of array headers and numpy scalars
+
+    def test_hermitize_allocates_its_result_and_a_half_size_sign_pass(self, rng):
+        a = random_state(rng, Dims(3, 3), cli.STACK_CHUNK).mat
+        assert allocation_peak(hermitize, a) <= 1.5 * self.STACK + self.SLACK
+
+    def test_sector_dephase_allocates_its_result_and_one_masked_copy(self, rng):
+        # The masked copy is hermitized, which adds its half-size sign pass.
+        state = random_state(rng, Dims(3, 3), cli.STACK_CHUNK)
+        keep = rng.uniform(0.0, 1.0, cli.STACK_CHUNK)
+        peak = allocation_peak(sector_dephase, state, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+        assert peak <= 2.5 * self.STACK + self.SLACK
+
+    def test_random_state_allocates_its_result_and_the_gram_factors(self):
+        # The Gram product needs the complex factor and its conjugate
+        # at once; the normal draws are freed once the factor is filled.
+        peak = allocation_peak(lambda: random_state(np.random.default_rng(3), Dims(3, 3), cli.STACK_CHUNK))
+        assert peak <= 3 * self.STACK + self.SLACK
+
+    def test_one_sampled_chunk_peaks_below_four_and_a_half_stacks(self):
+        # At most the samples, one derived stack and the step building
+        # the next are alive at once.
+        assert allocation_peak(lambda: next(cli._sample_witnesses(5, cli.STACK_CHUNK))) < 4.5 * self.STACK
