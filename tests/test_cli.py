@@ -423,12 +423,18 @@ class TestVerifyLemmas:
     @pytest.mark.parametrize(
         "flags, golden, code",
         [
-            (["--samples", "200"], "verify_lemmas_seed42_samples200.txt", 0),
-            (["--samples", "0", "--inject-fault"], "verify_lemmas_seed42_samples0_inject_fault.txt", 1),
+            (["verify-lemmas", "--seed", "42", "--samples", "200"], "verify_lemmas_seed42_samples200.txt", 0),
+            (["verify-lemmas", "--seed", "42", "--samples", "0", "--inject-fault"],
+             "verify_lemmas_seed42_samples0_inject_fault.txt", 1),
+            # grid-sweep's rate grid and the default verdict sweep: goldens
+            # independent of the library code the sweep itself runs.
+            (["sweep", "--quantity", "pt-min-eig", "--initial", "rho-prime", "--t-range", "0", "10", "41",
+              "--gamma-range", "0", "2", "11"], "sweep_pt_min_eig_rho_prime_t0_10_41_gamma0_2_11.csv", 0),
+            (["sweep", "--quantity", "verdict", "--t-range", "0", "3", "121"], "sweep_verdict_t0_3_121.csv", 0),
         ],
     )
     def test_golden_stdout(self, flags, golden, code):
-        result = run_cli("verify-lemmas", "--seed", "42", *flags)
+        result = run_cli(*flags)
         assert result.returncode == code
         assert result.stdout == (GOLDEN_DIR / golden).read_bytes()
 
