@@ -9,7 +9,8 @@ keeps exp(-2*g*t), and the window has a closed form:
 * realignment zero: exp(-2*g*t) = (7 - sqrt(3*alpha^2 - 15*alpha + 19)) / 6;
 * a window exactly when the realignment zero comes after t_d.
 
-For each alpha this script finds both times on the evolved states with
+For each alpha this script evolves the family state with
+channels.evolve under the GENERAL model, finds both times with
 criteria.transition_times, the search behind `dephaselab thresholds`,
 and prints the resulting window, if any; the test suite checks its
 output against the closed form.
@@ -19,7 +20,7 @@ import argparse
 
 import numpy as np
 
-from dephaselab.channels import NoiseParams, general_dephase
+from dephaselab.channels import GENERAL, evolve
 from dephaselab.criteria import transition_times
 from dephaselab.family import initial_state
 from dephaselab.linalg import DomainError, check_nonneg
@@ -40,7 +41,7 @@ def main() -> None:
     print(f"gamma = {gamma}")
     print(f"{'alpha':>8} {'t_ppt':>10} {'realign_zero':>13} {'window':>10}")
     for alpha, base in zip(args.alphas, bases):
-        t_ppt, t_real = transition_times(lambda t: general_dephase(base, NoiseParams(gamma, gamma, t)), gamma)
+        t_ppt, t_real = transition_times(lambda t: evolve(base, GENERAL, gamma, gamma, t), gamma)
         if t_ppt is None:
             window = "no PPT onset"
         elif t_real <= t_ppt:

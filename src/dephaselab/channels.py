@@ -19,53 +19,72 @@ Leading-axis convention: sector_dephase takes retentions that are
 scalars or 1-D arrays of length N (and a state that is one matrix or a
 stack of N); they broadcast, and a leading axis in any of them makes the
 result a stack of N dephased states, each bit-identical to dephasing
-that member alone. The named wrappers take one NoiseParams.
+that member alone. evolve, the one way to evolve a state under either
+model, takes its rates and times the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import CheckedRecord, DomainError, check_nonneg, hermitize
+from .linalg import DomainError, check_nonneg, hermitize
 from .qstate import BadShapeError, DensityMatrix, make_state, tensor
 
 
-GROUND_EXCITED = (0, 1, 1)
+# A noise model: its sector labelling of one side's levels (None: every
+# level its own sector, at any dimension) and the divisor of rate*t in
+# the exponent of its retention.
+GROUND_EXCITED = ((0, 1, 1), 2)
+GENERAL = (None, 1)
 
 
-def ground_excited_retention(rate: float, t: float) -> float:
-    """Coherence retention exp(-rate*t/2) of the ground/excited channel.
+def _checked(name: str, value):
+    """A rate or a time as a float, or an array of them as a float array,
+    refused by linalg.check_nonneg unless every entry is finite and
+    nonnegative: an array by its minimum (NaN if it holds one) and maximum."""
+    if isinstance(value, float):
+        return check_nonneg(name, value)
+    value = np.asarray(value)
+    if value.ndim == 0:
+        return check_nonneg(name, value)
+    if value.size:
+        check_nonneg(name, value.min())
+        check_nonneg(name, value.max())
+    return value.astype(float)
 
-    Evaluated with math.exp, whose last bit differs from np.exp's on
-    about 5% of arguments: every caller, vectorized or not, uses this.
+
+def evolve(state: DensityMatrix, model, rate_a, rate_b, t) -> DensityMatrix:
+    """state under the local dephasing model (GROUND_EXCITED or GENERAL)
+    at rates rate_a, rate_b (inverse time) to time t.
+
+    A coherence keeps exp(-rate*t/2) per side whose two labels straddle
+    the ground/excited split {0} | {1, 2}, or exp(-rate*t) per side whose
+    labels differ under general dephasing. Each retention is math.exp on
+    Python floats, one per member and side. The rates and t are scalars
+    or (N,) arrays; they broadcast with a stacked state as
+    sector_dephase's retentions do. Raises DomainError unless every rate
+    and time is finite and nonnegative.
     """
-    return math.exp(-rate * t / 2)
-
-
-class NoiseParams(CheckedRecord, NamedTuple("NoiseParams", [
-    ("gamma_rate_a", float), ("gamma_rate_b", float), ("t", float),
-])):
-    """Dephasing rates (inverse time) per side and an evolution time, as floats.
-
-    gamma_a / gamma_b are the surviving coherence factors exp(-rate*t/2).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, gamma_rate_a: float, gamma_rate_b: float, t: float) -> NoiseParams:
-        return super().__new__(cls, *map(check_nonneg, cls._fields, (gamma_rate_a, gamma_rate_b, t)))
-
-    @property
-    def gamma_a(self) -> float:
-        return ground_excited_retention(self.gamma_rate_a, self.t)
-
-    @property
-    def gamma_b(self) -> float:
-        return ground_excited_retention(self.gamma_rate_b, self.t)
+    sectors, divisor = model
+    rate_a, rate_b, t = (_checked(name, value) for name, value in (
+        ("gamma_rate_a", rate_a), ("gamma_rate_b", rate_b), ("t", t)))
+    if type(rate_a) is type(rate_b) is type(t) is float:
+        keep_a, keep_b = math.exp(-rate_a * t / divisor), math.exp(-rate_b * t / divisor)
+    else:
+        rate_a, rate_b, t = np.broadcast_arrays(rate_a, rate_b, t)
+        keep_a, keep_b = (
+            np.array([math.exp(-r * s / divisor) for r, s in zip(rate.tolist(), t.tolist())])
+            for rate in (rate_a, rate_b)
+        )
+    if sectors is None:
+        sectors_a, sectors_b = range(state.dims.da), range(state.dims.db)
+    else:
+        sectors_a = sectors_b = sectors
+    return sector_dephase(state, sectors_a, sectors_b, keep_a, keep_b)
 
 
 def local_pair(gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -80,16 +99,17 @@ def local_pair(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return np.diag([1.0, gamma, gamma]).astype(complex), np.diag([0.0, omega, omega]).astype(complex)
 
 
-def kraus_ground_excited(p: NoiseParams) -> tuple[np.ndarray, ...]:
+def kraus_ground_excited(gamma_a: float, gamma_b: float) -> tuple[np.ndarray, ...]:
     """Qutrit-qutrit ground/excited dephasing as four 9x9 Kraus operators.
 
-    The operators are the products (B-side factor) @ (A-side factor) of
-    the local_pair factors on each side; all are real diagonal, so the
-    two operator orderings and the two completeness conventions coincide.
+    Given each side's coherence retention, the operators are the products
+    (B-side factor) @ (A-side factor) of the local_pair factors on each
+    side; all are real diagonal, so the two operator orderings and the
+    two completeness conventions coincide.
     """
     ident = np.eye(3, dtype=complex)
-    e_ops = [tensor(k, ident) for k in local_pair(p.gamma_a)]
-    d_ops = [tensor(ident, k) for k in local_pair(p.gamma_b)]
+    e_ops = [tensor(k, ident) for k in local_pair(gamma_a)]
+    d_ops = [tensor(ident, k) for k in local_pair(gamma_b)]
     return tuple(d @ e for d in d_ops for e in e_ops)
 
 
@@ -127,7 +147,8 @@ def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a, keep_b) -
     scalars or 1-D arrays of length N; with an array (or a stacked state)
     the result is the stack of N dephased states. Raises BadShapeError
     when a labelling does not have one entry per local level, and
-    DomainError when a retention lies outside [0, 1] or is NaN.
+    DomainError when a retention is not a real number in [0, 1] (NaN and
+    complex values included).
     """
     d = state.dims
     sectors_a, sectors_b = tuple(sectors_a), tuple(sectors_b)
@@ -136,7 +157,9 @@ def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a, keep_b) -
     cross_a, cross_b = _cross_sector(sectors_a, sectors_b)
     keep_a, keep_b = np.asarray(keep_a), np.asarray(keep_b)
     for name, keep in (("keep_a", keep_a), ("keep_b", keep_b)):
-        inside = (keep >= 0) & (keep <= 1)  # False for NaN
+        # False for NaN, and for a complex entry that is not real, which
+        # >= and <= alone would order by its real part.
+        inside = (keep >= 0) & (keep <= 1) & np.isreal(keep)
         if not inside.all():
             raise DomainError(f"{name} must lie in [0, 1], got {keep[~inside][0]}")
     keep_a, keep_b = keep_a[..., None, None], keep_b[..., None, None]
@@ -147,28 +170,6 @@ def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a, keep_b) -
     return DensityMatrix(hermitize(m), d)
 
 
-def ground_excited(state: DensityMatrix, noise: NoiseParams) -> DensityMatrix:
-    """Ground/excited dephasing of a qutrit-qutrit state to time noise.t.
-
-    A coherence keeps gamma_a = exp(-rate_a*t/2) when its side-A labels
-    straddle {0} | {1, 2}, and likewise gamma_b on side B.
-    """
-    return sector_dephase(state, GROUND_EXCITED, GROUND_EXCITED, noise.gamma_a, noise.gamma_b)
-
-
-def general_dephase(state: DensityMatrix, p: NoiseParams) -> DensityMatrix:
-    """Dephase between all local basis states on each side.
-
-    Every coherence rho((i,k),(j,l)) is multiplied by
-    exp(-rate_a*t*[i != j]) * exp(-rate_b*t*[k != l]); diagonal entries
-    are untouched. Equivalent per subsystem to the mixture
-    (1-p)*sigma + p*diag(sigma) with p = 1 - exp(-rate*t).
-    """
-    d = state.dims
-    fa, fb = math.exp(-p.gamma_rate_a * p.t), math.exp(-p.gamma_rate_b * p.t)
-    return sector_dephase(state, range(d.da), range(d.db), fa, fb)
-
-
 def infinite_limit(state: DensityMatrix) -> DensityMatrix:
     """Exact fixed point the ground/excited channel reaches as t grows.
 
@@ -177,4 +178,4 @@ def infinite_limit(state: DensityMatrix) -> DensityMatrix:
     ground-times-doublet blocks, and the whole doublet-doublet corner:
     the ground/excited mask with retention 0, no large-t evolution.
     """
-    return sector_dephase(state, GROUND_EXCITED, GROUND_EXCITED, 0.0, 0.0)
+    return sector_dephase(state, GROUND_EXCITED[0], GROUND_EXCITED[0], 0.0, 0.0)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, criteria, family
-from .channels import GROUND_EXCITED, NoiseParams, ground_excited, ground_excited_retention, sector_dephase
+from .channels import GROUND_EXCITED, evolve
 from .linalg import TOL, DomainError
 from .qstate import DensityMatrix, random_state, state_from_json, state_to_json
 
@@ -95,24 +95,16 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _dephased(base: DensityMatrix, points: list[tuple[float, float]]) -> DensityMatrix:
-    """base under symmetric ground/excited dephasing at each (t, gamma)
-    point, as one stack."""
-    keep = np.array([ground_excited_retention(g, t) for t, g in points])
-    return sector_dephase(base, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
-    noise = NoiseParams(args.gamma_a, args.gamma_b, args.t)
-    print(state_to_json(ground_excited(_base_state(args.initial, args.alpha), noise)))
+    state = evolve(_base_state(args.initial, args.alpha), GROUND_EXCITED, args.gamma_a, args.gamma_b, args.t)
+    print(state_to_json(state))
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     import json
 
-    noise = NoiseParams(args.gamma_a, args.gamma_b, args.t)
-    state = ground_excited(_base_state(args.initial, args.alpha), noise)
+    state = evolve(_base_state(args.initial, args.alpha), GROUND_EXCITED, args.gamma_a, args.gamma_b, args.t)
     blocks = family.certificate_blocks() if args.certificate == "three-block" else None
     result = criteria.classify(state, blocks)
     print(result.verdict.value)
@@ -168,7 +160,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [["t", "gamma", "verdict" if args.quantity == "verdict" else "value"]]
         for start in range(0, len(points), STACK_CHUNK):
             chunk = points[start:start + STACK_CHUNK]
-            rows += [[_fmt(t), _fmt(g), cell] for (t, g), cell in zip(chunk, cells(_dephased(base, chunk)))]
+            times, rates = zip(*chunk)
+            evolved = evolve(base, GROUND_EXCITED, rates, rates, times)
+            rows += [[_fmt(t), _fmt(g), cell] for (t, g), cell in zip(chunk, cells(evolved))]
     # Written only once every row exists, so a failing sweep prints nothing.
     # No cell holds a comma, a quote or a newline, so no cell needs quoting.
     print("\n".join(map(",".join, rows)))
@@ -186,7 +180,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     blocks = family.certificate_blocks()
 
     def evolved(t: float) -> DensityMatrix:
-        return ground_excited(base, NoiseParams(gamma, gamma, t))
+        return evolve(base, GROUND_EXCITED, gamma, gamma, t)
 
     def certificate_margin(t: float) -> float:
         result = criteria.separability_certificate(evolved(t), blocks)
@@ -215,26 +209,26 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
     rho_prime0 = family.swapped_state(alpha)
     onset = family.ppt_onset_time(alpha, 1.0)
 
-    def at(t: float) -> NoiseParams:
-        return NoiseParams(1.0, 1.0, t)
+    def at(state: DensityMatrix, t: float) -> DensityMatrix:
+        return evolve(state, GROUND_EXCITED, 1.0, 1.0, t)
 
     # (claim, probe witness, whether the probe must certify entanglement)
     for name, witness, entangled in (
         ("one-sided probe certifies the swapped family (side B, t=1)",
-         family.one_sided_probe(ground_excited(rho_prime0, at(1.0)), "B"), True),
+         family.one_sided_probe(at(rho_prime0, 1.0), "B"), True),
         ("one-sided probe certifies the swapped family (side A, t=1)",
-         family.one_sided_probe(ground_excited(rho_prime0, at(1.0)), "A"), True),
+         family.one_sided_probe(at(rho_prime0, 1.0), "A"), True),
         (f"one-sided probe flags the unswapped family before its PPT onset (t=0.3 < {onset:.4f})",
-         family.one_sided_probe(ground_excited(rho0, at(0.3)), "B"), True),
+         family.one_sided_probe(at(rho0, 0.3), "B"), True),
         (f"one-sided probe declines the unswapped family after its PPT onset (t=1.0 > {onset:.4f})",
-         family.one_sided_probe(ground_excited(rho0, at(1.0)), "B"), False),
+         family.one_sided_probe(at(rho0, 1.0), "B"), False),
         ("two-sided probe certifies the swapped family for all finite time",
          family.two_sided_probe(rho_prime0), True),
         ("two-sided probe declines the unswapped family", family.two_sided_probe(rho0), False),
     ):
         yield name, (witness < -TOL.verdict) == entangled, f"witness {witness:.6g}"
 
-    evolved = _dephased(rho_prime0, [(k * 0.5, 1.0) for k in range(21)])
+    evolved = at(rho_prime0, [k * 0.5 for k in range(21)])
     worst = float(np.max(family.two_sided_probe(evolved)))
     yield "swapped family witness stays negative on t in [0, 10]", worst < -TOL.verdict, f"max witness {worst:.6g}"
 
@@ -246,7 +240,7 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
          np.full((4, 4), 1.0 / 4), True),
         ("maximally correlated state with diagonal coefficients stays separable", np.diag([0.2, 0.3, 0.5]), False),
     ):
-        report = family.mc_report(family.McSpec(a), at(0.7))
+        report = family.mc_report(family.McSpec(a), 1.0, 1.0, 0.7)
         detail = f"deviation {report.mc_deviation:.3g}" + (f", witness {report.witness_value}" if entangled else "")
         yield name, report.still_mc and report.entangled == entangled and report.distillable == entangled, detail
 
@@ -294,7 +288,6 @@ def _sample_witnesses(seed: int, samples: int):
     computation.
     """
     rng = np.random.default_rng(seed)
-    noise = NoiseParams(1.0, 1.0, 0.7)
     for start in range(0, samples, STACK_CHUNK):
         states = random_state(rng, family.QUTRIT_PAIR, min(STACK_CHUNK, samples - start))
         # Each derived stack is freed once its witnesses are taken, so at
@@ -306,7 +299,7 @@ def _sample_witnesses(seed: int, samples: int):
         del lim
         two_sided = family.two_sided_probe(states)
         parent_pt_min = _pt_min_where(two_sided < -TOL.verdict, states)
-        evolved = ground_excited(states, noise)
+        evolved = evolve(states, GROUND_EXCITED, 1.0, 1.0, 0.7)
         one_sided = family.one_sided_probe(evolved, "B")
         evolved_pt_min = _pt_min_where(one_sided < -TOL.verdict, evolved)
         del evolved

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import NoiseParams, general_dephase, ground_excited, infinite_limit
+from .channels import GENERAL, GROUND_EXCITED, evolve, infinite_limit
 from .criteria import BlockSpec, qubit_block_witness
 from .linalg import TOL, CheckedRecord, DomainError, check_nonneg, hermitize, trace
 from .qstate import DensityMatrix, Dims, check_state_matrix, project_local
@@ -128,15 +128,16 @@ def swapped_state(alpha: float) -> DensityMatrix:
     return DensityMatrix(initial_state(alpha).mat[np.ix_(idx, idx)], d)
 
 
-def evolved_closed_form(alpha: float, noise: NoiseParams) -> DensityMatrix:
-    """The family state at time t.
+def evolved_closed_form(alpha: float, rate_a: float, rate_b: float, t: float) -> DensityMatrix:
+    """The family state at time t under ground/excited dephasing.
 
     The diagonal never moves; the three coherences pick up one retention
-    factor per side whose label pair touches the ground level:
-    (|01>,|10>) keeps gamma_a * gamma_b, (|01>,|22>) keeps gamma_a,
-    (|10>,|22>) keeps gamma_b: the ground/excited mask on initial_state.
+    factor gamma = exp(-rate*t/2) per side whose label pair touches the
+    ground level: (|01>,|10>) keeps gamma_a * gamma_b, (|01>,|22>) keeps
+    gamma_a, (|10>,|22>) keeps gamma_b: the ground/excited mask on
+    initial_state.
     """
-    return ground_excited(initial_state(alpha), noise)
+    return evolve(initial_state(alpha), GROUND_EXCITED, rate_a, rate_b, t)
 
 
 def pt_branch_eigenvalue(alpha: float, rate_sum: float, t: float) -> float:
@@ -215,7 +216,7 @@ def one_sided_probe(state: DensityMatrix, side: str) -> float | np.ndarray:
     Restricts the state to the chosen side's doublet {1, 2}: a 3x2 (side
     "B") or 2x3 (side "A") support, where NPT is conclusive, so a
     negative witness certifies the state distillable. Probe an evolved
-    state (ground_excited) to certify it at that time; the erased-ground
+    state (channels.evolve) to certify it at that time; the erased-ground
     channel branch is this restriction up to a positive scalar. NaN when
     the doublet is empty. Takes one state or a stack.
     """
@@ -267,7 +268,7 @@ def mc_state(spec: McSpec) -> DensityMatrix:
     return DensityMatrix(hermitize(m), d)
 
 
-def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:
+def mc_report(spec: McSpec, rate_a: float, rate_b: float, t: float) -> McReport:
     """Evolve a maximally correlated state and check the claims about it.
 
     Under general dephasing the |ii><jj| support pattern is preserved
@@ -277,7 +278,7 @@ def mc_report(spec: McSpec, noise: NoiseParams) -> McReport:
     {i,j}x{i,j} two-qubit witness negative, certifying distillability.
     """
     rho = mc_state(spec)
-    evolved = general_dephase(rho, noise)
+    evolved = evolve(rho, GENERAL, rate_a, rate_b, t)
     deviation = _mc_deviation(evolved.mat, len(spec.a))
     off = np.abs(spec.a - np.diag(np.diag(spec.a)))
     entangled = bool(np.max(off) > TOL.coherence_floor)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from dephaselab import channels, cli, criteria, family
-from dephaselab.channels import NoiseParams, ground_excited
+from dephaselab.channels import GROUND_EXCITED, evolve
 from dephaselab.family import initial_state
 from dephaselab.linalg import TOL, NotPSDError, eig_hermitian, eigvals_hermitian, singular_values
 from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state
@@ -88,7 +89,14 @@ def random_separable_mixture(
     return make_state(dims, m)
 
 
-def evolved_family_by_entries(alpha: float, noise: NoiseParams) -> DensityMatrix:
+def retention(rate: float, t: float) -> float:
+    """The ground/excited coherence retention exp(-rate*t/2), computed
+    here rather than by the library: the Kraus route and the entrywise
+    oracles take it."""
+    return math.exp(-float(rate) * float(t) / 2)
+
+
+def evolved_family_by_entries(alpha: float, rate_a: float, rate_b: float, t: float) -> DensityMatrix:
     """The evolved family written entry by entry.
 
     Only the three coherences of the initial state move: (|01>,|10>)
@@ -97,7 +105,7 @@ def evolved_family_by_entries(alpha: float, noise: NoiseParams) -> DensityMatrix
     """
     d = QUTRIT_PAIR
     m = np.array(initial_state(alpha).mat)
-    ga, gb = noise.gamma_a, noise.gamma_b
+    ga, gb = retention(rate_a, t), retention(rate_b, t)
     c01, c10, c22 = d.flat(0, 1), d.flat(1, 0), d.flat(2, 2)
     m[c01, c10] *= ga * gb
     m[c10, c01] *= ga * gb
@@ -261,8 +269,7 @@ def sweep_by_points(quantity: str, base: DensityMatrix, blocks, ts, gammas) -> s
     """The witness and verdict sweep CSV, one grid point at a time.
 
     Every (t, gamma) point, t outer, is dephased on its own through
-    ground_excited and NoiseParams (math.exp retentions) and classified
-    as a single state.
+    channels.evolve and classified as a single state.
     """
     value = {
         "pt-min-eig": lambda s: f"{criteria.min_pt_eigenvalue(s):.12g}",
@@ -270,7 +277,7 @@ def sweep_by_points(quantity: str, base: DensityMatrix, blocks, ts, gammas) -> s
         "verdict": lambda s: criteria.classify(s, blocks).verdict.value,
     }[quantity]
     rows = [["t", "gamma", "verdict" if quantity == "verdict" else "value"]] + [
-        [f"{t:.12g}", f"{g:.12g}", value(ground_excited(base, NoiseParams(g, g, t)))] for t in ts for g in gammas
+        [f"{t:.12g}", f"{g:.12g}", value(evolve(base, GROUND_EXCITED, g, g, t))] for t in ts for g in gammas
     ]
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
@@ -304,11 +311,10 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
     gate to this full result.
     """
     rng = np.random.default_rng(seed)
-    noise = NoiseParams(1.0, 1.0, 0.7)
     rows = []
     for s in [random_state_by_draws(rng, QUTRIT_PAIR) for _ in range(samples)]:
         lim = channels.infinite_limit(s)
-        evolved = ground_excited(s, noise)
+        evolved = evolve(s, GROUND_EXCITED, 1.0, 1.0, 0.7)
         rows.append({
             "limit_pt_min": criteria.min_pt_eigenvalue(lim),
             "limit_excess": criteria.realignment_excess(lim),

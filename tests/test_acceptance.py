@@ -9,12 +9,12 @@ import math
 
 import numpy as np
 
-from conftest import GOLDEN_DIR, QUTRIT_PAIR, bures_fidelity, random_separable_mixture, run_cli
+from conftest import GOLDEN_DIR, QUTRIT_PAIR, bures_fidelity, random_separable_mixture, retention, run_cli
 from dephaselab.channels import (
-    NoiseParams,
+    GENERAL,
+    GROUND_EXCITED,
     apply_channel,
-    general_dephase,
-    ground_excited,
+    evolve,
     infinite_limit,
     kraus_ground_excited,
 )
@@ -57,7 +57,7 @@ def _gate(label: str, failures: list) -> None:
 
 
 def _family(alpha: float, gamma: float, t: float):
-    return evolved_closed_form(alpha, NoiseParams(gamma, gamma, t))
+    return evolved_closed_form(alpha, gamma, gamma, t)
 
 
 def test_c01_distillability_onset():
@@ -127,9 +127,9 @@ def test_c04_closed_form_matches_kraus():
         start = initial_state(alpha)
         for gamma in (0.4, 0.7, 1.0):
             for t in np.arange(0.0, 3.0 + 1e-9, 0.25):
-                noise = NoiseParams(gamma, gamma, float(t))
-                via_kraus = apply_channel(start, kraus_ground_excited(noise))
-                closed = evolved_closed_form(alpha, noise)
+                keep = retention(gamma, t)
+                via_kraus = apply_channel(start, kraus_ground_excited(keep, keep))
+                closed = evolved_closed_form(alpha, gamma, gamma, float(t))
                 worst = max(worst, float(np.max(np.abs(closed.mat - via_kraus.mat))))
     if worst > 1e-12:
         failures.append(f"worst closed-form vs Kraus deviation {worst!r} exceeds 1e-12")
@@ -140,7 +140,7 @@ def test_c05_branch_eigenvalues_in_pt_spectrum():
     failures = []
     for rate_a, rate_b in ((1.0, 1.0), (0.4, 0.7), (0.6, 1.3)):
         for t in (0.5, 1.0, 2.0):
-            state = evolved_closed_form(4.5, NoiseParams(rate_a, rate_b, t))
+            state = evolved_closed_form(4.5, rate_a, rate_b, t)
             spectrum = eigvals_hermitian(partial_transpose(state))
             for rate_sum in (rate_a, rate_b, rate_a + rate_b):
                 predicted = pt_branch_eigenvalue(4.5, rate_sum, t)
@@ -161,9 +161,9 @@ def test_c06_fidelity_reproduction():
     worst_prime = (0.0, 0.0)
     dominance_broken = None
     for t in np.arange(0.1, 5.0 + 1e-9, 0.1):
-        noise = NoiseParams(1.0, 1.0, float(t))
-        f_rho = bures_fidelity(rho0, evolved_closed_form(4.5, noise))
-        f_prime = bures_fidelity(prime0, apply_channel(prime0, kraus_ground_excited(noise)))
+        keep = retention(1.0, t)
+        f_rho = bures_fidelity(rho0, evolved_closed_form(4.5, 1.0, 1.0, float(t)))
+        f_prime = bures_fidelity(prime0, apply_channel(prime0, kraus_ground_excited(keep, keep)))
         gap_rho = abs(f_rho - fidelity_initial(1.0, float(t)))
         gap_prime = abs(f_prime - fidelity_swapped(1.0, float(t)))
         if gap_rho > worst_rho[0]:
@@ -185,9 +185,9 @@ def test_c06_fidelity_reproduction():
     if dominance_broken is not None:
         failures.append(f"swapped fidelity drops below unswapped at t={dominance_broken}")
 
-    late = NoiseParams(1.0, 1.0, 10.0)
-    f_rho_late = bures_fidelity(rho0, evolved_closed_form(4.5, late))
-    f_prime_late = bures_fidelity(prime0, apply_channel(prime0, kraus_ground_excited(late)))
+    late = retention(1.0, 10.0)
+    f_rho_late = bures_fidelity(rho0, evolved_closed_form(4.5, 1.0, 1.0, 10.0))
+    f_prime_late = bures_fidelity(prime0, apply_channel(prime0, kraus_ground_excited(late, late)))
     if abs(f_rho_late - 0.773068) > 1e-3:
         failures.append(
             f"unswapped fidelity at t=10 is {f_rho_late!r}, off the expected "
@@ -205,7 +205,7 @@ def test_c07_probe_detectors():
     failures = []
     prime0 = swapped_state(4.5)
     for t in np.arange(0.0, 10.0 + 1e-9, 0.1):
-        state = ground_excited(prime0, NoiseParams(1.0, 1.0, float(t)))
+        state = evolve(prime0, GROUND_EXCITED, 1.0, 1.0, float(t))
         witness = qubit_block_witness(state, (1, 2), (1, 2))
         if witness >= -1e-10:
             failures.append(f"swapped-family doublet witness lost at t={t}: {witness!r}")
@@ -224,20 +224,14 @@ def test_c08_semigroup_composition():
     rate_a, rate_b = 0.7, 1.3
     for _ in range(50):
         t1, t2 = rng.uniform(0.0, 2.5, size=2)
-        two_step = ground_excited(
-            ground_excited(start, NoiseParams(rate_a, rate_b, t1)),
-            NoiseParams(rate_a, rate_b, t2),
-        )
-        one_step = ground_excited(start, NoiseParams(rate_a, rate_b, t1 + t2))
+        two_step = evolve(evolve(start, GROUND_EXCITED, rate_a, rate_b, t1), GROUND_EXCITED, rate_a, rate_b, t2)
+        one_step = evolve(start, GROUND_EXCITED, rate_a, rate_b, t1 + t2)
         dev = float(np.max(np.abs(two_step.mat - one_step.mat)))
         if dev > 1e-10:
             failures.append(f"ground/excited semigroup broken at (t1,t2)=({t1},{t2}): {dev!r}")
 
-        two_step = general_dephase(
-            general_dephase(start, NoiseParams(rate_a, rate_b, t1)),
-            NoiseParams(rate_a, rate_b, t2),
-        )
-        one_step = general_dephase(start, NoiseParams(rate_a, rate_b, t1 + t2))
+        two_step = evolve(evolve(start, GENERAL, rate_a, rate_b, t1), GENERAL, rate_a, rate_b, t2)
+        one_step = evolve(start, GENERAL, rate_a, rate_b, t1 + t2)
         dev = float(np.max(np.abs(two_step.mat - one_step.mat)))
         if dev > 1e-10:
             failures.append(f"general dephasing semigroup broken at (t1,t2)=({t1},{t2}): {dev!r}")
@@ -269,8 +263,7 @@ def test_c10_property_suites():
 
     for k in range(100):
         state = random_state(rng, QUTRIT_PAIR)
-        noise = NoiseParams(*rng.uniform(0.1, 2.0, size=2), rng.uniform(0.0, 3.0))
-        out = ground_excited(state, noise)
+        out = evolve(state, GROUND_EXCITED, *rng.uniform(0.1, 2.0, size=2), rng.uniform(0.0, 3.0))
         if abs(np.trace(out.mat) - 1.0) > 1e-10:
             failures.append(f"channel broke trace on random state #{k}")
         if np.max(np.abs(out.mat - out.mat.conj().T)) > 1e-10:
@@ -279,17 +272,16 @@ def test_c10_property_suites():
             failures.append(f"channel broke positivity on random state #{k}")
 
     for d in (3, 4):
-        noise = NoiseParams(0.8, 1.1, 0.9)
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         coeff = g @ g.conj().T
         coeff /= np.trace(coeff).real
-        report = mc_report(McSpec(coeff), noise)
+        report = mc_report(McSpec(coeff), 0.8, 1.1, 0.9)
         if not report.still_mc or report.mc_deviation > 1e-12:
             failures.append(f"dephasing broke the maximally correlated pattern at d={d}")
         if not report.entangled:
             failures.append(f"coherent maximally correlated state at d={d} not flagged entangled")
         diag = McSpec(np.diag(rng.dirichlet(np.ones(d))))
-        diag_report = mc_report(diag, noise)
+        diag_report = mc_report(diag, 0.8, 1.1, 0.9)
         if not diag_report.still_mc or diag_report.entangled:
             failures.append(f"diagonal maximally correlated state at d={d} misreported")
 

@@ -1,5 +1,6 @@
 """Contract tests for the dephasing channels and their fixed point."""
 
+import itertools
 import math
 import re
 
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import QUTRIT_PAIR, hermitize_by_passes
+from conftest import QUTRIT_PAIR, hermitize_by_passes, retention
 from dephaselab.channels import (
-    NoiseParams,
+    GENERAL,
+    GROUND_EXCITED,
     apply_channel,
-    general_dephase,
-    ground_excited,
+    evolve,
     infinite_limit,
     kraus_ground_excited,
     local_pair,
@@ -46,9 +47,9 @@ def ground_excited_damping(gamma_a: float, gamma_b: float) -> np.ndarray:
     return f
 
 
-def all_pairs_damping(state_dims: Dims, p: NoiseParams) -> np.ndarray:
-    """Independent oracle for general_dephase: exp(-rate*t) per differing side."""
-    fa, fb = math.exp(-p.gamma_rate_a * p.t), math.exp(-p.gamma_rate_b * p.t)
+def all_pairs_damping(state_dims: Dims, rate_a: float, rate_b: float, t: float) -> np.ndarray:
+    """Independent oracle for general dephasing: exp(-rate*t) per differing side."""
+    fa, fb = math.exp(-rate_a * t), math.exp(-rate_b * t)
     d = state_dims
     f = np.ones((d.n, d.n))
     for a in range(d.da):
@@ -60,31 +61,48 @@ def all_pairs_damping(state_dims: Dims, p: NoiseParams) -> np.ndarray:
     return f
 
 
-class TestNoiseParams:
-    def test_retention_factors(self):
-        p = NoiseParams(0.8, 1.4, 2.0)
-        assert abs(p.gamma_a - math.exp(-0.8)) < 1e-15
-        assert abs(p.gamma_b - math.exp(-1.4)) < 1e-15
+class TestEvolve:
+    def test_retention_factors(self, rng):
+        state = random_state(rng, QUTRIT_PAIR)
+        for model, expected in (
+            (GROUND_EXCITED, state.mat * ground_excited_damping(math.exp(-0.8), math.exp(-1.4))),
+            (GENERAL, state.mat * all_pairs_damping(QUTRIT_PAIR, 0.8, 1.4, 2.0)),
+        ):
+            assert np.max(np.abs(evolve(state, model, 0.8, 1.4, 2.0).mat - expected)) < 1e-15
 
-    def test_time_zero_is_noiseless(self):
-        p = NoiseParams(1.0, 1.0, 0.0)
-        assert p.gamma_a == 1.0 and p.gamma_b == 1.0
+    def test_time_zero_is_noiseless(self, rng):
+        state = random_state(rng, QUTRIT_PAIR)
+        for model in (GROUND_EXCITED, GENERAL):
+            assert evolve(state, model, 1.0, 1.0, 0.0).mat.tobytes() == state.mat.tobytes()
 
     def test_rejects_bad_values(self):
         # linalg.check_nonneg's rule, so a DomainError: the CLI's exit 3.
-        for args, message in (
+        # Rates are checked before the time, and an array by its minimum
+        # and maximum: the value shown is the offending extreme.
+        state = initial_state(4.5)
+        cases = (
             ((-1.0, 1.0, 1.0), "gamma_rate_a must be finite and nonnegative, got -1.0"),
             ((1.0, math.nan, 1.0), "gamma_rate_b must be finite and nonnegative, got nan"),
             ((1.0, 1.0, -0.1), "t must be finite and nonnegative, got -0.1"),
             ((math.inf, 1.0, 1.0), "gamma_rate_a must be finite and nonnegative, got inf"),
             ((1.0, -1.0, math.inf), "gamma_rate_b must be finite and nonnegative, got -1.0"),
-        ):
+            ((np.array([0.5, -2.0, math.inf]), 1.0, 1.0), "gamma_rate_a must be finite and nonnegative, got -2.0"),
+            ((1.0, [0.5, math.inf], 1.0), "gamma_rate_b must be finite and nonnegative, got inf"),
+            ((1.0, 1.0, np.array([0.5, math.nan, -1.0])), "t must be finite and nonnegative, got nan"),
+        )
+        for (args, message), model in itertools.product(cases, (GROUND_EXCITED, GENERAL)):
             with pytest.raises(DomainError, match=f"^{message}$"):
-                NoiseParams(*args)
+                evolve(state, model, *args)
 
-    def test_stores_the_checked_floats(self):
-        p = NoiseParams(1, 2, 3)
-        assert p == (1.0, 2.0, 3.0) and all(type(value) is float for value in p)
+    def test_takes_each_value_as_the_float_it_holds(self):
+        # Integers, numpy scalars and integer arrays evolve as the floats
+        # they hold, bit for bit.
+        state = initial_state(4.5)
+        for model in (GROUND_EXCITED, GENERAL):
+            as_floats = evolve(state, model, 1.0, 2.0, 3.0).mat.tobytes()
+            assert evolve(state, model, 1, np.int64(2), np.float64(3.0)).mat.tobytes() == as_floats
+            stack = evolve(state, model, np.array([1, 1]), 2, [3, 3]).mat
+            assert stack.shape == (2, 9, 9) and stack[1].tobytes() == as_floats
 
 
 class TestLocalPair:
@@ -98,7 +116,7 @@ class TestLocalPair:
 
 class TestKrausSet:
     def test_ground_excited_family(self):
-        ops = kraus_ground_excited(NoiseParams(1.0, 0.7, 0.9))
+        ops = kraus_ground_excited(retention(1.0, 0.9), retention(0.7, 0.9))
         assert type(ops) is tuple and len(ops) == 4
         for k in ops:
             assert k.shape == (9, 9)
@@ -106,7 +124,7 @@ class TestKrausSet:
             assert np.max(np.abs(k.imag)) == 0.0
 
     def test_both_completeness_conventions_coincide(self):
-        ops = kraus_ground_excited(NoiseParams(0.6, 1.3, 1.1))
+        ops = kraus_ground_excited(retention(0.6, 1.1), retention(1.3, 1.1))
         left = sum(k.conj().T @ k for k in ops)
         right = sum(k @ k.conj().T for k in ops)
         assert np.max(np.abs(left - np.eye(9))) < 1e-12
@@ -120,12 +138,12 @@ class TestKrausSet:
 
 class TestApplyChannel:
     def test_matches_damping_oracle(self, rng):
-        p = NoiseParams(0.8, 1.3, 0.6)
-        ops = kraus_ground_excited(p)
+        gamma_a, gamma_b = retention(0.8, 0.6), retention(1.3, 0.6)
+        ops = kraus_ground_excited(gamma_a, gamma_b)
         for _ in range(10):
             state = random_state(rng, QUTRIT_PAIR)
-            expected = state.mat * ground_excited_damping(p.gamma_a, p.gamma_b)
-            for out in (apply_channel(state, ops), ground_excited(state, p)):
+            expected = state.mat * ground_excited_damping(gamma_a, gamma_b)
+            for out in (apply_channel(state, ops), evolve(state, GROUND_EXCITED, 0.8, 1.3, 0.6)):
                 assert np.max(np.abs(out.mat - expected)) < 1e-14
 
     @settings(max_examples=50, deadline=None)
@@ -139,8 +157,8 @@ class TestApplyChannel:
         # to 0.0; just below that it is subnormal (2.7e-321 on side B at the
         # pinned example, where one hermitization leaves a stray -0.0).
         state = random_state(np.random.default_rng(seed), QUTRIT_PAIR)
-        noise = NoiseParams(1.0, 0.7, t)
-        for out in (ground_excited(state, noise), general_dephase(state, noise), infinite_limit(state)):
+        evolved = (evolve(state, model, 1.0, 0.7, t) for model in (GROUND_EXCITED, GENERAL))
+        for out in (*evolved, infinite_limit(state)):
             assert abs(np.trace(out.mat) - 1.0) < 1e-10
             assert np.max(np.abs(out.mat - out.mat.conj().T)) < 1e-10
             assert float(eigvals_hermitian(out.mat)[0]) > -1e-10
@@ -169,26 +187,29 @@ class TestApplyChannel:
 
     def test_maximally_mixed_is_fixed(self):
         mixed = make_state(QUTRIT_PAIR, np.eye(9) / 9)
-        out = ground_excited(mixed, NoiseParams(1.0, 1.0, 2.0))
+        out = evolve(mixed, GROUND_EXCITED, 1.0, 1.0, 2.0)
         assert np.max(np.abs(out.mat - mixed.mat)) < 1e-15
 
     def test_diagonal_states_are_fixed(self, rng):
         diag = make_state(QUTRIT_PAIR, np.diag(rng.dirichlet(np.ones(9))))
-        out = ground_excited(diag, NoiseParams(0.4, 2.0, 1.5))
+        out = evolve(diag, GROUND_EXCITED, 0.4, 2.0, 1.5)
         assert np.max(np.abs(out.mat - diag.mat)) < 1e-15
 
     def test_dims_mismatch_raises(self, rng):
         state = random_state(rng, Dims(2, 3))
         with pytest.raises(BadShapeError):
-            apply_channel(state, kraus_ground_excited(NoiseParams(1.0, 1.0, 1.0)))
+            apply_channel(state, kraus_ground_excited(retention(1.0, 1.0), retention(1.0, 1.0)))
 
     @pytest.mark.parametrize("keep, shown", [
         (1.5, "1.5"), (-0.1, "-0.1"), (math.nan, "nan"), (np.array([0.5, 1.0, 1.2, 0.0]), "1.2"),
-    ], ids=["above-one", "negative", "nan", "array-entry"])
+        (0.5 + 3j, "(0.5+3j)"),
+    ], ids=["above-one", "negative", "nan", "array-entry", "complex"])
     def test_rejects_retentions_outside_the_unit_interval(self, keep, shown):
         # Outside [0, 1] a mask can be indefinite: at 1.5 on both sides the
         # masked family state has a negative eigenvalue (about -0.119),
-        # which make_state rejects and sector_dephase must not return.
+        # which make_state rejects and sector_dephase must not return. A
+        # complex retention is refused too: >= and <= order it by its real
+        # part, and the Hermitian part would drop its imaginary part.
         state = initial_state(4.5)
         for side, keeps in (("keep_a", (keep, keep)), ("keep_b", (0.5, keep))):
             with pytest.raises(DomainError, match=re.escape(f"{side} must lie in [0, 1], got {shown}")):
@@ -202,24 +223,21 @@ class TestApplyChannel:
     )
     def test_semigroup_composition(self, seed, t1, t2):
         state = random_state(np.random.default_rng(seed), QUTRIT_PAIR)
-        step = ground_excited(
-            ground_excited(state, NoiseParams(1.0, 0.7, t1)), NoiseParams(1.0, 0.7, t2)
-        )
-        direct = ground_excited(state, NoiseParams(1.0, 0.7, t1 + t2))
+        step = evolve(evolve(state, GROUND_EXCITED, 1.0, 0.7, t1), GROUND_EXCITED, 1.0, 0.7, t2)
+        direct = evolve(state, GROUND_EXCITED, 1.0, 0.7, t1 + t2)
         assert np.max(np.abs(step.mat - direct.mat)) < 1e-10
 
 
 class TestGeneralDephase:
     def test_matches_damping_oracle(self, rng):
         for dims in (QUTRIT_PAIR, Dims(4, 4), Dims(2, 3)):
-            p = NoiseParams(0.9, 0.3, 1.2)
             state = random_state(rng, dims)
-            expected = state.mat * all_pairs_damping(dims, p)
-            assert np.max(np.abs(general_dephase(state, p).mat - expected)) < 1e-15
+            expected = state.mat * all_pairs_damping(dims, 0.9, 0.3, 1.2)
+            assert np.max(np.abs(evolve(state, GENERAL, 0.9, 0.3, 1.2).mat - expected)) < 1e-15
 
     def test_preserves_diagonal(self, rng):
         state = random_state(rng, QUTRIT_PAIR)
-        out = general_dephase(state, NoiseParams(2.0, 2.0, 3.0))
+        out = evolve(state, GENERAL, 2.0, 2.0, 3.0)
         assert np.max(np.abs(np.diag(out.mat) - np.diag(state.mat))) < 1e-15
 
     @settings(max_examples=50, deadline=None)
@@ -230,15 +248,13 @@ class TestGeneralDephase:
     )
     def test_semigroup_composition_exact(self, seed, t1, t2):
         state = random_state(np.random.default_rng(seed), QUTRIT_PAIR)
-        step = general_dephase(
-            general_dephase(state, NoiseParams(0.5, 1.1, t1)), NoiseParams(0.5, 1.1, t2)
-        )
-        direct = general_dephase(state, NoiseParams(0.5, 1.1, t1 + t2))
+        step = evolve(evolve(state, GENERAL, 0.5, 1.1, t1), GENERAL, 0.5, 1.1, t2)
+        direct = evolve(state, GENERAL, 0.5, 1.1, t1 + t2)
         assert np.max(np.abs(step.mat - direct.mat)) < 1e-13
 
     def test_preserves_positivity(self, rng):
         for _ in range(20):
-            out = general_dephase(random_state(rng, Dims(4, 4)), NoiseParams(1.0, 0.2, 0.8))
+            out = evolve(random_state(rng, Dims(4, 4)), GENERAL, 1.0, 0.2, 0.8)
             assert float(eigvals_hermitian(out.mat)[0]) > -1e-12
 
 
@@ -246,7 +262,7 @@ class TestInfiniteLimit:
     def test_agrees_with_long_evolution(self, rng):
         for _ in range(5):
             state = random_state(rng, QUTRIT_PAIR)
-            evolved = apply_channel(state, kraus_ground_excited(NoiseParams(1.0, 1.0, 50.0)))
+            evolved = apply_channel(state, kraus_ground_excited(retention(1.0, 50.0), retention(1.0, 50.0)))
             assert np.max(np.abs(infinite_limit(state).mat - evolved.mat)) < 1e-8
 
     def test_support_pattern(self, rng):

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 import dephaselab
-from conftest import CHUNK_SIZES, GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, run_cli, sweep_by_points
+from conftest import (
+    CHUNK_SIZES, GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, retention, run_cli, sweep_by_points,
+)
 from dephaselab import cli
-from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
+from dephaselab.channels import GROUND_EXCITED, apply_channel, evolve, kraus_ground_excited
 from dephaselab.criteria import transition_times
 from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
 from dephaselab.linalg import TOL, DomainError
@@ -37,33 +39,31 @@ class TestEvolve:
         result = run_cli("evolve", "--alpha", "4.5", "--t", "1.0")
         assert result.returncode == 0
         state = state_from_json(result.stdout.decode())
-        expected = evolved_closed_form(4.5, NoiseParams(1.0, 1.0, 1.0))
+        expected = evolved_closed_form(4.5, 1.0, 1.0, 1.0)
         assert np.max(np.abs(state.mat - expected.mat)) < 1e-12
 
     def test_rho_prime_matches_kraus_path(self):
         result = run_cli("evolve", "--initial", "rho-prime", "--t", "0.7")
         assert result.returncode == 0
         state = state_from_json(result.stdout.decode())
-        expected = apply_channel(
-            swapped_state(4.5), kraus_ground_excited(NoiseParams(1.0, 1.0, 0.7))
-        )
+        expected = apply_channel(swapped_state(4.5), kraus_ground_excited(retention(1.0, 0.7), retention(1.0, 0.7)))
         assert np.max(np.abs(state.mat - expected.mat)) < 1e-12
 
     def test_asymmetric_rates(self):
         result = run_cli("evolve", "--gamma-a", "0.6", "--gamma-b", "1.3", "--t", "0.9")
         assert result.returncode == 0
         state = state_from_json(result.stdout.decode())
-        expected = evolved_closed_form(4.5, NoiseParams(0.6, 1.3, 0.9))
+        expected = evolved_closed_form(4.5, 0.6, 1.3, 0.9)
         assert np.max(np.abs(state.mat - expected.mat)) < 1e-12
 
     def test_state_file_input(self, tmp_path):
-        source = evolved_closed_form(4.2, NoiseParams(1.0, 1.0, 0.0))
+        source = evolved_closed_form(4.2, 1.0, 1.0, 0.0)
         path = tmp_path / "state.json"
         path.write_text(state_to_json(source))
         result = run_cli("evolve", "--initial", str(path), "--t", "0.5")
         assert result.returncode == 0
         state = state_from_json(result.stdout.decode())
-        expected = apply_channel(source, kraus_ground_excited(NoiseParams(1.0, 1.0, 0.5)))
+        expected = apply_channel(source, kraus_ground_excited(retention(1.0, 0.5), retention(1.0, 0.5)))
         assert np.max(np.abs(state.mat - expected.mat)) < 1e-12
 
 
@@ -150,7 +150,7 @@ class TestSweep:
         for row in rows:
             t = float(row[0])
             expected = realignment_excess(
-                evolved_closed_form(4.5, NoiseParams(1.0, 1.0, t))
+                evolved_closed_form(4.5, 1.0, 1.0, t)
             )
             assert abs(float(row[2]) - expected) < 1e-10
 
@@ -377,7 +377,7 @@ class TestThresholds:
             assert cli.main(["thresholds", "--alpha", str(alpha), "--gamma", str(gamma)]) == 0
             doc = json.loads(capsys.readouterr().out)
             base = initial_state(alpha)
-            times = transition_times(lambda t: ground_excited(base, NoiseParams(gamma, gamma, t)), gamma)
+            times = transition_times(lambda t: evolve(base, GROUND_EXCITED, gamma, gamma, t), gamma)
             assert [doc["t_d_numeric"], doc["realignment_zero"]] == [
                 "inf" if value == math.inf else value for value in times
             ], (alpha, gamma)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import QUTRIT_PAIR, bures_by_eigh, bures_fidelity, random_separable_mixture
-from dephaselab.channels import NoiseParams
 from dephaselab.criteria import (
     BlockSpec,
     CoverageError,
@@ -35,7 +34,7 @@ from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, ra
 
 
 def family_at(t: float, alpha: float = 4.5, rate: float = 1.0):
-    return evolved_closed_form(alpha, NoiseParams(rate, rate, t))
+    return evolved_closed_form(alpha, rate, rate, t)
 
 
 class TestWitnesses:

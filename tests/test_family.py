@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import (
-    QUTRIT_PAIR, bures_fidelity, evolved_family_by_entries, family_fidelity_by_mpmath, swapped_family_by_mixture,
+    QUTRIT_PAIR, bures_fidelity, evolved_family_by_entries, family_fidelity_by_mpmath, retention,
+    swapped_family_by_mixture,
 )
-from dephaselab.channels import NoiseParams, apply_channel, ground_excited, kraus_ground_excited
+from dephaselab.channels import GROUND_EXCITED, apply_channel, evolve, kraus_ground_excited
 from dephaselab.criteria import (
     find_sign_change,
     min_pt_eigenvalue,
     qubit_block_witness,
     realignment_excess,
     separability_certificate,
+    transition_times,
 )
 from dephaselab.family import (
     AlphaDomainError,
@@ -89,7 +91,7 @@ class TestConstruction:
         initial_state(3.0001)
         initial_state(5.0)
         with pytest.raises(AlphaDomainError):
-            evolved_closed_form(2.0, NoiseParams(1.0, 1.0, 1.0))
+            evolved_closed_form(2.0, 1.0, 1.0, 1.0)
 
     def test_ppt_split_at_alpha_four(self):
         assert min_pt_eigenvalue(initial_state(4.05)) < -1e-6
@@ -102,31 +104,30 @@ class TestEvolvedClosedForm:
         for alpha in (4.1, 4.9):
             for ga, gb in ((1.0, 1.0), (0.6, 1.3)):
                 for t in (0.0, 0.5, 2.0):
-                    noise = NoiseParams(ga, gb, t)
-                    closed = evolved_closed_form(alpha, noise)
-                    kraus = apply_channel(initial_state(alpha), kraus_ground_excited(noise))
+                    closed = evolved_closed_form(alpha, ga, gb, t)
+                    ops = kraus_ground_excited(retention(ga, t), retention(gb, t))
+                    kraus = apply_channel(initial_state(alpha), ops)
                     assert np.max(np.abs(closed.mat - kraus.mat)) < 1e-12
 
     def test_bit_identical_to_entry_oracle(self):
         for alpha in (4.1, 4.5, 4.9):
             for ga, gb in ((0.4, 0.4), (1.0, 1.0), (0.6, 1.3), (1.3, 0.6)):
                 for t in (0.0, 0.25, 0.575, 1.0, 2.0, 3.0, 10.0):
-                    noise = NoiseParams(ga, gb, t)
-                    closed = evolved_closed_form(alpha, noise)
-                    assert np.array_equal(closed.mat, evolved_family_by_entries(alpha, noise).mat)
+                    closed = evolved_closed_form(alpha, ga, gb, t)
+                    assert np.array_equal(closed.mat, evolved_family_by_entries(alpha, ga, gb, t).mat)
 
     def test_coherence_retention_factors(self):
-        noise = NoiseParams(0.8, 1.4, 1.3)
-        state = evolved_closed_form(4.5, noise)
+        state = evolved_closed_form(4.5, 0.8, 1.4, 1.3)
+        gamma_a, gamma_b = retention(0.8, 1.3), retention(1.4, 1.3)
         d = QUTRIT_PAIR
         c = 2.0 / 21.0
-        assert abs(state.mat[d.flat(0, 1), d.flat(1, 0)] - c * noise.gamma_a * noise.gamma_b) < 1e-15
-        assert abs(state.mat[d.flat(0, 1), d.flat(2, 2)] - c * noise.gamma_a) < 1e-15
-        assert abs(state.mat[d.flat(1, 0), d.flat(2, 2)] - c * noise.gamma_b) < 1e-15
+        assert abs(state.mat[d.flat(0, 1), d.flat(1, 0)] - c * gamma_a * gamma_b) < 1e-15
+        assert abs(state.mat[d.flat(0, 1), d.flat(2, 2)] - c * gamma_a) < 1e-15
+        assert abs(state.mat[d.flat(1, 0), d.flat(2, 2)] - c * gamma_b) < 1e-15
 
     def test_diagonal_is_static(self):
         before = initial_state(4.2)
-        after = evolved_closed_form(4.2, NoiseParams(1.0, 1.0, 3.0))
+        after = evolved_closed_form(4.2, 1.0, 1.0, 3.0)
         assert np.max(np.abs(np.diag(after.mat) - np.diag(before.mat))) < 1e-15
 
 
@@ -143,14 +144,13 @@ class TestPtSpectrum:
         assert math.isfinite(pt_branch_eigenvalue(4.5, 1.0, 1e6))
 
     def test_equal_rate_minimum_is_single_rate_branch(self):
-        noise = NoiseParams(1.0, 1.0, 1.0)
-        evolved = evolved_closed_form(4.5, noise)
+        evolved = evolved_closed_form(4.5, 1.0, 1.0, 1.0)
         assert abs(min_pt_eigenvalue(evolved) - pt_branch_eigenvalue(4.5, 1.0, 1.0)) < 1e-12
         assert abs(pt_branch_eigenvalue(4.5, 1.0, 1.0) - 0.007660592149545224) < 1e-12
 
     def test_branch_membership_unequal_rates(self):
         ga, gb, t = 0.6, 1.3, 0.9
-        evolved = evolved_closed_form(4.5, NoiseParams(ga, gb, t))
+        evolved = evolved_closed_form(4.5, ga, gb, t)
         spectrum = eigvals_hermitian(partial_transpose(evolved))
         for lam in (ga, gb, ga + gb):
             target = pt_branch_eigenvalue(4.5, lam, t)
@@ -172,8 +172,8 @@ class TestThresholds:
 
     def test_onset_splits_npt_from_ppt(self):
         onset = ppt_onset_time(4.5, 1.0)
-        before = evolved_closed_form(4.5, NoiseParams(1.0, 1.0, onset - 1e-4))
-        after = evolved_closed_form(4.5, NoiseParams(1.0, 1.0, onset + 1e-4))
+        before = evolved_closed_form(4.5, 1.0, 1.0, onset - 1e-4)
+        after = evolved_closed_form(4.5, 1.0, 1.0, onset + 1e-4)
         assert min_pt_eigenvalue(before) < -1e-10
         assert min_pt_eigenvalue(after) > -1e-12
 
@@ -183,11 +183,30 @@ class TestThresholds:
             for rate in (0.3, 1.0, 7.0):
                 assert ppt_onset_time(alpha, rate) is None
 
+    @pytest.mark.parametrize("alpha, rate_a, rate_b", [(4.5, 1.0, 0.3), (4.5, 0.3, 1.0), (4.1, 2.0, 0.5)])
+    def test_asymmetric_onset_follows_the_slower_side(self, alpha, rate_a, rate_b):
+        # The PT branches decay at rates a + b, a and b; the one at
+        # min(a, b) turns last, so the onset is ppt_onset_time's form at
+        # that rate, found to the search's own tolerance.
+        rate = min(rate_a, rate_b)
+        base = initial_state(alpha)
+        onset, _ = transition_times(lambda t: evolve(base, GROUND_EXCITED, rate_a, rate_b, t), rate)
+        assert abs(onset - math.log(4.0 / (alpha * (5.0 - alpha))) / rate) <= TOL.bisection / max(rate, 1.0)
+
+    @pytest.mark.parametrize("rate_a, rate_b", [(1.0, 0.0), (0.0, 1.0)])
+    def test_noise_on_one_side_never_turns_ppt(self, rate_a, rate_b):
+        # The branch of the noiseless side never decays: the family stays
+        # NPT, hence distillable, while its realignment witness still dies.
+        base = initial_state(4.5)
+        onset, realignment_zero = transition_times(lambda t: evolve(base, GROUND_EXCITED, rate_a, rate_b, t), 1.0)
+        assert onset == math.inf
+        assert abs(realignment_zero - 1.96) < 5e-3
+
     def test_bisection_consistency_across_rates(self):
         for alpha, rate in ((4.3, 1.0), (4.7, 0.5), (4.5, 1.7)):
             def pt_curve(t: float) -> float:
                 return min_pt_eigenvalue(
-                    evolved_closed_form(alpha, NoiseParams(rate, rate, t))
+                    evolved_closed_form(alpha, rate, rate, t)
                 )
             root = find_sign_change(pt_curve, 0.0, 6.0, tol=1e-9)
             assert abs(root - ppt_onset_time(alpha, rate)) < 1e-6
@@ -197,7 +216,7 @@ class TestThresholds:
             for t in (0.0, 0.4, 0.8361513912283498, 1.5):
                 closed = realignment_closed_form(alpha, 1.0, t)
                 numeric = realignment_excess(
-                    evolved_closed_form(alpha, NoiseParams(1.0, 1.0, t))
+                    evolved_closed_form(alpha, 1.0, 1.0, t)
                 )
                 assert abs(closed - numeric) < 1e-10
 
@@ -216,7 +235,7 @@ class TestClosedFormDomain:
         (pt_branch_eigenvalue, (4.5, 1.0, 1.0)),
     ], ids=lambda x: getattr(x, "__name__", ""))
     def test_every_argument_outside_its_domain_is_refused(self, form, good, bad):
-        # linalg.check_nonneg, NoiseParams' rule for a rate and a time; alpha keeps its own.
+        # linalg.check_nonneg, evolve's rule for a rate and a time; alpha keeps its own.
         for k in range(len(good)):
             with pytest.raises(DomainError, match="must"):
                 form(*good[:k], bad, *good[k + 1:])
@@ -246,7 +265,7 @@ class TestCertificateOnset:
         for alpha in (4.2, 4.5, 4.8):
             def margin(t: float) -> float:
                 result = separability_certificate(
-                    evolved_closed_form(alpha, NoiseParams(1.0, 1.0, t)), blocks
+                    evolved_closed_form(alpha, 1.0, 1.0, t), blocks
                 )
                 return min(map(min, result.block_minima))
             onset = find_sign_change(margin, 0.05, 5.0, tol=1e-9)
@@ -302,19 +321,19 @@ class TestFidelityCurves:
                 (True, swapped_state(4.9), fidelity_swapped),
             ):
                 assert abs(family_fidelity_by_mpmath(4.9, swapped, 0.5, 0.5, t) - curve(0.5, t)) < 4.5e-16
-                evolved = ground_excited(state, NoiseParams(0.5, 0.5, t))
+                evolved = evolve(state, GROUND_EXCITED, 0.5, 0.5, t)
                 assert abs(bures_fidelity(state, evolved) - curve(0.5, t)) < 2e-15
 
 
 class TestProbes:
     def test_one_sided_frozen_values(self):
-        witness = one_sided_probe(ground_excited(swapped_state(4.5), NoiseParams(1.0, 1.0, 1.0)), "B")
+        witness = one_sided_probe(evolve(swapped_state(4.5), GROUND_EXCITED, 1.0, 1.0, 1.0), "B")
         assert witness < -TOL.verdict
         assert abs(witness - (-0.023459080339013578)) < 1e-12
-        witness = one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, 0.3)), "B")
+        witness = one_sided_probe(evolve(initial_state(4.5), GROUND_EXCITED, 1.0, 1.0, 0.3), "B")
         assert witness < -TOL.verdict
         assert abs(witness - (-0.009914386446286241)) < 1e-12
-        witness = one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, 1.0)), "B")
+        witness = one_sided_probe(evolve(initial_state(4.5), GROUND_EXCITED, 1.0, 1.0, 1.0), "B")
         assert not witness < -TOL.verdict
         assert abs(witness - 0.01149088822431783) < 1e-12
 
@@ -322,19 +341,19 @@ class TestProbes:
         onset = ppt_onset_time(4.5, 1.0)
         for t in (0.1, 0.3, 0.5):
             assert t < onset
-            assert one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, t)), "B") < -TOL.verdict
+            assert one_sided_probe(evolve(initial_state(4.5), GROUND_EXCITED, 1.0, 1.0, t), "B") < -TOL.verdict
         for t in (0.65, 1.0, 2.0):
             assert t > onset
-            assert not one_sided_probe(ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, t)), "B") < -TOL.verdict
+            assert not one_sided_probe(evolve(initial_state(4.5), GROUND_EXCITED, 1.0, 1.0, t), "B") < -TOL.verdict
 
     def test_one_sided_swapped_both_sides_all_times(self):
         for side in ("A", "B"):
             for t in (0.2, 1.0, 5.0):
-                assert one_sided_probe(ground_excited(swapped_state(4.5), NoiseParams(1.0, 1.0, t)), side) < -TOL.verdict
+                assert one_sided_probe(evolve(swapped_state(4.5), GROUND_EXCITED, 1.0, 1.0, t), side) < -TOL.verdict
 
     def test_one_sided_weight_and_support(self):
         # Side B's probe is the 3x2 block (0,1,2)x(1,2) of the state it is given.
-        evolved = ground_excited(initial_state(4.5), NoiseParams(1.0, 1.0, 1.0))
+        evolved = evolve(initial_state(4.5), GROUND_EXCITED, 1.0, 1.0, 1.0)
         assert one_sided_probe(evolved, "B") == qubit_block_witness(evolved, (0, 1, 2), (1, 2))
         assert one_sided_probe(evolved, "A") == qubit_block_witness(evolved, (1, 2), (0, 1, 2))
 
@@ -367,7 +386,7 @@ class TestProbes:
 
     def test_two_sided_is_time_independent(self):
         for t in (0.0, 0.7, 3.0):
-            evolved = ground_excited(swapped_state(4.5), NoiseParams(1.0, 1.0, t))
+            evolved = evolve(swapped_state(4.5), GROUND_EXCITED, 1.0, 1.0, t)
             assert abs(two_sided_probe(evolved) - (5.0 - 4.0 * math.sqrt(2.0)) / 18.0) < 1e-12
 
 
@@ -395,7 +414,7 @@ class TestMaximallyCorrelated:
     @pytest.mark.parametrize("d", [3, 4])
     def test_uniform_spec_report(self, d):
         spec = McSpec(np.full((d, d), 1.0 / d))
-        report = mc_report(spec, NoiseParams(1.0, 1.0, 0.7))
+        report = mc_report(spec, 1.0, 1.0, 0.7)
         assert report.still_mc
         assert report.mc_deviation <= 1e-12
         assert report.entangled
@@ -407,7 +426,7 @@ class TestMaximallyCorrelated:
     def test_diagonal_spec_report(self, d):
         weights = np.arange(1.0, d + 1.0)
         spec = McSpec(np.diag(weights / weights.sum()))
-        report = mc_report(spec, NoiseParams(1.0, 1.0, 0.7))
+        report = mc_report(spec, 1.0, 1.0, 0.7)
         assert report.still_mc
         assert not report.entangled
         assert not report.distillable
@@ -416,7 +435,7 @@ class TestMaximallyCorrelated:
     def test_single_small_coherence_still_detected(self):
         a = np.diag([0.5, 0.3, 0.2]).astype(complex)
         a[0, 1] = a[1, 0] = 1e-3
-        report = mc_report(McSpec(a), NoiseParams(1.0, 1.0, 0.5))
+        report = mc_report(McSpec(a), 1.0, 1.0, 0.5)
         assert report.entangled
         assert report.distillable
         assert report.witness_labels == (0, 1)

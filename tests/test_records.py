@@ -15,7 +15,6 @@ import pytest
 
 import dephaselab
 from conftest import QUTRIT_PAIR, child_env
-from dephaselab.channels import NoiseParams
 from dephaselab.criteria import (
     BlockSpec,
     CertificateResult,
@@ -27,7 +26,6 @@ from dephaselab.family import McReport, McSpec, certificate_blocks, initial_stat
 from dephaselab.linalg import TOL, Tolerances
 from dephaselab.qstate import DensityMatrix, Dims
 
-NOISE = NoiseParams(1.0, 1.0, 2.0)
 UNIFORM = McSpec(np.full((3, 3), 1.0 / 3))
 
 # (record, its type, its fields in order)
@@ -35,14 +33,13 @@ RECORDS = [
     (TOL, Tolerances, tuple(Tolerances.__annotations__)),
     (QUTRIT_PAIR, Dims, ("da", "db")),
     (initial_state(4.5), DensityMatrix, ("mat", "dims")),
-    (NOISE, NoiseParams, ("gamma_rate_a", "gamma_rate_b", "t")),
     (classify(initial_state(4.5)), Classification,
      ("verdict", "min_pt_eigenvalue", "realignment_excess", "certificate_passed")),
     (certificate_blocks()[0], BlockSpec, ("a_labels", "b_labels", "diag_weights")),
     (separability_certificate(initial_state(4.5), certificate_blocks()), CertificateResult,
      ("passed", "block_minima", "residual_diagonal_min")),
     (UNIFORM, McSpec, ("a",)),
-    (mc_report(UNIFORM, NOISE), McReport,
+    (mc_report(UNIFORM, 1.0, 1.0, 2.0), McReport,
      ("still_mc", "mc_deviation", "entangled", "distillable", "witness_value", "witness_labels")),
 ]
 
@@ -64,7 +61,6 @@ def test_records_are_immutable(record, kind, fields):
 CHECKED = [
     (QUTRIT_PAIR, "da", 1),
     (initial_state(4.5), "mat", np.eye(4) / 4),
-    (NOISE, "t", -5.0),
     (certificate_blocks()[0], "a_labels", (0, 0)),
     (UNIFORM, "a", np.full((2, 3), 0.5)),
 ]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CHUNK_SIZES, allocation_peak, random_state_by_draws
 from dephaselab import cli
-from dephaselab.channels import GROUND_EXCITED, NoiseParams, ground_excited, sector_dephase
+from dephaselab.channels import GENERAL, GROUND_EXCITED, evolve, sector_dephase
 from dephaselab.criteria import (
     CertificateResult,
     Classification,
@@ -49,8 +49,15 @@ def random_stack(rng: np.random.Generator, dims: Dims, size: int) -> DensityMatr
 def family_stack(rng: np.random.Generator, alpha: float, rate: float, size: int) -> DensityMatrix:
     """initial_state(alpha) dephased to `size` random times in [0, 4 / rate],
     which straddle the certificate onset."""
-    keep = np.array([NoiseParams(rate, rate, t).gamma_a for t in rng.uniform(0.0, 4.0 / rate, size)])
-    return sector_dephase(initial_state(alpha), GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+    return evolve(initial_state(alpha), GROUND_EXCITED, rate, rate, rng.uniform(0.0, 4.0 / rate, size))
+
+
+def underflow_times(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` values of rate * t: in [0, 4], in [800, 1400], where the
+    retention product exp(-rate * t) underflows to 0, and in
+    [1600, 4000], where every retention exp(-rate * t / 2) does too."""
+    ranges = np.array([[0.0, 4.0], [800.0, 1400.0], [1600.0, 4000.0]])[rng.integers(3, size=size)]
+    return rng.uniform(ranges[:, 0], ranges[:, 1])
 
 
 def mixed_support_stack(rng: np.random.Generator, alpha: float, rate: float, size: int) -> DensityMatrix:
@@ -60,23 +67,34 @@ def mixed_support_stack(rng: np.random.Generator, alpha: float, rate: float, siz
     exp(-rate * t) underflows to 0 and the (|01>, |10>) coherence
     vanishes, and some have rate * t >= 1600, where every retention
     exp(-rate * t / 2) underflows to 0 and the state is diagonal."""
-    ranges = np.array([[0.0, 4.0], [800.0, 1400.0], [1600.0, 4000.0]])[rng.integers(3, size=size)]
-    keep = np.array([NoiseParams(rate, rate, t).gamma_a for t in rng.uniform(ranges[:, 0], ranges[:, 1]) / rate])
-    return sector_dephase(initial_state(alpha), GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+    return evolve(initial_state(alpha), GROUND_EXCITED, rate, rate, underflow_times(rng, size) / rate)
 
 
 class TestStacks:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, size=sizes, rate_a=st.floats(0.0, 3.0), rate_b=st.floats(0.0, 3.0))
-    def test_sector_dephase(self, seed, size, rate_a, rate_b):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=seeds, size=sizes, model=st.sampled_from([GROUND_EXCITED, GENERAL]),
+        stacked=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()).filter(any),
+    )
+    def test_sector_dephase(self, seed, size, model, stacked):
+        # evolve, which dephases through sector_dephase, under either
+        # model. The state, rate_a, rate_b and t are each a stack of
+        # per-member values or the first member's alone (at least one a
+        # stack), and rate * t runs from 0 to past every retention's
+        # underflow, as in mixed_support_stack.
         rng = np.random.default_rng(seed)
-        base = random_state(rng, Dims(3, 3))
-        noises = [NoiseParams(rate_a, rate_b, t) for t in rng.uniform(0.0, 6.0, size)]
-        keep_a = np.array([noise.gamma_a for noise in noises])
-        keep_b = np.array([noise.gamma_b for noise in noises])
-        stack = sector_dephase(base, GROUND_EXCITED, GROUND_EXCITED, keep_a, keep_b)
-        assert stack.mat.shape == (size, 9, 9)
-        assert_same_bits(stack.mat, [ground_excited(base, noise).mat for noise in noises])
+        states = random_stack(rng, Dims(3, 3), size)
+        rate_a, rate_b = rng.uniform(0.5, 1.5, (2, size))
+        t = underflow_times(rng, size)
+        wholes, columns = (states, rate_a, rate_b, t), (members(states), rate_a, rate_b, t)
+        args = [whole if stack else column[0] for whole, column, stack in zip(wholes, columns, stacked)]
+        out = evolve(args[0], model, *args[1:])
+        assert out.mat.shape == (size, 9, 9)
+        singles = []
+        for i in range(size):
+            state, a, b, u = (column[i] if stack else column[0] for column, stack in zip(columns, stacked))
+            singles.append(evolve(state, model, a, b, u).mat)
+        assert_same_bits(out.mat, singles)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, size=sizes, dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
@@ -124,7 +142,7 @@ class TestStacks:
     def test_exactly_npt_member_beside_a_passing_one(self):
         # At alpha = 5, t = 745 every block minimum reads 0.0, yet two
         # block PTs are exactly NPT; at alpha = 4.5, t = 2 all blocks pass.
-        singles = [ground_excited(initial_state(alpha), NoiseParams(1.0, 1.0, t))
+        singles = [evolve(initial_state(alpha), GROUND_EXCITED, 1.0, 1.0, t)
                    for alpha, t in ((5.0, 745.0), (4.5, 2.0), (5.0, 745.0))]
         stack = DensityMatrix(np.stack([s.mat for s in singles]), singles[0].dims)
         blocks = certificate_blocks()
@@ -170,12 +188,11 @@ class TestStacks:
         stack = DensityMatrix(mats, Dims(3, 3))
         # Every member a ground-state one: no member carries weight.
         dead = DensityMatrix(np.repeat(mats[empty[:1]], size, axis=0), Dims(3, 3))
-        noise = NoiseParams(1.0, 0.6, 0.7)
         for probe in (
             two_sided_probe,
             lambda s: one_sided_probe(s, "B"),
-            lambda s: one_sided_probe(ground_excited(s, noise), "B"),
-            lambda s: one_sided_probe(ground_excited(s, noise), "A"),
+            lambda s: one_sided_probe(evolve(s, GROUND_EXCITED, 1.0, 0.6, 0.7), "B"),
+            lambda s: one_sided_probe(evolve(s, GROUND_EXCITED, 1.0, 0.6, 0.7), "A"),
             lambda s: qubit_block_witness(s, (0, 2), (1, 2)),
         ):
             for probed in (stack, dead):
@@ -199,7 +216,7 @@ class TestAllocations:
         # The masked copy is hermitized, which adds its half-size sign pass.
         state = random_state(rng, Dims(3, 3), cli.STACK_CHUNK)
         keep = rng.uniform(0.0, 1.0, cli.STACK_CHUNK)
-        peak = allocation_peak(sector_dephase, state, GROUND_EXCITED, GROUND_EXCITED, keep, keep)
+        peak = allocation_peak(sector_dephase, state, (0, 1, 1), (0, 1, 1), keep, keep)
         assert peak <= 2.5 * self.STACK + self.SLACK
 
     def test_random_state_allocates_its_result_and_the_gram_factors(self):

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import family_by_definition, family_by_mpmath
-from dephaselab.channels import NoiseParams
+from conftest import family_by_definition, family_by_mpmath, retention
 from dephaselab.family import (
     QUTRIT_PAIR,
     certificate_blocks,
@@ -84,9 +83,9 @@ def evolved():
 
 def test_symbolic_state_is_the_shipped_evolution(evolved):
     alpha, rate_a, rate_b, t = 4.3, 0.6, 1.3, 0.9
-    noise = NoiseParams(rate_a, rate_b, t)
-    numeric = np.array(evolved.subs({ALPHA: alpha, GA: noise.gamma_a, GB: noise.gamma_b}).evalf(), dtype=complex)
-    assert np.max(np.abs(numeric - evolved_closed_form(alpha, noise).mat)) < 1e-15
+    retentions = {GA: retention(rate_a, t), GB: retention(rate_b, t)}
+    numeric = np.array(evolved.subs({ALPHA: alpha, **retentions}).evalf(), dtype=complex)
+    assert np.max(np.abs(numeric - evolved_closed_form(alpha, rate_a, rate_b, t).mat)) < 1e-15
 
 
 def test_pt_characteristic_polynomial_factors(evolved):
