@@ -70,16 +70,21 @@ def evolve(state: DensityMatrix, model, rate_a, rate_b, t) -> DensityMatrix:
     and time is finite and nonnegative.
     """
     sectors, divisor = model
-    rate_a, rate_b, t = (_checked(name, value) for name, value in (
-        ("gamma_rate_a", rate_a), ("gamma_rate_b", rate_b), ("t", t)))
+    # One object passed as both rates (a symmetric sweep's rate sequence)
+    # is checked and exponentiated once: side B would make the same calls
+    # on the same floats.
+    shared = rate_b is rate_a
+    rate_a = _checked("gamma_rate_a", rate_a)
+    rate_b = rate_a if shared else _checked("gamma_rate_b", rate_b)
+    t = _checked("t", t)
     if type(rate_a) is type(rate_b) is type(t) is float:
-        keep_a, keep_b = math.exp(-rate_a * t / divisor), math.exp(-rate_b * t / divisor)
+        keep_a = math.exp(-rate_a * t / divisor)
+        keep_b = keep_a if shared else math.exp(-rate_b * t / divisor)
     else:
         rate_a, rate_b, t = np.broadcast_arrays(rate_a, rate_b, t)
-        keep_a, keep_b = (
-            np.array([math.exp(-r * s / divisor) for r, s in zip(rate.tolist(), t.tolist())])
-            for rate in (rate_a, rate_b)
-        )
+        times = t.tolist()
+        keep_a = np.array([math.exp(-r * s / divisor) for r, s in zip(rate_a.tolist(), times)])
+        keep_b = keep_a if shared else np.array([math.exp(-r * s / divisor) for r, s in zip(rate_b.tolist(), times)])
     if sectors is None:
         sectors_a, sectors_b = range(state.dims.da), range(state.dims.db)
     else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -419,37 +418,3 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-def run() -> None:
-    """Process entry of `python -m dephaselab` and the installed script.
-
-    Runs main, flushes stdout and stderr, then ends the process with
-    os._exit: the interpreter's finalization (a full garbage collection
-    and module teardown) and atexit callbacks are skipped, since the CLI
-    leaves nothing but these two streams to finish. A stream that is
-    None (closed at start-up) has nothing to flush. A stream whose reader
-    has gone (`dephaselab sweep ... | head -1`) raises BrokenPipeError,
-    from main or from the flush: the process then ends at once with
-    status 141 (128 + SIGPIPE, what a shell reports for such a writer)
-    and nothing on stderr. Any other failed flush, exception or
-    SystemExit from main (usage errors, --help) takes the interpreter's
-    normal exit, which reports it as it always has.
-    """
-    try:
-        code = main()
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        except BrokenPipeError:
-            raise
-        except (OSError, ValueError):
-            raise SystemExit(code)
-    except BrokenPipeError:
-        os._exit(141)
-    os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

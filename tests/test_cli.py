@@ -600,16 +600,16 @@ class TestExitCodes:
 def buffered_env() -> dict:
     """child_env without PYTHONUNBUFFERED: the child block-buffers stdout,
     as an installed CLI does, so its last block reaches the pipe only
-    through cli.run's flush."""
+    through the flush in dephaselab.__main__.run."""
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     return env
 
 
 class TestProcessExit:
-    """cli.run ends the process with os._exit once stdout and stderr are
-    flushed. Called in pytest it would end the test process, so every
-    test here runs it in a child."""
+    """dephaselab.__main__.run ends the process with os._exit once stdout
+    and stderr are flushed. Called in pytest it would end the test
+    process, so every test here runs it in a child."""
 
     def test_closed_stdout_exits_zero_quietly(self):
         # Python starts with sys.stdout None when fd 1 is closed, and print
@@ -666,6 +666,33 @@ def test_console_script_is_the_module_entry():
     entry = importlib.import_module("dephaselab.__main__")
     assert getattr(entry, called) is getattr(importlib.import_module(module_name), function_name)
     assert function_name == "run"
+
+
+def test_entry_imports_the_cli_without_collections():
+    """The process entry imports the CLI (numpy included) with the cyclic
+    collector off and freezes what that import leaves, then runs the
+    command with the collector on. The child wraps os._exit to report
+    before it leaves."""
+    code = """if True:
+        import gc, os, runpy, sys
+        during_import = []
+        def count(phase, info):
+            cli = sys.modules.get("dephaselab.cli")
+            if phase == "start" and cli is not None and not hasattr(cli, "main"):
+                during_import.append(info["generation"])
+        gc.callbacks.append(count)
+        leave = os._exit
+        def report(code):
+            sys.stdout.flush()
+            print(len(during_import), gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr, flush=True)
+            leave(code)
+        os._exit = report
+        sys.argv = ["dephaselab", "classify", "--t", "0.5"]
+        runpy.run_module("dephaselab", run_name="__main__", alter_sys=True)
+    """
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=False, env=child_env())
+    assert (result.returncode, result.stdout.split(b"\n")[0]) == (0, b"NptFreeEntangled"), result
+    assert result.stderr.decode() == "0 True True\n"
 
 
 def test_domain_errors_are_the_exit_3_classes():

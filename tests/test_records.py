@@ -2,7 +2,8 @@
 
 Every record keeps its field names and order and its repr, and rejects
 assignment to a field. A cold `import dephaselab.cli` loads neither
-`dataclasses`, `csv` nor `json`.
+`dataclasses`, `csv` nor `json`, and a cold `import dephaselab.__main__`
+loads neither numpy nor the CLI.
 """
 
 import importlib
@@ -102,14 +103,18 @@ def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
     # numpy.random (with secrets, hashlib and OpenSSL) is imported by the
     # first np.random call, which only verify-lemmas makes. json is
     # imported by the commands that read or print JSON, not by sweeps or
-    # verify-lemmas. cli.run meets a closed pipe without signal. mpmath,
-    # sympy, scipy and hypothesis serve only the tests and their oracles.
-    code = (
-        "import sys, dephaselab.cli; print(sorted({'dataclasses', 'csv', 'json', 'numpy.random', 'signal', "
-        "'mpmath', 'sympy', 'scipy', 'hypothesis'} & set(sys.modules)))"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
-    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+    # verify-lemmas. dephaselab.__main__.run meets a closed pipe without
+    # signal. mpmath, sympy, scipy and hypothesis serve only the tests and
+    # their oracles. The process entry module imports the CLI (numpy
+    # included) only from run, with the collector off.
+    for module, absent in (
+        ("dephaselab.cli", {"dataclasses", "csv", "json", "numpy.random", "signal", "mpmath", "sympy", "scipy",
+                            "hypothesis"}),
+        ("dephaselab.__main__", {"numpy", "dephaselab.cli"}),
+    ):
+        code = f"import sys, {module}; print(sorted({absent!r} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+        assert (result.returncode, result.stdout) == (0, "[]\n"), (module, result.stderr)
     for info in pkgutil.iter_modules(dephaselab.__path__):
         module = importlib.import_module(f"dephaselab.{info.name}")
         for name, value in vars(module).items():

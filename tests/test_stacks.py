@@ -9,7 +9,7 @@ TestAllocations pins their peaks.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHUNK_SIZES, allocation_peak, random_state_by_draws
@@ -75,19 +75,28 @@ class TestStacks:
     @given(
         seed=seeds, size=sizes, model=st.sampled_from([GROUND_EXCITED, GENERAL]),
         stacked=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()).filter(any),
+        shared=st.booleans(),
     )
-    def test_sector_dephase(self, seed, size, model, stacked):
+    def test_sector_dephase(self, seed, size, model, stacked, shared):
         # evolve, which dephases through sector_dephase, under either
         # model. The state, rate_a, rate_b and t are each a stack of
         # per-member values or the first member's alone (at least one a
         # stack), and rate * t runs from 0 to past every retention's
-        # underflow, as in mixed_support_stack.
+        # underflow, as in mixed_support_stack. With `shared`, one object
+        # is passed as both rates, as a symmetric sweep passes it, while
+        # the member-by-member reference passes two distinct scalars and
+        # so takes the unshared path.
         rng = np.random.default_rng(seed)
         states = random_stack(rng, Dims(3, 3), size)
         rate_a, rate_b = rng.uniform(0.5, 1.5, (2, size))
         t = underflow_times(rng, size)
+        if shared:
+            rate_b, stacked = rate_a, (*stacked[:2], stacked[1], stacked[3])
+            assume(any(stacked))
         wholes, columns = (states, rate_a, rate_b, t), (members(states), rate_a, rate_b, t)
         args = [whole if stack else column[0] for whole, column, stack in zip(wholes, columns, stacked)]
+        if shared:
+            args[2] = args[1]
         out = evolve(args[0], model, *args[1:])
         assert out.mat.shape == (size, 9, 9)
         singles = []
