@@ -42,21 +42,6 @@ GROUND_EXCITED = ((0, 1, 1), 2)
 GENERAL = (None, 1)
 
 
-def _checked(name: str, value):
-    """A rate or a time as a float, or an array of them as a float array,
-    refused by linalg.check_nonneg unless every entry is finite and
-    nonnegative: an array by its minimum (NaN if it holds one) and maximum."""
-    if isinstance(value, float):
-        return check_nonneg(name, value)
-    value = np.asarray(value)
-    if value.ndim == 0:
-        return check_nonneg(name, value)
-    if value.size:
-        check_nonneg(name, value.min())
-        check_nonneg(name, value.max())
-    return value.astype(float)
-
-
 def evolve(state: DensityMatrix, model, rate_a, rate_b, t) -> DensityMatrix:
     """state under the local dephasing model (GROUND_EXCITED or GENERAL)
     at rates rate_a, rate_b (inverse time) to time t.
@@ -74,9 +59,9 @@ def evolve(state: DensityMatrix, model, rate_a, rate_b, t) -> DensityMatrix:
     # is checked and exponentiated once: side B would make the same calls
     # on the same floats.
     shared = rate_b is rate_a
-    rate_a = _checked("gamma_rate_a", rate_a)
-    rate_b = rate_a if shared else _checked("gamma_rate_b", rate_b)
-    t = _checked("t", t)
+    rate_a = check_nonneg("gamma_rate_a", rate_a)
+    rate_b = rate_a if shared else check_nonneg("gamma_rate_b", rate_b)
+    t = check_nonneg("t", t)
     if type(rate_a) is type(rate_b) is type(t) is float:
         keep_a = math.exp(-rate_a * t / divisor)
         keep_b = keep_a if shared else math.exp(-rate_b * t / divisor)

@@ -199,7 +199,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_checks(seed: int, samples: int, inject_fault: bool):
+def _verify_checks(seed: int, samples: int):
     """Yield (name, passed, detail) for every certified-claim check.
 
     Each kind of claim is one table of rows and one loop over it."""
@@ -254,8 +254,7 @@ def _verify_checks(seed: int, samples: int, inject_fault: bool):
 
     separable, distillable = family.LimitVerdict.SEPARABLE_LIMIT, family.LimitVerdict.DISTILLABLE_LIMIT
     for name, state, expected in (
-        ("infinite-time limit of the unswapped family is separable", rho0,
-         distillable if inject_fault else separable),
+        ("infinite-time limit of the unswapped family is separable", rho0, separable),
         ("infinite-time limit of the swapped family stays distillable", rho_prime0, distillable),
     ):
         verdict = family.limit_verdict(state)
@@ -339,7 +338,7 @@ def _violations(w: dict) -> np.ndarray:
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     failures = 0
     total = 0
-    for name, passed, detail in _verify_checks(args.seed, args.samples, args.inject_fault):
+    for name, passed, detail in _verify_checks(args.seed, args.samples):
         total += 1
         if passed:
             print(f"[ok] {name}")
@@ -402,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lemmas", help="run the certified-claim checks")
     p.add_argument("--seed", type=_nonneg_int, default=42, help="random state seed (default 42)")
     p.add_argument("--samples", type=_nonneg_int, default=200, help="random states per section (default 200)")
-    p.add_argument("--inject-fault", dest="inject_fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_lemmas)
 
     return parser

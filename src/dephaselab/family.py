@@ -45,7 +45,7 @@ class AlphaDomainError(DomainError):
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not (3.0 < alpha <= 5.0) or not math.isfinite(alpha):
+    if not 3.0 < alpha <= 5.0:
         raise AlphaDomainError(f"alpha must lie in (3, 5], got {alpha}")
     return alpha
 

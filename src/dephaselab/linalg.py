@@ -48,10 +48,20 @@ class DomainError(ValueError):
     """A parameter or matrix lies outside the physical domain."""
 
 
-def check_nonneg(name: str, value: float, positive: bool = False) -> float:
+def check_nonneg(name: str, value, positive: bool = False):
     """value as a float, refused with DomainError unless finite and
     nonnegative (a rate or a time), or finite and positive when asked;
-    a value that is not a real number, such as a string, is a TypeError."""
+    a value that is not a real number, such as a string, is a TypeError.
+    What numpy reads with ndim >= 1 (a list, a tuple, a range, an array)
+    comes back as a float array, refused by its minimum (NaN if it holds
+    one) and its maximum."""
+    if not isinstance(value, (int, float)):
+        array = np.asarray(value)
+        if array.ndim:
+            if array.size:
+                check_nonneg(name, array.min(), positive)
+                check_nonneg(name, array.max(), positive)
+            return array.astype(float)
     if math.isfinite(value) and (value > 0 if positive else value >= 0):
         return float(value)
     raise DomainError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {float(value)}")

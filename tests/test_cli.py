@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: formats, exit codes, determinism."""
 
+import argparse
 import ast
 import csv
 import importlib
@@ -12,6 +13,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ import dephaselab
 from conftest import (
     CHUNK_SIZES, GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, retention, run_cli, sweep_by_points,
 )
-from dephaselab import cli
+from dephaselab import cli, family
 from dephaselab.channels import GROUND_EXCITED, apply_channel, evolve, kraus_ground_excited
 from dephaselab.criteria import transition_times
 from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
@@ -392,6 +394,21 @@ class TestThresholds:
         assert doc["realignment_zero"] > 0
 
 
+def break_unswapped_limit_claim(monkeypatch) -> None:
+    """Make verify-lemmas' claim that the unswapped family's limit is
+    separable fail, and only that claim: family.limit_verdict answers a
+    separable limit with a stand-in that reads SeparableLimit but is not
+    LimitVerdict.SEPARABLE_LIMIT."""
+    limit_verdict, separable = family.limit_verdict, family.LimitVerdict.SEPARABLE_LIMIT
+    stand_in = SimpleNamespace(value=separable.value)
+
+    def fake(state):
+        verdict = limit_verdict(state)
+        return stand_in if verdict is separable else verdict
+
+    monkeypatch.setattr(family, "limit_verdict", fake)
+
+
 class TestVerifyLemmas:
     def test_all_checks_pass(self):
         result = run_cli("verify-lemmas", "--samples", "50")
@@ -408,10 +425,10 @@ class TestVerifyLemmas:
         assert "(0 samples)" in out
         assert "[FAIL]" not in out
 
-    def test_injected_fault_fails_loudly(self):
-        result = run_cli("verify-lemmas", "--samples", "0", "--inject-fault")
-        assert result.returncode == 1
-        out = result.stdout.decode()
+    def test_injected_fault_fails_loudly(self, monkeypatch, capsys):
+        break_unswapped_limit_claim(monkeypatch)
+        assert cli.main(["verify-lemmas", "--samples", "0"]) == 1
+        out = capsys.readouterr().out
         assert "[FAIL]" in out
         match = re.search(r"^(\d+)/(\d+) checks passed$", out.splitlines()[-1])
         assert match and int(match.group(1)) == int(match.group(2)) - 1
@@ -424,8 +441,8 @@ class TestVerifyLemmas:
         "flags, golden, code",
         [
             (["verify-lemmas", "--seed", "42", "--samples", "200"], "verify_lemmas_seed42_samples200.txt", 0),
-            (["verify-lemmas", "--seed", "42", "--samples", "0", "--inject-fault"],
-             "verify_lemmas_seed42_samples0_inject_fault.txt", 1),
+            # The one exit 1: the unswapped-limit claim broken from outside.
+            (["verify-lemmas", "--seed", "42", "--samples", "0"], "verify_lemmas_seed42_samples0_inject_fault.txt", 1),
             # grid-sweep's rate grid and the default verdict sweep: goldens
             # independent of the library code the sweep itself runs.
             (["sweep", "--quantity", "pt-min-eig", "--initial", "rho-prime", "--t-range", "0", "10", "41",
@@ -433,19 +450,26 @@ class TestVerifyLemmas:
             (["sweep", "--quantity", "verdict", "--t-range", "0", "3", "121"], "sweep_verdict_t0_3_121.csv", 0),
         ],
     )
-    def test_golden_stdout(self, flags, golden, code):
-        result = run_cli(*flags)
-        assert result.returncode == code
-        assert result.stdout == (GOLDEN_DIR / golden).read_bytes()
+    def test_golden_stdout(self, flags, golden, code, monkeypatch, capsys):
+        if code == 0:
+            result = run_cli(*flags)
+            returncode, stdout = result.returncode, result.stdout
+        else:
+            break_unswapped_limit_claim(monkeypatch)
+            returncode, stdout = cli.main(flags), capsys.readouterr().out.encode()
+        assert returncode == code
+        assert stdout == (GOLDEN_DIR / golden).read_bytes()
 
     @pytest.mark.parametrize(
         "key, samples, fault", [("seed42_samples200", 200, False), ("seed42_samples0_inject_fault", 0, True)]
     )
-    def test_golden_checks(self, key, samples, fault):
+    def test_golden_checks(self, key, samples, fault, monkeypatch):
         # stdout shows a claim's detail only when it fails: pin every
         # (name, passed, detail) triple, details of passing claims included.
+        if fault:
+            break_unswapped_limit_claim(monkeypatch)
         golden = json.loads((GOLDEN_DIR / "verify_checks_seed42.json").read_text())[key]
-        checks = [[name, bool(passed), detail] for name, passed, detail in cli._verify_checks(42, samples, fault)]
+        checks = [[name, bool(passed), detail] for name, passed, detail in cli._verify_checks(42, samples)]
         assert checks == golden
 
     @pytest.mark.parametrize("samples", (0,) + CHUNK_SIZES)
@@ -513,6 +537,8 @@ class TestExitCodes:
         assert run_cli("sweep", "--quantity", "bogus", "--t", "1").returncode == 2
         assert run_cli("evolve", "--t", "-1").returncode == 2
         assert run_cli("verify-lemmas", "--seed", "-1").returncode == 2
+        removed = run_cli("verify-lemmas", "--inject-fault")
+        assert removed.returncode == 2 and b"error: unrecognized arguments: --inject-fault" in removed.stderr
         assert run_cli("evolve", "--initial", str(tmp_path / "missing.json"), "--t", "1").returncode == 2
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -520,6 +546,15 @@ class TestExitCodes:
         short = tmp_path / "short.json"
         short.write_text(json.dumps({"da": 3, "db": 3, "mat": [[1.0, 0.0]] * 4}))
         assert run_cli("evolve", "--initial", str(short), "--t", "1").returncode == 2
+
+    def test_no_hidden_options(self):
+        # Every option a subcommand takes shows in its --help.
+        subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        hidden = [
+            (command, action.dest) for command, parser in subparsers.choices.items()
+            for action in parser._actions if action.help == argparse.SUPPRESS
+        ]
+        assert hidden == []
 
     @pytest.mark.parametrize("da", [None, [3], 3.9, "3"], ids=["null", "list", "float", "string"])
     def test_non_integer_dimensions_exit_two(self, da, tmp_path):

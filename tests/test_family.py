@@ -85,7 +85,7 @@ class TestConstruction:
         assert abs(state.mat[d.flat(0, 1), d.flat(1, 0)]) < 1e-15
 
     def test_alpha_domain(self):
-        for alpha in (3.0, 5.0001, -1.0, math.nan):
+        for alpha in (3.0, 5.0001, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(AlphaDomainError):
                 initial_state(alpha)
         initial_state(3.0001)

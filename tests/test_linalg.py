@@ -312,23 +312,39 @@ class TestTrace:
 
 class TestCheckNonneg:
     def test_returns_the_value_as_a_float(self):
-        assert [(v, type(v)) for v in (check_nonneg("t", 0), check_nonneg("rate", np.float64(2.5), True))] == [
-            (0.0, float), (2.5, float),
-        ]
+        values = (check_nonneg("t", 0), check_nonneg("rate", np.float64(2.5), True), check_nonneg("t", np.array(2)))
+        assert [(v, type(v)) for v in values] == [(0.0, float), (2.5, float), (2.0, float)]
+
+    @pytest.mark.parametrize("value, expected", [
+        ([0, 1.5, 2], [0.0, 1.5, 2.0]),
+        ((0, 1.5, 2), [0.0, 1.5, 2.0]),
+        (range(3), [0.0, 1.0, 2.0]),
+        (np.array([0, 1.5, 2]), [0.0, 1.5, 2.0]),
+        (np.array([], dtype=int), []),
+    ], ids=["list", "tuple", "range", "array", "empty"])
+    def test_an_array_comes_back_as_a_float_array(self, value, expected):
+        checked = check_nonneg("t", value)
+        assert type(checked) is np.ndarray and checked.dtype == float and checked.tolist() == expected
 
     @pytest.mark.parametrize("value, positive, message", [
         (-1, False, "t must be finite and nonnegative, got -1.0"),
         (np.nan, False, "t must be finite and nonnegative, got nan"),
         (np.inf, True, "t must be finite and positive, got inf"),
         (0.0, True, "t must be finite and positive, got 0.0"),
+        # An array is refused by its minimum (NaN if it holds one), then its maximum.
+        ([0.5, np.nan, -1.0], False, "t must be finite and nonnegative, got nan"),
+        ((0.5, -2.0, np.inf), False, "t must be finite and nonnegative, got -2.0"),
+        (np.array([0.5, np.inf]), False, "t must be finite and nonnegative, got inf"),
+        (np.array([1.0, 0.0, 2.0]), True, "t must be finite and positive, got 0.0"),
     ])
     def test_refuses_with_a_domain_error(self, value, positive, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             check_nonneg("t", value, positive)
 
     def test_a_string_is_not_a_number(self):
-        with pytest.raises(TypeError):
-            check_nonneg("t", "1.0")
+        for value in ("1.0", ["1.0", "2.0"]):
+            with pytest.raises(TypeError):
+                check_nonneg("t", value)
 
 
 class TestTolerances:
