@@ -18,8 +18,6 @@ output against the closed form.
 
 import argparse
 
-import numpy as np
-
 from dephaselab.channels import GENERAL, evolve
 from dephaselab.criteria import transition_times
 from dephaselab.family import initial_state
@@ -29,7 +27,7 @@ from dephaselab.linalg import DomainError, check_nonneg
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--gamma", type=float, default=1.0)
-    parser.add_argument("--alphas", type=float, nargs="+", default=list(np.arange(4.05, 5.001, 0.05)))
+    parser.add_argument("--alphas", type=float, nargs="+", default=[round(4.05 + 0.05 * k, 2) for k in range(20)])
     args = parser.parse_args()
     gamma = args.gamma
     try:  # every input is checked before the first line is printed

@@ -1,26 +1,27 @@
 """Local dephasing channels and their exact infinite-time limit.
 
-Both noise models act entrywise through one primitive, sector_dephase:
-a coherence picks up a side's retention factor when its two labels on
-that side lie in different sectors. Ground/excited dephasing splits each
-qutrit into {0} | {1, 2} with retention exp(-rate*t/2); general
-dephasing makes every label its own sector with retention exp(-rate*t).
-Both are completely positive, trace preserving, and form semigroups in
-t; the infinite-time limit is the ground/excited split with retention 0.
-For retentions in [0, 1], which sector_dephase checks, each mask is
-real, symmetric and positive semidefinite with unit diagonal, so by the
-Schur product theorem a masked state keeps the input's Hermiticity,
-trace and eigenvalue floor: sector_dephase returns it without
-validating it again. No runtime path uses the Kraus
-construction (local_pair, kraus_ground_excited, apply_channel): it is
-the independent reference route the tests compare the masks against.
+The dephasing entries are evolve, the one way to evolve a state under
+either noise model, and infinite_limit. Both act entrywise through one
+private primitive, _sector_dephase: a coherence picks up a side's
+retention factor when its two labels on that side lie in different
+sectors. Ground/excited dephasing splits each qutrit into {0} | {1, 2}
+with retention exp(-rate*t/2); general dephasing makes every label its
+own sector with retention exp(-rate*t). Both are completely positive,
+trace preserving, and form semigroups in t; the infinite-time limit is
+the ground/excited split with retention 0. The retentions evolve and
+infinite_limit pass are real floats in [0, 1], so each mask is real,
+symmetric and positive semidefinite with unit diagonal, and by the Schur
+product theorem a masked state keeps the input's Hermiticity, trace and
+eigenvalue floor: _sector_dephase returns it without validating it
+again. No runtime path uses the Kraus construction (local_pair,
+kraus_ground_excited, apply_channel): it is the independent reference
+route the tests compare the masks against.
 
-Leading-axis convention: sector_dephase takes retentions that are
-scalars or 1-D arrays of length N (and a state that is one matrix or a
-stack of N); they broadcast, and a leading axis in any of them makes the
-result a stack of N dephased states, each bit-identical to dephasing
-that member alone. evolve, the one way to evolve a state under either
-model, takes its rates and times the same way.
+Leading-axis convention: evolve takes rates and times that are scalars
+or 1-D arrays of length N (and a state that is one matrix or a stack of
+N); they broadcast, and a leading axis in any of them makes the result a
+stack of N dephased states, each bit-identical to evolving that member
+alone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DomainError, check_nonneg, hermitize
+from .linalg import check_nonneg, hermitize
 from .qstate import BadShapeError, DensityMatrix, make_state, tensor
 
 
@@ -50,9 +51,9 @@ def evolve(state: DensityMatrix, model, rate_a, rate_b, t) -> DensityMatrix:
     the ground/excited split {0} | {1, 2}, or exp(-rate*t) per side whose
     labels differ under general dephasing. Each retention is math.exp on
     Python floats, one per member and side. The rates and t are scalars
-    or (N,) arrays; they broadcast with a stacked state as
-    sector_dephase's retentions do. Raises DomainError unless every rate
-    and time is finite and nonnegative.
+    or (N,) arrays that broadcast with a stacked state. Raises
+    DomainError unless every rate and time is finite and nonnegative, so
+    each retention is a real float in [0, 1].
     """
     sectors, divisor = model
     # One object passed as both rates (a symmetric sweep's rate sequence)
@@ -74,7 +75,7 @@ def evolve(state: DensityMatrix, model, rate_a, rate_b, t) -> DensityMatrix:
         sectors_a, sectors_b = range(state.dims.da), range(state.dims.db)
     else:
         sectors_a = sectors_b = sectors
-    return sector_dephase(state, sectors_a, sectors_b, keep_a, keep_b)
+    return _sector_dephase(state, sectors_a, sectors_b, keep_a, keep_b)
 
 
 def local_pair(gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -128,31 +129,23 @@ def _cross_sector(sectors_a: tuple, sectors_b: tuple) -> tuple[np.ndarray, np.nd
     return cross
 
 
-def sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a, keep_b) -> DensityMatrix:
+def _sector_dephase(state: DensityMatrix, sectors_a, sectors_b, keep_a, keep_b) -> DensityMatrix:
     """Damp every coherence between sectors.
 
     sectors_a / sectors_b label each local level with its sector. Entry
     ((i,k),(j,l)) is multiplied by keep_a if sectors_a[i] != sectors_a[j]
     and by keep_b if sectors_b[k] != sectors_b[l]. keep_a / keep_b are
-    scalars or 1-D arrays of length N; with an array (or a stacked state)
-    the result is the stack of N dephased states. Raises BadShapeError
-    when a labelling does not have one entry per local level, and
-    DomainError when a retention is not a real number in [0, 1] (NaN and
-    complex values included).
+    real scalars or 1-D arrays of length N in [0, 1], which evolve and
+    infinite_limit pass; with an array (or a stacked state) the result is
+    the stack of N dephased states. Raises BadShapeError when a labelling
+    does not have one entry per local level.
     """
     d = state.dims
     sectors_a, sectors_b = tuple(sectors_a), tuple(sectors_b)
     if (len(sectors_a), len(sectors_b)) != (d.da, d.db):
         raise BadShapeError(f"sector labellings {sectors_a}, {sectors_b} do not cover dims ({d.da}, {d.db})")
     cross_a, cross_b = _cross_sector(sectors_a, sectors_b)
-    keep_a, keep_b = np.asarray(keep_a), np.asarray(keep_b)
-    for name, keep in (("keep_a", keep_a), ("keep_b", keep_b)):
-        # False for NaN, and for a complex entry that is not real, which
-        # >= and <= alone would order by its real part.
-        inside = (keep >= 0) & (keep <= 1) & np.isreal(keep)
-        if not inside.all():
-            raise DomainError(f"{name} must lie in [0, 1], got {keep[~inside][0]}")
-    keep_a, keep_b = keep_a[..., None, None], keep_b[..., None, None]
+    keep_a, keep_b = np.asarray(keep_a)[..., None, None], np.asarray(keep_b)[..., None, None]
     m = state.mat * (np.where(cross_a, keep_a, 1.0) * np.where(cross_b, keep_b, 1.0))
     # make_state's hermitization: it only settles the signs of zeros that
     # an underflowing retention leaves, so the result is a fixed point of
@@ -168,4 +161,4 @@ def infinite_limit(state: DensityMatrix) -> DensityMatrix:
     ground-times-doublet blocks, and the whole doublet-doublet corner:
     the ground/excited mask with retention 0, no large-t evolution.
     """
-    return sector_dephase(state, GROUND_EXCITED[0], GROUND_EXCITED[0], 0.0, 0.0)
+    return _sector_dephase(state, GROUND_EXCITED[0], GROUND_EXCITED[0], 0.0, 0.0)

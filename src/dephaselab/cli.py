@@ -39,7 +39,7 @@ def _nonneg_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
-    return value
+    return value + 0.0  # -0.0 becomes 0.0; every other value keeps its bits
 
 
 def _positive_float(text: str) -> float:

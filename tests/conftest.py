@@ -286,7 +286,7 @@ def sweep_by_points(quantity: str, base: DensityMatrix, blocks, ts, gammas) -> s
 
 def hermitize_by_passes(m: np.ndarray, passes: int = 1) -> np.ndarray:
     """(m + m†) / 2 in complex arithmetic, repeated: make_state's
-    hermitization was one pass, sector_dephase's two."""
+    hermitization was one pass, channels._sector_dephase's two."""
     for _ in range(passes):
         m = (m + m.conj().swapaxes(-1, -2)) / 2
     return m

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import QUTRIT_PAIR, hermitize_by_passes, retention
+from dephaselab import channels
 from dephaselab.channels import (
     GENERAL,
     GROUND_EXCITED,
@@ -18,7 +19,6 @@ from dephaselab.channels import (
     infinite_limit,
     kraus_ground_excited,
     local_pair,
-    sector_dephase,
 )
 from dephaselab.family import initial_state
 from dephaselab.linalg import DomainError, eigvals_hermitian
@@ -74,6 +74,21 @@ class TestEvolve:
         state = random_state(rng, QUTRIT_PAIR)
         for model in (GROUND_EXCITED, GENERAL):
             assert evolve(state, model, 1.0, 1.0, 0.0).mat.tobytes() == state.mat.tobytes()
+
+    @pytest.mark.parametrize("size", [None, 5], ids=["state", "stack"])
+    def test_ends_of_the_retention_range(self, rng, size):
+        # Each retention is math.exp(-rate*t/divisor) with rate and t finite
+        # and nonnegative, so it lies in [0, 1]: 1.0 at t = 0, and 0.0 once
+        # rate*t overflows to inf. The ends give the input, and the
+        # infinite-time limit (ground/excited) or the diagonal (general).
+        state = random_state(rng, QUTRIT_PAIR, size)
+        t_end, t_start = (1e308, 0.0) if size is None else (np.full(size, 1e308), np.zeros(size))
+        out = evolve(state, GROUND_EXCITED, 1e308, 1e308, t_end)
+        assert out.mat.tobytes() == infinite_limit(state).mat.tobytes()
+        diagonal = np.eye(9) * np.diagonal(state.mat, axis1=-2, axis2=-1)[..., None, :]
+        assert np.array_equal(evolve(state, GENERAL, 1e308, 1e308, t_end).mat, diagonal)
+        for model in (GROUND_EXCITED, GENERAL):
+            assert evolve(state, model, 1e308, 1e308, t_start).mat.tobytes() == state.mat.tobytes()
 
     def test_rejects_bad_values(self):
         # linalg.check_nonneg's rule, so a DomainError: the CLI's exit 3.
@@ -167,9 +182,10 @@ class TestApplyChannel:
     @pytest.mark.parametrize("real", [False, True])
     def test_keeps_the_bytes_of_two_complex_hermitizations(self, rng, real):
         # make_state hermitized with one complex pass of (m + m†) / 2 and
-        # sector_dephase with two; the fixed-point routine keeps those
-        # bytes, including the -0.0 imaginary parts an underflowing
-        # retention leaves (evolve --t 2000 prints them).
+        # the dephasing primitive, channels._sector_dephase, with two; the
+        # fixed-point routine keeps those bytes, including the -0.0
+        # imaginary parts an underflowing retention leaves (evolve --t 2000
+        # prints them).
         g = rng.standard_normal((40, 9, 9)) + 1j * (0.0 if real else rng.standard_normal((40, 9, 9)))
         raw = g @ g.conj().swapaxes(-1, -2)
         raw /= np.trace(raw, axis1=-2, axis2=-1).real[:, None, None]
@@ -179,7 +195,7 @@ class TestApplyChannel:
         negative_zeros = 0
         for keep_a in keeps:
             for keep_b in keeps:
-                out = sector_dephase(states, (0, 1, 1), (0, 1, 1), keep_a, keep_b)
+                out = channels._sector_dephase(states, (0, 1, 1), (0, 1, 1), keep_a, keep_b)
                 masked = states.mat * ground_excited_damping(keep_a, keep_b)
                 assert out.mat.tobytes() == hermitize_by_passes(masked, 2).tobytes()
                 negative_zeros += np.count_nonzero(np.signbit(out.mat.imag) & (out.mat.imag == 0))
@@ -199,21 +215,6 @@ class TestApplyChannel:
         state = random_state(rng, Dims(2, 3))
         with pytest.raises(BadShapeError):
             apply_channel(state, kraus_ground_excited(retention(1.0, 1.0), retention(1.0, 1.0)))
-
-    @pytest.mark.parametrize("keep, shown", [
-        (1.5, "1.5"), (-0.1, "-0.1"), (math.nan, "nan"), (np.array([0.5, 1.0, 1.2, 0.0]), "1.2"),
-        (0.5 + 3j, "(0.5+3j)"),
-    ], ids=["above-one", "negative", "nan", "array-entry", "complex"])
-    def test_rejects_retentions_outside_the_unit_interval(self, keep, shown):
-        # Outside [0, 1] a mask can be indefinite: at 1.5 on both sides the
-        # masked family state has a negative eigenvalue (about -0.119),
-        # which make_state rejects and sector_dephase must not return. A
-        # complex retention is refused too: >= and <= order it by its real
-        # part, and the Hermitian part would drop its imaginary part.
-        state = initial_state(4.5)
-        for side, keeps in (("keep_a", (keep, keep)), ("keep_b", (0.5, keep))):
-            with pytest.raises(DomainError, match=re.escape(f"{side} must lie in [0, 1], got {shown}")):
-                sector_dephase(state, (0, 1, 1), (0, 1, 1), *keeps)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -284,4 +285,4 @@ class TestInfiniteLimit:
         with pytest.raises(BadShapeError):
             infinite_limit(random_state(rng, Dims(2, 3)))
         with pytest.raises(BadShapeError):
-            sector_dephase(random_state(rng, QUTRIT_PAIR), (0, 1), (0, 1, 1), 0.0, 0.0)
+            channels._sector_dephase(random_state(rng, QUTRIT_PAIR), (0, 1), (0, 1, 1), 0.0, 0.0)

@@ -186,6 +186,8 @@ class TestSweep:
         assert header == ["t", "gamma", "f_rho", "f_rho_prime"]
         for row in rows:
             assert float(row[3]) >= float(row[2])
+        result = run_cli("sweep", "--quantity", "fidelity", "--t-range", "0", "2", "5", "--gamma", "-0")
+        assert [r[1] for r in read_csv(result.stdout)[1]] == ["0"] * 5
 
     def test_verdict_sweep_covers_all_phases(self):
         result = run_cli("sweep", "--quantity", "verdict", "--t-range", "0", "2", "21")
@@ -238,10 +240,12 @@ class TestSweep:
             base = initial_state(4.3) if initial == "rho" else swapped_state(4.3)
         blocks = certificate_blocks() if initial == "rho" else None
         # One t grid crossing two chunk boundaries, one t x gamma grid
-        # crossing one; neither is a multiple of the chunk size.
+        # crossing one; neither is a multiple of the chunk size. A rate of
+        # -0 is the rate 0 and prints as 0.
         n_t, n_tg = 2 * cli.STACK_CHUNK + 5, cli.STACK_CHUNK // 7 + 5
         grids = (
             (["--t-range", "0", "4", str(n_t)], np.linspace(0.0, 4.0, n_t), np.array([1.0])),
+            (["--t-range", "0", "4", "5", "--gamma", "-0"], np.linspace(0.0, 4.0, 5), np.array([0.0])),
             (
                 ["--t-range", "0", "4", str(n_tg), "--gamma-range", "0.2", "2.2", "7"],
                 np.linspace(0.0, 4.0, n_tg),
@@ -753,6 +757,17 @@ def window_scan(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(script), *args], capture_output=True, check=False, env=child_env())
 
 
+def window_onset(alpha: float, g: float) -> float:
+    """Closed-form PPT onset of the family under general dephasing at
+    symmetric rate g, where every family coherence keeps exp(-2 g t)."""
+    return math.log(4.0 / (alpha * (5.0 - alpha))) / (4.0 * g)
+
+
+def window_zero(alpha: float, g: float) -> float:
+    """Closed-form realignment zero, in the same setting as window_onset."""
+    return -math.log((7.0 - math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0)) / 6.0) / (2.0 * g)
+
+
 def readme_commands() -> list[list[str]]:
     """The arguments of every `dephaselab ...` line in README's Command
     line block, each without its `> file` redirect."""
@@ -763,13 +778,6 @@ def readme_commands() -> list[list[str]]:
 
 class TestScripts:
     def test_window_scan_and_figure_data(self):
-        # Closed forms at symmetric rate g: every family coherence keeps exp(-2 g t).
-        def onset(alpha, g):
-            return math.log(4.0 / (alpha * (5.0 - alpha))) / (4.0 * g)
-
-        def zero(alpha, g):
-            return -math.log((7.0 - math.sqrt(3.0 * alpha ** 2 - 15.0 * alpha + 19.0)) / 6.0) / (2.0 * g)
-
         alphas = (4.1, 4.5, 4.9, 4.000001, 3.5, 4.0, 5.0)
         runs = [("1.0", alphas), ("0.02", (4.5,)), ("0.1", (4.999,))]
         rows = {}
@@ -781,9 +789,9 @@ class TestScripts:
             for line, alpha in zip(lines[2:], run_alphas):
                 shown, t_ppt, t_real, window = line.split(maxsplit=3)
                 assert float(shown) == alpha
-                assert abs(float(t_real) - zero(alpha, float(gamma))) <= 5e-7
+                assert abs(float(t_real) - window_zero(alpha, float(gamma))) <= 5e-7
                 if alpha < 5.0 and t_ppt != "-":
-                    assert abs(float(t_ppt) - onset(alpha, float(gamma))) <= 5e-7
+                    assert abs(float(t_ppt) - window_onset(alpha, float(gamma))) <= 5e-7
                 rows[gamma, alpha] = (line, t_ppt, window)
         # Each row to the byte; at 4.000001 the onset is 1.9e-7, so the search must start at t = 0.
         assert [rows["1.0", alpha][0] for alpha in alphas[:4]] == [
@@ -794,7 +802,7 @@ class TestScripts:
         ]
         # Times past t = 12: a realignment zero at 13.47 and an onset at 16.71.
         assert rows["0.02", 4.5][2] == "6.2829" and rows["0.1", 4.999][2] == "empty"
-        assert abs(zero(4.5, 0.02) - onset(4.5, 0.02) - 6.2829) <= 5e-5
+        assert abs(window_zero(4.5, 0.02) - window_onset(4.5, 0.02) - 6.2829) <= 5e-5
         # PPT at t = 0 has no onset; at alpha = 5 the slowest branch never turns.
         assert rows["1.0", 3.5][1:] == rows["1.0", 4.0][1:] == ("-", "no PPT onset")
         assert rows["1.0", 5.0][1:] == ("inf", "empty")
@@ -809,6 +817,26 @@ class TestScripts:
             assert bad.returncode == 2 and bad.stdout == b""
             assert f"must lie in (3, 5], got {float(run_alphas[-1])}\n".encode() in bad.stderr
             assert b"Traceback" not in bad.stderr
+
+    def test_window_scan_default_grid(self):
+        # The default grid is alpha = 4.05, 4.1, ..., 5 as two-decimal
+        # floats, so its last row is alpha = 5 itself, whose slowest branch
+        # never turns: there the onset is inf and the window empty.
+        scan = window_scan()
+        assert scan.returncode == 0, scan.stderr
+        lines = scan.stdout.decode().splitlines()
+        assert len(lines) == 22 and lines[0] == "gamma = 1.0"
+        for k, line in enumerate(lines[2:]):
+            alpha = round(4.05 + 0.05 * k, 2)
+            shown, t_ppt, t_real, window = line.split()
+            assert float(shown) == alpha
+            assert abs(float(t_real) - window_zero(alpha, 1.0)) <= 5e-7
+            if alpha == 5.0:
+                assert (t_ppt, window) == ("inf", "empty")
+                continue
+            assert abs(float(t_ppt) - window_onset(alpha, 1.0)) <= 5e-7
+            width = window_zero(alpha, 1.0) - window_onset(alpha, 1.0)
+            assert window == "empty" if width <= 0 else abs(float(window) - width) <= 6e-5
 
     def test_readme_commands_run(self, capsys):
         # README is the one place these commands are written, the figure data among them.

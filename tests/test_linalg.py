@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephaselab import linalg
-from dephaselab.channels import infinite_limit, sector_dephase
+from dephaselab import channels, linalg
+from dephaselab.channels import infinite_limit
 from dephaselab.family import initial_state
 from dephaselab.linalg import (
     TOL,
@@ -186,7 +186,7 @@ class TestBlockSplit:
             # The limit keeps a 5x5 core of the realigned matrix, with four zero rows and columns.
             (realign(infinite_limit(random_state(np.random.default_rng(5), Dims(3, 3), 7))), False, True),
             (realign(random_state(np.random.default_rng(6), Dims(2, 3))), False, False),
-            (realign(sector_dephase(random_state(np.random.default_rng(6), Dims(2, 3)), (0, 1), (0, 1, 1), 0, 0)),
+            (realign(channels._sector_dephase(random_state(np.random.default_rng(6), Dims(2, 3)), (0, 1), (0, 1, 1), 0, 0)),
              False, True),
             (realign(initial_state(4.5)), False, True),
             (partial_transpose(initial_state(4.5)), True, True),

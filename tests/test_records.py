@@ -105,11 +105,13 @@ def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
     # imported by the commands that read or print JSON, not by sweeps or
     # verify-lemmas. dephaselab.__main__.run meets a closed pipe without
     # signal. mpmath, sympy, scipy and hypothesis serve only the tests and
-    # their oracles. The process entry module imports the CLI (numpy
-    # included) only from run, with the collector off.
+    # their oracles. fractions and decimal stay out too: an exact kernel
+    # may not bring either into a cold start. The process entry module
+    # imports the CLI (numpy included) only from run, with the collector
+    # off.
     for module, absent in (
         ("dephaselab.cli", {"dataclasses", "csv", "json", "numpy.random", "signal", "mpmath", "sympy", "scipy",
-                            "hypothesis"}),
+                            "hypothesis", "fractions", "decimal"}),
         ("dephaselab.__main__", {"numpy", "dephaselab.cli"}),
     ):
         code = f"import sys, {module}; print(sorted({absent!r} & set(sys.modules)))"

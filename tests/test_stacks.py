@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHUNK_SIZES, allocation_peak, random_state_by_draws
-from dephaselab import cli
-from dephaselab.channels import GENERAL, GROUND_EXCITED, evolve, sector_dephase
+from dephaselab import channels, cli
+from dephaselab.channels import GENERAL, GROUND_EXCITED, evolve
 from dephaselab.criteria import (
     CertificateResult,
     Classification,
@@ -78,8 +78,8 @@ class TestStacks:
         shared=st.booleans(),
     )
     def test_sector_dephase(self, seed, size, model, stacked, shared):
-        # evolve, which dephases through sector_dephase, under either
-        # model. The state, rate_a, rate_b and t are each a stack of
+        # evolve, which dephases through channels._sector_dephase, under
+        # either model. The state, rate_a, rate_b and t are each a stack of
         # per-member values or the first member's alone (at least one a
         # stack), and rate * t runs from 0 to past every retention's
         # underflow, as in mixed_support_stack. With `shared`, one object
@@ -225,7 +225,7 @@ class TestAllocations:
         # The masked copy is hermitized, which adds its half-size sign pass.
         state = random_state(rng, Dims(3, 3), cli.STACK_CHUNK)
         keep = rng.uniform(0.0, 1.0, cli.STACK_CHUNK)
-        peak = allocation_peak(sector_dephase, state, (0, 1, 1), (0, 1, 1), keep, keep)
+        peak = allocation_peak(channels._sector_dephase, state, (0, 1, 1), (0, 1, 1), keep, keep)
         assert peak <= 2.5 * self.STACK + self.SLACK
 
     def test_random_state_allocates_its_result_and_the_gram_factors(self):
