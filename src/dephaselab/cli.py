@@ -28,7 +28,7 @@ import numpy as np
 from . import channels, criteria, family
 from .channels import GROUND_EXCITED, evolve
 from .linalg import TOL, DomainError
-from .qstate import DensityMatrix, random_state, state_from_json, state_to_json
+from .qstate import DensityMatrix, NormalStream, random_state, state_from_json, state_to_json
 
 
 class UsageError(Exception):
@@ -84,9 +84,11 @@ def _base_state(initial: str, alpha: float) -> DensityMatrix:
 # samples of verify-lemmas. Larger chunks spread numpy's per-call cost
 # over more states; a chunk's (64, 9, 9) complex stack is 81 KiB. Each
 # step of the sampled loop builds its result in place, so a chunk peaks
-# at about four such stacks. Against 128 states, 64 lower verify-lemmas'
+# at about four such stacks. Against 128 states, 64 lowered verify-lemmas'
 # peak RSS by about 0.3 MiB for about 2 ms more loop time per 1000
 # samples (25.2 against 23.2 ms in process); 32 cost about 6.7 ms more.
+# Those RSS figures were read while the samples still came from
+# numpy.random, whose import then outweighed the sampled loop.
 STACK_CHUNK = 64
 
 
@@ -285,7 +287,7 @@ def _sample_witnesses(seed: int, samples: int):
     every test of _violations, so the counts are those of the full
     computation.
     """
-    rng = np.random.default_rng(seed)
+    rng = NormalStream(seed)
     for start in range(0, samples, STACK_CHUNK):
         states = random_state(rng, family.QUTRIT_PAIR, min(STACK_CHUNK, samples - start))
         # Each derived stack is freed once its witnesses are taken, so at

@@ -23,6 +23,7 @@ and state_to_json handle one state.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple, Optional, Sequence
 
@@ -188,15 +189,61 @@ def tensor(sigma_a, sigma_b) -> np.ndarray:
     return np.kron(np.asarray(sigma_a, dtype=complex), np.asarray(sigma_b, dtype=complex))
 
 
-def random_state(rng: np.random.Generator, dims: Dims, size: Optional[int] = None) -> DensityMatrix:
+class NormalStream:
+    """A seeded stream of standard normal draws: 53-bit uniforms in
+    (0, 1] from the standard library's Mersenne Twister, turned into
+    normals by the Box-Muller transform.
+
+    The seed is a nonnegative integer: random.Random maps n and -n to the
+    same stream, so a negative, bool or non-integer seed raises
+    ValueError. The stream is consumed in pairs, each pair of uniforms
+    giving two adjacent normals, so a draw takes an even count of values
+    and draws concatenate: one (64, 2, 9, 9) draw equals 64 (2, 9, 9)
+    draws, bit for bit.
+    """
+
+    def __init__(self, seed: int):
+        import random
+
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        self._bits = random.Random(int(seed))
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An array of the given shape, i.i.d. standard normal, from one
+        randbytes call. The transform runs in place in one float buffer:
+        of each pair of uniforms (u, v), u becomes r cos(2 pi v) and v
+        becomes r sin(2 pi v), r = sqrt(-2 ln u); a half-size cosine is
+        the only other array."""
+        count = math.prod(shape)
+        if count % 2:
+            raise ValueError(f"a draw takes an even count of values, got shape {shape}")
+        x = (np.frombuffer(self._bits.randbytes(8 * count), dtype="<u8") >> 11).astype(float)
+        x += 1.0
+        x *= 2.0 ** -53  # uniforms in (0, 1], exact
+        radius, angle = x.reshape(-1, 2).T
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * math.pi
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
+        return x.reshape(shape)
+
+
+def random_state(rng: NormalStream | np.random.Generator, dims: Dims, size: Optional[int] = None) -> DensityMatrix:
     """Full-rank random state G G† / tr(G G†), G with i.i.d. standard
-    complex normal entries. Deterministic given the generator state.
+    complex normal entries, drawn from any source with a
+    standard_normal(shape) method (a NormalStream, or a numpy Generator).
+    Deterministic given the source's state.
 
     A state by construction (G G† is positive semidefinite, hermitize
     makes it Hermitian, the division gives unit trace to rounding), so it
-    is not validated. With a size, a stack of that many states, drawn
-    with the same generator calls in the same order: the stack equals
-    size calls without one, bit for bit.
+    is not validated. With a size, a stack of that many states in one
+    draw; from a source whose draws concatenate (both of the above) the
+    stack equals size calls without one, bit for bit.
     """
     n = dims.n
     draws = rng.standard_normal(((2,) if size is None else (size, 2)) + (n, n))

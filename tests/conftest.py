@@ -26,7 +26,7 @@ from dephaselab import channels, cli, criteria, family
 from dephaselab.channels import GROUND_EXCITED, evolve
 from dephaselab.family import initial_state
 from dephaselab.linalg import TOL, NotPSDError, eig_hermitian, eigvals_hermitian, singular_values
-from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state
+from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, NormalStream, make_state
 
 QUTRIT_PAIR = Dims(3, 3)
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -292,17 +292,19 @@ def hermitize_by_passes(m: np.ndarray, passes: int = 1) -> np.ndarray:
     return m
 
 
-def random_state_by_draws(rng: np.random.Generator, dims: Dims) -> DensityMatrix:
-    """One random state drawn as two separate (n, n) normal draws, real
-    then imaginary part, normalized on its own and validated by
-    make_state, which random_state itself skips."""
-    g = rng.standard_normal((dims.n, dims.n)) + 1j * rng.standard_normal((dims.n, dims.n))
+def random_state_by_draws(rng: NormalStream | np.random.Generator, dims: Dims) -> DensityMatrix:
+    """One random state drawn as one (2, n, n) normal block, real then
+    imaginary part, normalized on its own and validated by make_state,
+    which random_state itself skips."""
+    draws = rng.standard_normal((2, dims.n, dims.n))
+    g = draws[0] + 1j * draws[1]
     m = g @ g.conj().T
     return make_state(dims, m / np.trace(m).real)
 
 
 def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]:
-    """verify-lemmas' random-sample witnesses, one state at a time.
+    """verify-lemmas' random-sample witnesses, one state at a time from
+    NormalStream(seed).
 
     Keys match the chunks of cli._sample_witnesses. A probe whose
     projection carries no weight gives a NaN witness. Every witness is computed for
@@ -310,7 +312,7 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
     only where their claim's first witness fires; a test applies that
     gate to this full result.
     """
-    rng = np.random.default_rng(seed)
+    rng = NormalStream(seed)
     rows = []
     for s in [random_state_by_draws(rng, QUTRIT_PAIR) for _ in range(samples)]:
         lim = channels.infinite_limit(s)

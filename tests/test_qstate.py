@@ -20,6 +20,7 @@ from dephaselab.qstate import (
     DensityMatrix,
     Dims,
     NonFiniteError,
+    NormalStream,
     TraceNotOneError,
     make_state,
     partial_transpose,
@@ -211,6 +212,40 @@ class TestRandomState:
         a = random_state(np.random.default_rng(7), QUTRIT_PAIR)
         b = random_state(np.random.default_rng(7), QUTRIT_PAIR)
         assert np.array_equal(a.mat, b.mat)
+
+
+class TestNormalStream:
+    def test_same_seed_same_bits_and_seeds_differ(self):
+        draws = {seed: NormalStream(seed).standard_normal((2, 9, 9)) for seed in (0, 1, 7, 2**70)}
+        for seed, x in draws.items():
+            assert x.tobytes() == NormalStream(seed).standard_normal((2, 9, 9)).tobytes()
+        assert NormalStream(np.int64(7)).standard_normal((2, 9, 9)).tobytes() == draws[7].tobytes()
+        assert len({x.tobytes() for x in draws.values()}) == len(draws)
+
+    def test_moments_of_a_million_draws(self):
+        # The sample mean has standard error 1/sqrt(n), the sample
+        # variance sqrt(2/n).
+        x = NormalStream(0).standard_normal((10**6,))
+        assert x.shape == (10**6,) and x.dtype == float
+        assert np.isfinite(x).all()
+        assert abs(x.mean()) < 5 / np.sqrt(x.size)
+        assert abs(x.var() - 1.0) < 5 * np.sqrt(2 / x.size)
+
+    def test_a_stack_draw_equals_its_members_draws(self):
+        stream = NormalStream(11)
+        alone = np.stack([stream.standard_normal((2, 9, 9)) for _ in range(64)])
+        stacked = NormalStream(11).standard_normal((64, 2, 9, 9))
+        assert stacked.shape == alone.shape and stacked.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (9, 9), (3, 3, 3)])
+    def test_odd_count_raises(self, shape):
+        with pytest.raises(ValueError, match="even count"):
+            NormalStream(0).standard_normal(shape)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), True, False, 1.0, 2.5, "1", None])
+    def test_bad_seed_raises(self, seed):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            NormalStream(seed)
 
 
 class TestJsonRoundTrip:

@@ -2,8 +2,9 @@
 
 Every record keeps its field names and order and its repr, and rejects
 assignment to a field. A cold `import dephaselab.cli` loads neither
-`dataclasses`, `csv` nor `json`, and a cold `import dephaselab.__main__`
-loads neither numpy nor the CLI.
+`dataclasses`, `csv` nor `json`, a cold `import dephaselab.__main__`
+loads neither numpy nor the CLI, and a `verify-lemmas` run loads
+neither `numpy.random` nor OpenSSL's hashing modules.
 """
 
 import importlib
@@ -101,7 +102,8 @@ def test_record_arrays_are_read_only_copies():
 
 def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
     # numpy.random (with secrets, hashlib and OpenSSL) is imported by the
-    # first np.random call, which only verify-lemmas makes. json is
+    # first np.random call, which no command makes: verify-lemmas draws
+    # from qstate.NormalStream (the next test runs it). json is
     # imported by the commands that read or print JSON, not by sweeps or
     # verify-lemmas. dephaselab.__main__.run meets a closed pipe without
     # signal. mpmath, sympy, scipy and hypothesis serve only the tests and
@@ -121,3 +123,19 @@ def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
         module = importlib.import_module(f"dephaselab.{info.name}")
         for name, value in vars(module).items():
             assert not hasattr(value, "__dataclass_fields__"), f"dephaselab.{info.name}.{name} is a dataclass"
+
+
+def test_verify_lemmas_loads_no_numpy_random_or_openssl():
+    # The sampled claims draw from the standard library's Mersenne
+    # Twister, so a run loads neither numpy.random nor the secrets, hmac
+    # and hashlib chain that brings in OpenSSL. random itself is not
+    # asserted absent: site may preload it.
+    absent = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
+    code = (
+        "import contextlib, io, sys, dephaselab.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify-lemmas', '--seed', '42', '--samples', '70'])\n"
+        f"print(code, sorted({absent!r} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert (result.returncode, result.stdout) == (0, "0 []\n"), result.stderr
