@@ -22,6 +22,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -84,11 +85,10 @@ def _base_state(initial: str, alpha: float) -> DensityMatrix:
 # samples of verify-lemmas. Larger chunks spread numpy's per-call cost
 # over more states; a chunk's (64, 9, 9) complex stack is 81 KiB. Each
 # step of the sampled loop builds its result in place, so a chunk peaks
-# at about four such stacks. Against 128 states, 64 lowered verify-lemmas'
-# peak RSS by about 0.3 MiB for about 2 ms more loop time per 1000
-# samples (25.2 against 23.2 ms in process); 32 cost about 6.7 ms more.
-# Those RSS figures were read while the samples still came from
-# numpy.random, whose import then outweighed the sampled loop.
+# at about four such stacks, some 330 KiB. Larger chunks buy no time:
+# the sampled loop is LAPACK-bound, and 128, 256 and 1000 states per
+# chunk ran it within 2 ms of 64 per 1000 samples, while 32 cost about
+# 6.7 ms more (ROADMAP's perf floor). So 64 keeps the chunk small.
 STACK_CHUNK = 64
 
 
@@ -285,7 +285,9 @@ def _sample_witnesses(seed: int, samples: int):
     limit_excess exceeds TOL.verdict, parent_pt_min where two_sided and
     evolved_pt_min where one_sided is below -TOL.verdict. A NaN fails
     every test of _violations, so the counts are those of the full
-    computation.
+    computation. limit_excess itself, an SVD per member, is taken only
+    where its upper bound limit_bound is above 0: elsewhere the excess is
+    at most 0 up to rounding, far below TOL.verdict, so it cannot fire.
     """
     rng = NormalStream(seed)
     for start in range(0, samples, STACK_CHUNK):
@@ -294,16 +296,18 @@ def _sample_witnesses(seed: int, samples: int):
         # most one is alive beside the samples, and none during the next
         # chunk's draw. One dephasing serves both evolved witnesses.
         lim = channels.infinite_limit(states)
-        limit_excess = criteria.realignment_excess(lim)
-        limit_pt_min = _pt_min_where(limit_excess > TOL.verdict, lim)
+        limit_bound = criteria.realignment_excess_bound(lim)
+        limit_excess = _witness_where(criteria.realignment_excess, limit_bound > 0, lim)
+        limit_pt_min = _witness_where(criteria.min_pt_eigenvalue, limit_excess > TOL.verdict, lim)
         del lim
         two_sided = family.two_sided_probe(states)
-        parent_pt_min = _pt_min_where(two_sided < -TOL.verdict, states)
+        parent_pt_min = _witness_where(criteria.min_pt_eigenvalue, two_sided < -TOL.verdict, states)
         evolved = evolve(states, GROUND_EXCITED, 1.0, 1.0, 0.7)
         one_sided = family.one_sided_probe(evolved, "B")
-        evolved_pt_min = _pt_min_where(one_sided < -TOL.verdict, evolved)
+        evolved_pt_min = _witness_where(criteria.min_pt_eigenvalue, one_sided < -TOL.verdict, evolved)
         del evolved
         yield {
+            "limit_bound": limit_bound,
             "limit_excess": limit_excess,
             "limit_pt_min": limit_pt_min,
             "two_sided": two_sided,
@@ -313,15 +317,17 @@ def _sample_witnesses(seed: int, samples: int):
         }
 
 
-def _pt_min_where(mask: np.ndarray, state: DensityMatrix) -> np.ndarray:
-    """min_pt_eigenvalue of the members of the stack state that the
-    boolean mask selects, NaN for the others; no eigensolve when it
-    selects none."""
+def _witness_where(
+    witness: Callable[[DensityMatrix], np.ndarray], mask: np.ndarray, state: DensityMatrix
+) -> np.ndarray:
+    """witness (a stack-native criteria function) of the members of the
+    stack state that the boolean mask selects, NaN for the others; no
+    eigensolve or SVD when it selects none."""
     values = np.full(len(mask), np.nan)
     if mask.any():
         subset = state.mat[mask]
         subset.setflags(write=False)  # fresh, so DensityMatrix holds it without a copy
-        values[mask] = criteria.min_pt_eigenvalue(DensityMatrix(subset, state.dims))
+        values[mask] = witness(DensityMatrix(subset, state.dims))
     return values
 
 

@@ -135,6 +135,27 @@ def realignment_excess(state: DensityMatrix) -> float | np.ndarray:
     return _per_member(singular_values(realign(state)).sum(axis=-1) - 1.0)
 
 
+def realignment_excess_bound(state: DensityMatrix) -> float | np.ndarray:
+    """Upper bound on realignment_excess with no SVD: the sum of the
+    realigned matrix's row 2-norms, minus 1.
+
+    With R = U S V†, the trace norm is tr(W† R) for the unitary W = U V†,
+    and tr(W† R) = sum_i <w_i, r_i> over the rows w_i of W and r_i of R.
+    Each w_i has unit norm, so the trace norm is at most sum_i |r_i|. A
+    bound at or below 0 rules the realignment witness out.
+
+    Row (i, j) of R holds the block rho[i, :, j, :], so its squared norm
+    is that block's sum of |rho|^2, read from the tensor4 view with no
+    realigned copy. Each sum runs over one axis, so a stack member's
+    bound is bit-identical to its bound alone.
+    """
+    squares = np.abs(state.tensor4)
+    np.square(squares, out=squares)
+    rows = np.sqrt(squares.sum(axis=-1).sum(axis=-2))  # (i, k, j) summed over l, then over k
+    del squares
+    return _per_member(rows.reshape(rows.shape[:-2] + (-1,)).sum(axis=-1) - 1.0)
+
+
 def qubit_block_witness(
     state: DensityMatrix, a_labels: Sequence[int], b_labels: Sequence[int]
 ) -> float | np.ndarray:

@@ -189,17 +189,36 @@ def tensor(sigma_a, sigma_b) -> np.ndarray:
     return np.kron(np.asarray(sigma_a, dtype=complex), np.asarray(sigma_b, dtype=complex))
 
 
+def _splitmix64(key: int, start: int, count: int) -> np.ndarray:
+    """Outputs start + 1 .. start + count of SplitMix64 seeded with key
+    (Steele, Lea & Flood, OOPSLA 2014), as a uint64 array: output i mixes
+    the counter key + i * 0x9E3779B97F4A7C15 by three xor-shift-multiply
+    steps. Seeded with 0 and started at 0, the first output is
+    0xe220a8397b1dcdaf, as in the reference splitmix64.c. Array uint64
+    arithmetic wraps modulo 2**64 without a warning."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 class NormalStream:
     """A seeded stream of standard normal draws: 53-bit uniforms in
-    (0, 1] from the standard library's Mersenne Twister, turned into
-    normals by the Box-Muller transform.
+    (0, 1] from a counter-based SplitMix64, turned into normals by the
+    Box-Muller transform.
 
-    The seed is a nonnegative integer: random.Random maps n and -n to the
-    same stream, so a negative, bool or non-integer seed raises
-    ValueError. The stream is consumed in pairs, each pair of uniforms
-    giving two adjacent normals, so a draw takes an even count of values
-    and draws concatenate: one (64, 2, 9, 9) draw equals 64 (2, 9, 9)
-    draws, bit for bit.
+    The seed is a nonnegative integer: the 64-bit SplitMix64 key is
+    random.Random(seed).getrandbits(64), so every bit of a large seed
+    counts, and random.Random maps n and -n to the same stream, so a
+    negative, bool or non-integer seed raises ValueError. The stream is
+    consumed in pairs, each pair of uniforms giving two adjacent normals,
+    so a draw takes an even count of values and draws concatenate: one
+    (64, 2, 9, 9) draw equals 64 (2, 9, 9) draws, bit for bit.
     """
 
     def __init__(self, seed: int):
@@ -207,18 +226,23 @@ class NormalStream:
 
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        self._bits = random.Random(int(seed))
+        self._key = random.Random(int(seed)).getrandbits(64)
+        self._drawn = 0
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        """An array of the given shape, i.i.d. standard normal, from one
-        randbytes call. The transform runs in place in one float buffer:
-        of each pair of uniforms (u, v), u becomes r cos(2 pi v) and v
-        becomes r sin(2 pi v), r = sqrt(-2 ln u); a half-size cosine is
-        the only other array."""
+        """An array of the given shape, i.i.d. standard normal, from the
+        stream's next outputs. The transform runs in place in one float
+        buffer: of each pair of uniforms (u, v), u becomes r cos(2 pi v)
+        and v becomes r sin(2 pi v), r = sqrt(-2 ln u); a half-size
+        cosine is the only other array."""
         count = math.prod(shape)
         if count % 2:
             raise ValueError(f"a draw takes an even count of values, got shape {shape}")
-        x = (np.frombuffer(self._bits.randbytes(8 * count), dtype="<u8") >> 11).astype(float)
+        bits = _splitmix64(self._key, self._drawn, count)
+        self._drawn += count
+        bits >>= np.uint64(11)
+        x = bits.astype(float)
+        del bits
         x += 1.0
         x *= 2.0 ** -53  # uniforms in (0, 1], exact
         radius, angle = x.reshape(-1, 2).T

@@ -309,8 +309,9 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
     Keys match the chunks of cli._sample_witnesses. A probe whose
     projection carries no weight gives a NaN witness. Every witness is computed for
     every state, including the second witnesses that the chunks compute
-    only where their claim's first witness fires; a test applies that
-    gate to this full result.
+    only where their claim's first witness fires and the limit's excess,
+    which they compute only where limit_bound is above 0; a test applies
+    those gates to this full result.
     """
     rng = NormalStream(seed)
     rows = []
@@ -319,13 +320,14 @@ def lemma_witnesses_by_samples(seed: int, samples: int) -> dict[str, np.ndarray]
         evolved = evolve(s, GROUND_EXCITED, 1.0, 1.0, 0.7)
         rows.append({
             "limit_pt_min": criteria.min_pt_eigenvalue(lim),
+            "limit_bound": criteria.realignment_excess_bound(lim),
             "limit_excess": criteria.realignment_excess(lim),
             "parent_pt_min": criteria.min_pt_eigenvalue(s),
             "evolved_pt_min": criteria.min_pt_eigenvalue(evolved),
             "two_sided": family.two_sided_probe(s),
             "one_sided": family.one_sided_probe(evolved, "B"),
         })
-    keys = ("limit_pt_min", "limit_excess", "two_sided", "parent_pt_min", "one_sided", "evolved_pt_min")
+    keys = ("limit_pt_min", "limit_bound", "limit_excess", "two_sided", "parent_pt_min", "one_sided", "evolved_pt_min")
     return {key: np.array([row[key] for row in rows], dtype=float) for key in keys}
 
 

@@ -22,12 +22,12 @@ import dephaselab
 from conftest import (
     CHUNK_SIZES, GOLDEN_DIR, SRC_DIR, child_env, lemma_witnesses_by_samples, retention, run_cli, sweep_by_points,
 )
-from dephaselab import cli, family
+from dephaselab import channels, cli, criteria, family
 from dephaselab.channels import GROUND_EXCITED, apply_channel, evolve, kraus_ground_excited
 from dephaselab.criteria import transition_times
 from dephaselab.family import certificate_blocks, certificate_onset_time, evolved_closed_form, initial_state, swapped_state
 from dephaselab.linalg import TOL, DomainError
-from dephaselab.qstate import Dims, random_state, state_from_json, state_to_json
+from dephaselab.qstate import DensityMatrix, Dims, random_state, state_from_json, state_to_json
 
 
 def read_csv(stdout: bytes):
@@ -437,6 +437,43 @@ class TestVerifyLemmas:
         match = re.search(r"^(\d+)/(\d+) checks passed$", out.splitlines()[-1])
         assert match and int(match.group(1)) == int(match.group(2)) - 1
 
+    def test_bound_screen_cannot_hide_a_ppt_witnessed_limit(self, monkeypatch, capsys):
+        # Every other sample is the doublet Bell state (|11> + |22>)/sqrt(2),
+        # its own limit, with realignment excess 1: its bound lets it
+        # through, so the SVD runs on exactly those members. The limit's
+        # PT minimum alone is made to read PPT, so only the limit claim
+        # may fail, once per doublet.
+        psi = np.zeros(9)
+        psi[[4, 8]] = 1.0 / math.sqrt(2.0)
+
+        def half_doublets(rng, dims, size):
+            mats = np.array(random_state(rng, dims, size).mat)
+            mats[::2] = np.outer(psi, psi)
+            return DensityMatrix(mats, dims)
+
+        limits = []
+        infinite_limit, witness_where = channels.infinite_limit, cli._witness_where
+
+        def recorded_limit(state):
+            limits.append(infinite_limit(state))
+            return limits[-1]
+
+        def ppt_limit(witness, mask, state):
+            values = witness_where(witness, mask, state)
+            if witness is criteria.min_pt_eigenvalue and any(state is lim for lim in limits):
+                values[mask] = 0.0
+            return values
+
+        monkeypatch.setattr(cli, "random_state", half_doublets)
+        monkeypatch.setattr(channels, "infinite_limit", recorded_limit)
+        monkeypatch.setattr(cli, "_witness_where", ppt_limit)
+        chunk = next(cli._sample_witnesses(0, 64))
+        assert np.array_equal(~np.isnan(chunk["limit_excess"]), np.arange(64) % 2 == 0)
+        assert np.max(np.abs(chunk["limit_excess"][::2] - 1.0)) < 1e-12
+        assert cli.main(["verify-lemmas", "--samples", "64"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == ["[FAIL] no random infinite-time limit is PPT-entangled-witnessed (64 samples): 32 violations"]
+
     def test_seed_changes_keep_passing(self):
         for seed in ("1", "7", "123"):
             assert run_cli("verify-lemmas", "--seed", seed, "--samples", "20").returncode == 0
@@ -446,7 +483,7 @@ class TestVerifyLemmas:
         [
             (["verify-lemmas", "--seed", "42", "--samples", "200"], "verify_lemmas_seed42_samples200.txt", 0),
             # The one exit 1: the unswapped-limit claim broken from outside.
-            (["verify-lemmas", "--seed", "42", "--samples", "0"], "verify_lemmas_seed42_samples0_inject_fault.txt", 1),
+            (["verify-lemmas", "--seed", "42", "--samples", "0"], "verify_lemmas_seed42_samples0_broken_limit_claim.txt", 1),
             # grid-sweep's rate grid and the default verdict sweep: goldens
             # independent of the library code the sweep itself runs.
             (["sweep", "--quantity", "pt-min-eig", "--initial", "rho-prime", "--t-range", "0", "10", "41",
@@ -465,7 +502,7 @@ class TestVerifyLemmas:
         assert stdout == (GOLDEN_DIR / golden).read_bytes()
 
     @pytest.mark.parametrize(
-        "key, samples, fault", [("seed42_samples200", 200, False), ("seed42_samples0_inject_fault", 0, True)]
+        "key, samples, fault", [("seed42_samples200", 200, False), ("seed42_samples0_broken_limit_claim", 0, True)]
     )
     def test_golden_checks(self, key, samples, fault, monkeypatch):
         # stdout shows a claim's detail only when it fails: pin every
@@ -486,9 +523,13 @@ class TestVerifyLemmas:
             min(cli.STACK_CHUNK, samples - start) for start in range(0, samples, cli.STACK_CHUNK)
         ]
         oracle = lemma_witnesses_by_samples(seed, samples)
-        # A claim's second witness is taken only where its first fires.
+        assert np.all(oracle["limit_bound"] >= oracle["limit_excess"])
+        # A claim's second witness is taken only where its first fires,
+        # and the limit's excess only where its bound lets it fire.
+        screened = oracle["limit_bound"] > 0
         gates = {
-            "limit_pt_min": oracle["limit_excess"] > TOL.verdict,
+            "limit_excess": screened,
+            "limit_pt_min": screened & (oracle["limit_excess"] > TOL.verdict),
             "parent_pt_min": oracle["two_sided"] < -TOL.verdict,
             "evolved_pt_min": oracle["one_sided"] < -TOL.verdict,
         }

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import QUTRIT_PAIR, bures_by_eigh, bures_fidelity, random_separable_mixture
+from dephaselab.channels import GROUND_EXCITED, evolve, infinite_limit
 from dephaselab.criteria import (
     BlockSpec,
     CoverageError,
@@ -21,6 +22,7 @@ from dephaselab.criteria import (
     min_pt_eigenvalue,
     qubit_block_witness,
     realignment_excess,
+    realignment_excess_bound,
     separability_certificate,
 )
 from dephaselab.family import (
@@ -30,7 +32,7 @@ from dephaselab.family import (
     swapped_state,
 )
 from dephaselab.linalg import TOL, DomainError, NotHermitianError, eigvals_hermitian, hermitize
-from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state
+from dephaselab.qstate import BadShapeError, DensityMatrix, Dims, make_state, random_state, realign
 
 
 def family_at(t: float, alpha: float = 4.5, rate: float = 1.0):
@@ -81,6 +83,50 @@ class TestWitnesses:
         ):
             with pytest.raises(NotHermitianError):
                 witness(state)
+
+
+def pure(*flat_indices: int) -> DensityMatrix:
+    """The equal superposition of the given composite basis states."""
+    psi = np.zeros(9)
+    psi[list(flat_indices)] = 1.0 / math.sqrt(len(flat_indices))
+    return make_state(QUTRIT_PAIR, np.outer(psi, psi))
+
+
+class TestRealignmentBound:
+    """realignment_excess_bound never reads below realignment_excess, so a
+    bound at or below 0 may skip the SVD."""
+
+    @staticmethod
+    def assert_bounds(state: DensityMatrix) -> None:
+        bound, excess = realignment_excess_bound(state), realignment_excess(state)
+        assert np.all(bound >= excess)
+        rows = np.linalg.norm(realign(state), axis=-1).sum(axis=-1) - 1.0
+        assert np.max(np.abs(bound - rows)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.5, 5.0])
+    @pytest.mark.parametrize("start", [initial_state, swapped_state])
+    def test_family_limits_and_evolved_states(self, start, alpha):
+        state = start(alpha)
+        self.assert_bounds(infinite_limit(state))
+        self.assert_bounds(evolve(state, GROUND_EXCITED, 1.0, 1.0, np.linspace(0.0, 5.0, 21)))
+
+    def test_random_states_and_their_limits(self, rng):
+        states = random_state(rng, QUTRIT_PAIR, 200)
+        self.assert_bounds(states)
+        self.assert_bounds(infinite_limit(states))
+
+    def test_product_state_bound_equals_its_zero_excess(self):
+        state = pure(0)
+        assert realignment_excess_bound(state) == realignment_excess(state) == 0.0
+
+    def test_doublet_bell_state_is_its_own_limit_and_passes_the_screen(self):
+        # (|11> + |22>)/sqrt(2): realigned, four singular values of 1/2,
+        # four rows of norm 1/2.
+        state = pure(4, 8)
+        assert np.array_equal(infinite_limit(state).mat, state.mat)
+        self.assert_bounds(state)
+        assert abs(realignment_excess(state) - 1.0) < 1e-12
+        assert realignment_excess_bound(state) > 0.0
 
 
 class TestBlockSpec:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dephaselab.qstate import (
     NonFiniteError,
     NormalStream,
     TraceNotOneError,
+    _splitmix64,
     make_state,
     partial_transpose,
     project_local,
@@ -236,6 +238,19 @@ class TestNormalStream:
         alone = np.stack([stream.standard_normal((2, 9, 9)) for _ in range(64)])
         stacked = NormalStream(11).standard_normal((64, 2, 9, 9))
         assert stacked.shape == alone.shape and stacked.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("key, outputs", [
+        (0, (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)),
+        (1234567, (0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77)),
+    ])
+    def test_splitmix64_known_answers(self, key, outputs):
+        # The reference splitmix64.c's first outputs from each state. The
+        # counter and both multiplies wrap modulo 2**64, which must raise
+        # no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _splitmix64(key, 0, 3).tolist() == list(outputs)
+            assert _splitmix64(key, 1, 2).tolist() == list(outputs[1:])
 
     @pytest.mark.parametrize("shape", [(1,), (9, 9), (3, 3, 3)])
     def test_odd_count_raises(self, shape):

@@ -126,10 +126,11 @@ def test_cold_import_loads_no_dataclasses_csv_or_numpy_random():
 
 
 def test_verify_lemmas_loads_no_numpy_random_or_openssl():
-    # The sampled claims draw from the standard library's Mersenne
-    # Twister, so a run loads neither numpy.random nor the secrets, hmac
-    # and hashlib chain that brings in OpenSSL. random itself is not
-    # asserted absent: site may preload it.
+    # The sampled claims draw from qstate.NormalStream's SplitMix64,
+    # keyed by the standard library's Mersenne Twister, so a run loads
+    # neither numpy.random nor the secrets, hmac and hashlib chain that
+    # brings in OpenSSL. random itself is not asserted absent: site may
+    # preload it.
     absent = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
     code = (
         "import contextlib, io, sys, dephaselab.cli as cli\n"

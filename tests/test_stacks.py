@@ -22,6 +22,7 @@ from dephaselab.criteria import (
     min_pt_eigenvalue,
     qubit_block_witness,
     realignment_excess,
+    realignment_excess_bound,
     separability_certificate,
 )
 from dephaselab.family import certificate_blocks, initial_state, one_sided_probe, two_sided_probe
@@ -112,6 +113,7 @@ class TestStacks:
         singles = members(stack)
         assert_same_bits(min_pt_eigenvalue(stack), [min_pt_eigenvalue(s) for s in singles])
         assert_same_bits(realignment_excess(stack), [realignment_excess(s) for s in singles])
+        assert_same_bits(realignment_excess_bound(stack), [realignment_excess_bound(s) for s in singles])
         assert_same_bits(
             qubit_block_witness(stack, (1, 0), (0, 1)), [qubit_block_witness(s, (1, 0), (0, 1)) for s in singles]
         )
@@ -142,6 +144,7 @@ class TestStacks:
         blocks = certificate_blocks()
         assert_same_bits(min_pt_eigenvalue(stack), [min_pt_eigenvalue(s) for s in singles])
         assert_same_bits(realignment_excess(stack), [realignment_excess(s) for s in singles])
+        assert_same_bits(realignment_excess_bound(stack), [realignment_excess_bound(s) for s in singles])
         stacked = separability_certificate(stack, blocks)
         alone = [separability_certificate(s, blocks) for s in singles]
         assert_same_bits([r.block_minima for r in stacked], [r.block_minima for r in alone])
